@@ -21,6 +21,8 @@ import copy
 import csv
 import hashlib
 import json
+import math
+import numbers
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +56,9 @@ TASKS = ("propagate", "meanfield", "compare", "verify_eom", "verify_compact", "s
 DEFAULT_EOM_THRESHOLD = 1e-11
 DEFAULT_COMPACT_THRESHOLD = 1e-10
 NEGATIVE_CONTROL_FLOOR = 1e-3
+# Output grid points per run: 10^6 points of a few dozen records already
+# take hundreds of MB in the trajectory files.
+N_OUT_MAX = 10**6
 
 
 class ConfigError(ValueError):
@@ -96,6 +101,10 @@ def _as_list(value, name: str, problems: list[str]) -> list:
         problems.append(f"{name} must be a list")
         return []
     return value
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _parse_complex(value) -> complex:
@@ -166,7 +175,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         omegas = params_raw["omegas"]
         if isinstance(omegas, (int, float)):
             omegas = [omegas] * n_sites
-        energies = [[-0.5 * w, 0.5 * w] for w in omegas]
+        for v, w in enumerate(omegas):
+            if not _finite(w):
+                problems.append(f"params.omegas[{v}] must be a finite number, got {w!r}")
+        energies = [[-0.5 * w, 0.5 * w] if _finite(w) else [-0.5, 0.5] for w in omegas]
     else:
         energies = [[-0.5, 0.5]] * n_sites
     if len(energies) != n_sites:
@@ -174,8 +186,10 @@ def config_from_dict(raw: dict) -> RunConfig:
             f"params.site_energies has {len(energies)} entries for {n_sites} sites"
         )
     for v, pair in enumerate(energies):
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             problems.append(f"params.site_energies[{v}] must be [lower, upper]")
+        elif not all(_finite(e) for e in pair):
+            problems.append(f"params.site_energies[{v}] entries must be finite numbers, got {pair}")
         elif not pair[1] > pair[0]:
             problems.append(
                 f"params.site_energies[{v}]: upper must exceed lower, got {pair}"
@@ -190,8 +204,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
     for k, mode in enumerate(fm_raw):
         omega = mode.get("omega")
-        if omega is None or omega <= 0:
-            problems.append(f"params.field_modes[{k}].omega must be positive")
+        if not _finite(omega) or omega <= 0:
+            problems.append(f"params.field_modes[{k}].omega must be a positive finite number")
             omega = 1.0
         overlap = mode.get("polarization_overlap", [1.0] * n_sites)
         if isinstance(overlap, (int, float)):
@@ -219,8 +233,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
     for q, mode in enumerate(pm_raw):
         nu = mode.get("nu")
-        if nu is None or nu <= 0:
-            problems.append(f"params.phonon_modes[{q}].nu must be positive")
+        if not _finite(nu) or nu <= 0:
+            problems.append(f"params.phonon_modes[{q}].nu must be a positive finite number")
             nu = 1.0
         p_modes.append(PhononMode(nu=float(nu), coupling=float(mode.get("coupling", 0.0))))
 
@@ -251,12 +265,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if len(dipole) != n_sites:
         problems.append("params.dipole needs one entry per site")
     positions = params_raw.get("site_positions")
+    exchange_j = params_raw.get("exchange_j", 0.0)
+    if not _finite(exchange_j):
+        problems.append(f"params.exchange_j must be a finite number, got {exchange_j!r}")
+        exchange_j = 0.0
 
     params = None
     try:
         params = SystemParams(
             site_energies=tuple((float(p[0]), float(p[1])) for p in energies),
-            exchange_j=float(params_raw.get("exchange_j", 0.0)),
+            exchange_j=float(exchange_j),
             boundary=boundary,
             field_modes=tuple(f_modes),
             dipole=tuple(float(p) for p in dipole),
@@ -313,12 +331,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         "n_out": int(raw.get("integrate", {}).get("n_out", 201)),
         "keep_states": bool(raw.get("integrate", {}).get("keep_states", False)),
     }
-    if integrate["tol"] <= 0:
-        problems.append("integrate.tol must be positive")
-    if integrate["t_end"] <= 0:
-        problems.append("integrate.t_end must be positive")
-    if integrate["n_out"] < 2:
-        problems.append("integrate.n_out must be at least 2")
+    for key in ("tol", "t_end"):
+        if not (math.isfinite(integrate[key]) and integrate[key] > 0):
+            problems.append(f"integrate.{key} must be positive and finite")
+    if not 2 <= integrate["n_out"] <= N_OUT_MAX:
+        problems.append(f"integrate.n_out must lie between 2 and {N_OUT_MAX}")
 
     output = dict(raw.get("output", {}))
     output.setdefault("formats", ["csv", "json"])
@@ -690,11 +707,13 @@ def draw_params(
 
 
 def _write_trajectory(config: RunConfig, traj, out_dir: Path, basename: str) -> list[str]:
+    """Export in every configured format; paths are returned relative to ``out_dir``
+    so that identical runs into different directories write identical reports."""
     files = []
     for fmt in config.output["formats"]:
         suffix = {"csv": ".csv", "json": ".json"}[fmt]
         path = export_trajectory(traj, fmt, out_dir / f"{basename}{suffix}")
-        files.append(str(path))
+        files.append(path.relative_to(out_dir).as_posix())
     return files
 
 

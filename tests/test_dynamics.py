@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from chainqed.dynamics import (
+    SPECTRAL_MAX_DIM,
+    PropagationError,
     StateVector,
     bulk_projector,
     build_g_vector,
@@ -20,14 +24,18 @@ from chainqed.dynamics import (
     verify_heisenberg_identities,
 )
 from chainqed.hamiltonian import (
+    LITERAL_TIME_DEPENDENT,
+    ClassicalDrive,
     FieldMode,
     OperatorCache,
     PhononMode,
     SystemParams,
+    TotalHamiltonian,
     build_hcp,
 )
 from chainqed.hilbert import (
     ModeSpec,
+    Operator,
     SpaceSpec,
     build_space,
     coherent_local,
@@ -131,6 +139,114 @@ def test_state_vector_start_time(free_site):
     traj = propagate(space, params, StateVector(psi0, time=2.0), 4.0, n_out=11)
     assert traj.times[0] == 2.0
     assert traj.times[-1] == 4.0
+
+
+# -- propagation backends ---------------------------------------------------------------
+
+
+def criterion_06_system():
+    """Two sites and a field mode of cutoff 10 (dim 44), horizon 50 periods."""
+    space = build_space(SpaceSpec(2, (ModeSpec(10),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.45, 0.55)),
+        exchange_j=0.05,
+        field_modes=(FieldMode(omega=1.1, amplitude=0.06, polarization_overlap=(1.0, 0.8)),),
+    )
+    psi0 = product_state(
+        space,
+        [site_local_state("angles", theta=1.0), site_local_state("ground"), coherent_local(1.0, 10)],
+    )
+    return space, params, psi0, 50 * 2 * np.pi
+
+
+def criterion_08_system():
+    """One site and a coherent field (nbar 9, cutoff 30: dim 62), three Rabi cycles."""
+    space = build_space(SpaceSpec(1, (ModeSpec(30),)))
+    params = single_site_params(
+        field_modes=(FieldMode(omega=1.0, amplitude=0.01, polarization_overlap=(1.0,)),),
+    )
+    psi0 = product_state(space, [site_local_state("ground"), coherent_local(3.0, 30)])
+    return space, params, psi0, 3 * 2 * np.pi / (2 * 0.01 * 3.0)
+
+
+STATIC_SYSTEMS = [criterion_06_system, criterion_08_system]
+
+
+@pytest.mark.parametrize("system", STATIC_SYSTEMS)
+def test_spectral_path_matches_matrix_exponential(system):
+    space, params, psi0, t_end = system()
+    rng = np.random.default_rng(2026)
+    t_eval = np.sort(np.append(rng.uniform(0.0, t_end, size=5), t_end))
+    traj = propagate(space, params, psi0, t_end, t_eval=t_eval, keep_states=True)
+    assert traj.meta["method"] == "eigh"
+    h = TotalHamiltonian(space, params).static.to_dense()
+    for k, t in enumerate(t_eval):
+        assert np.max(np.abs(traj.states[:, k] - expm(-1j * h * t) @ psi0)) <= 1e-9
+
+
+@pytest.mark.parametrize("system", STATIC_SYSTEMS)
+def test_spectral_path_matches_tight_dop853(system):
+    space, params, psi0, _ = system()
+    h = TotalHamiltonian(space, params).static.matrix
+    t_eval = np.linspace(0.0, 5.0, 11)
+    ref = solve_ivp(lambda t, psi: -1j * (h @ psi), (0.0, 5.0), psi0, method="DOP853",
+                    t_eval=t_eval, rtol=1e-12, atol=1e-14)
+    traj = propagate(space, params, psi0, 5.0, t_eval=t_eval, keep_states=True)
+    assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
+
+
+def _vacuum_site_field(cutoff, **kwargs):
+    space = build_space(SpaceSpec(1, (ModeSpec(cutoff),)))
+    params = single_site_params(
+        field_modes=(FieldMode(omega=1.0, amplitude=0.05, polarization_overlap=(1.0,)),), **kwargs
+    )
+    return space, params, product_state(space, [site_local_state("excited"), fock_local(0, cutoff)])
+
+
+@pytest.mark.parametrize(
+    "cutoff,kwargs,method",
+    [
+        (SPECTRAL_MAX_DIM // 2 - 1, {}, "eigh"),  # dim == SPECTRAL_MAX_DIM
+        (SPECTRAL_MAX_DIM // 2, {}, "DOP853"),  # dim == SPECTRAL_MAX_DIM + 2
+        (2, {"drives": (ClassicalDrive(amplitude=0.01, frequency=1.0),)}, "DOP853"),
+        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, "DOP853"),
+    ],
+    ids=["static-at-limit", "static-above-limit", "driven-small", "literal-small"],
+)
+def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, method):
+    space, params, psi0 = _vacuum_site_field(cutoff, **kwargs)
+    traj = propagate(space, params, psi0, 0.5, n_out=3)
+    assert traj.meta["method"] == method
+    assert (traj.meta["rhs_evaluations"] == 0) == (method == "eigh")
+
+
+@pytest.mark.parametrize("drives", [(), (ClassicalDrive(amplitude=0.01, frequency=1.0),)], ids=["eigh", "DOP853"])
+@pytest.mark.parametrize("t_eval", [[0.0, 0.5, 1.5], [0.0, 0.7, 0.3, 1.0], [-0.1, 0.5, 1.0]],
+                         ids=["beyond-end", "unsorted", "before-start"])
+def test_bad_output_grid_raises_like_solve_ivp(drives, t_eval):
+    space, params, psi0 = _vacuum_site_field(2, drives=drives)
+    with pytest.raises(ValueError) as expected:
+        solve_ivp(lambda t, y: y, (0.0, 1.0), psi0, t_eval=np.array(t_eval))
+    with pytest.raises(ValueError) as raised:
+        propagate(space, params, psi0, 1.0, t_eval=np.array(t_eval))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_spectral_path_rejects_non_finite_hamiltonian():
+    space = build_space(SpaceSpec(2))
+    params = SystemParams(site_energies=((-0.5, 0.5), (-0.5, 0.5)), exchange_j=float("nan"))
+    psi0 = product_state(space, [site_local_state("excited"), site_local_state("ground")])
+    with pytest.raises(PropagationError, match="non-finite entries"):
+        propagate(space, params, psi0, 1.0)
+
+
+def test_spectral_path_rejects_non_finite_spectrum(free_site):
+    space, params = free_site
+    ham = TotalHamiltonian(space, params)
+    ham.static = Operator(np.full((2, 2), 1e308))  # finite entries, eigenvalue 2e308 overflows
+    psi0 = product_state(space, [site_local_state("ground")])
+    with pytest.raises(PropagationError, match="non-finite eigenvalues"):
+        propagate(space, params, psi0, 1.0, hamiltonian=ham)
 
 
 # -- Heisenberg right-hand sides ------------------------------------------------------

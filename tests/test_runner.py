@@ -104,6 +104,50 @@ def test_validation_errors_aggregated():
     assert len(err.value.problems) >= 4
 
 
+def _valid_raw() -> dict:
+    return {
+        "space": {"n_sites": 2, "field_modes": [{"cutoff": 3}], "phonon_modes": [{"cutoff": 2}]},
+        "params": {
+            "omegas": [1.0, 1.0],
+            "exchange_j": 0.05,
+            "field_modes": [{"omega": 1.0, "amplitude": 0.1}],
+            "phonon_modes": [{"nu": 0.5, "coupling": 0.1}],
+        },
+        "integrate": {"tol": 1e-10, "t_end": 5.0, "n_out": 11},
+    }
+
+
+NAN, INF = float("nan"), float("inf")
+OUT_OF_RANGE = [
+    # (section, key, value, text naming the problem)
+    ("params", "omegas", [NAN, 1.0], "params.omegas[0]"),
+    ("params", "omegas", [1.0, INF], "params.omegas[1]"),
+    ("params", "site_energies", [[-0.5, 0.5], [NAN, 0.5]], "params.site_energies[1]"),
+    ("params", "site_energies", [[-INF, 0.5], [-0.5, 0.5]], "params.site_energies[0]"),
+    ("params", "site_energies", [[-0.5, 0.5], 0.3], "params.site_energies[1]"),
+    ("params", "exchange_j", NAN, "params.exchange_j"),
+    ("params", "exchange_j", -INF, "params.exchange_j"),
+    ("params", "field_modes", [{"omega": NAN}], "params.field_modes[0].omega"),
+    ("params", "field_modes", [{"omega": INF}], "params.field_modes[0].omega"),
+    ("params", "phonon_modes", [{"nu": NAN}], "params.phonon_modes[0].nu"),
+    ("integrate", "tol", INF, "integrate.tol"),
+    ("integrate", "tol", NAN, "integrate.tol"),
+    ("integrate", "t_end", INF, "integrate.t_end"),
+    ("integrate", "n_out", 10**6 + 1, "integrate.n_out"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,named", OUT_OF_RANGE,
+                         ids=[f"{c[1]}={c[2]!r}" for c in OUT_OF_RANGE])
+def test_non_finite_and_out_of_range_values_rejected(section, key, value, named):
+    config_from_dict(_valid_raw())
+    raw = _valid_raw()
+    raw[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any(named in problem for problem in err.value.problems), err.value.problems
+
+
 def test_drive_site_reference_checked():
     raw = {
         "space": {"n_sites": 1},
