@@ -17,16 +17,15 @@ classification) for probing driven regimes.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks, peak_widths
 
-from .dynamics import PropagationError, Trajectory
-from .hamiltonian import SystemParams, coupling_q, drive_field
-
-BLOCH_TOL = 1e-9
+from .dynamics import RECORD_CHUNK, PropagationError, Trajectory
+from .hamiltonian import LITERAL_TIME_DEPENDENT, SystemParams, coupling_q
 
 
 @dataclass
@@ -35,7 +34,8 @@ class MeanFieldState:
 
     ``s_minus`` per site (complex), ``s_z`` per site (real), ``a`` per field
     mode and ``b`` per phonon mode (complex).  ``s_plus`` is the conjugate
-    of ``s_minus`` by construction.
+    of ``s_minus`` by construction.  The fields may also hold blocks with
+    one column per time point; ``bloch_lengths`` then acts per column.
     """
 
     s_minus: np.ndarray
@@ -64,27 +64,12 @@ class MeanFieldState:
 
     def pack(self) -> np.ndarray:
         """Flatten to the real vector integrated by the ODE solver."""
-        return np.concatenate(
-            [
-                self.s_minus.real,
-                self.s_minus.imag,
-                self.s_z,
-                self.a.real,
-                self.a.imag,
-                self.b.real,
-                self.b.imag,
-            ]
-        )
+        return _pack(self.s_minus, self.s_z, self.a, self.b)
 
-    @classmethod
-    def unpack(cls, y: np.ndarray, n: int, n_field: int, n_phonon: int, time: float = 0.0):
-        sm = y[0:n] + 1j * y[n : 2 * n]
-        sz = y[2 * n : 3 * n]
-        base = 3 * n
-        a = y[base : base + n_field] + 1j * y[base + n_field : base + 2 * n_field]
-        base += 2 * n_field
-        b = y[base : base + n_phonon] + 1j * y[base + n_phonon : base + 2 * n_phonon]
-        return cls(sm, sz, a, b, time)
+
+def _pack(s_minus, s_z, a, b) -> np.ndarray:
+    """Real ODE vector: Re/Im s-, s_z, Re/Im a, Re/Im b (``CompiledClosure.split`` inverts it)."""
+    return np.concatenate([s_minus.real, s_minus.imag, s_z, a.real, a.imag, b.real, b.imag])
 
 
 def bloch_state(theta: float = 0.0, phi: float = 0.0) -> tuple[complex, float]:
@@ -92,12 +77,117 @@ def bloch_state(theta: float = 0.0, phi: float = 0.0) -> tuple[complex, float]:
     return 0.5 * np.sin(theta) * np.exp(1j * phi), -float(np.cos(theta))
 
 
-def _site_drive(params: SystemParams, mf: MeanFieldState, l: int, t: float) -> float:
-    """Real driving field on site l: quantized-mode image plus classical drives."""
-    total = drive_field(params, l, t)
-    for k in range(len(params.field_modes)):
-        total += 2.0 * (coupling_q(params, l, k, t) * mf.a[k]).real
-    return total
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im in one new array (no complex temporary)."""
+    z = re.astype(np.complex128)
+    z.imag = im
+    return z
+
+
+class CompiledClosure:
+    """Arrays of one ``SystemParams`` that the closed equations read, built once per run.
+
+    The right-hand side, the energy and the recording are then array operations without a
+    per-site loop; exchange sums run over the bond index arrays of ``params.bonds()`` (no
+    n x n adjacency) and terms whose coefficients are all zero are skipped.  State arrays
+    are indexed site (or mode) first: one state, or a block with one column per time.
+    """
+
+    def __init__(self, params: SystemParams):
+        n, nf = params.n_sites, len(params.field_modes)
+        self.n, self.n_field, self.n_phonon = n, nf, len(params.phonon_modes)
+        self.omega = np.array(params.omegas, dtype=float)
+        self.level_shift = 0.5 * float(np.sum(params.site_energies))
+        q0 = np.array([[coupling_q(params, j, k, 0.0) for k in range(nf)] for j in range(n)],
+                      dtype=np.complex128).reshape(n, nf)
+        # doubled: the site field is Re(2 q a), the mode source Re(s-) . 2 q*
+        self._q2, self._q2_conj = 2.0 * q0, 2.0 * q0.conj()
+        self.w_field = np.array([m.omega for m in params.field_modes], dtype=float)
+        self.coupled = bool(np.any(q0))
+        self.literal = self.coupled and params.coupling_mode == LITERAL_TIME_DEPENDENT
+        bonds = np.array(params.bonds(), dtype=np.intp).reshape(-1, 2)
+        self.exchange_j = params.exchange_j if bonds.size else 0.0
+        self.bond_v, self.bond_w = bonds.T
+        # neighbour sums of (Re s-, Im s-, s_z) as one bincount over 3n bins
+        rows = n * np.arange(3)[:, None]
+        self._nb_src = (np.concatenate([self.bond_w, self.bond_v]) + rows).ravel()
+        self._nb_dst = (np.concatenate([self.bond_v, self.bond_w]) + rows).ravel()
+        self.nu = np.array([m.nu for m in params.phonon_modes], dtype=float)
+        self.lam = np.array([m.coupling for m in params.phonon_modes], dtype=float)
+        self.phonon_coupled = bool(np.any(self.lam))
+        self.drive_amp = np.array([d.amplitude for d in params.drives], dtype=np.complex128)
+        self.drive_freq = np.array([d.frequency for d in params.drives], dtype=float)
+        # (drives x sites) mask, doubled: drive d adds 2 Re(A_d e^{-i w_d t}) on its sites
+        sites = np.arange(n)
+        self._drive_weight = 2.0 * np.array(
+            [np.ones(n) if d.sites is None else np.isin(sites, d.sites) for d in params.drives]
+        ).reshape(-1, n)
+        self.driven = bool(np.any(self.drive_amp) and np.any(self._drive_weight))
+
+    def check(self, mf: MeanFieldState) -> CompiledClosure:
+        """This closure, after refusing a state whose sizes differ from the parameters."""
+        have, want = (mf.n_sites, mf.a.size, mf.b.size), (self.n, self.n_field, self.n_phonon)
+        if have != want:
+            raise ValueError(f"state has {have} sites / field / phonon amplitudes, "
+                             f"params declare {want}")
+        return self
+
+    def split(self, y: np.ndarray):
+        """(s_minus, s_z, a, b) of a packed state or of a block of packed columns."""
+        n, nf, nph = self.n, self.n_field, self.n_phonon
+        base = 3 * n + 2 * nf
+        return (_complex(y[:n], y[n : 2 * n]), y[2 * n : 3 * n],
+                _complex(y[3 * n : 3 * n + nf], y[3 * n + nf : base]),
+                _complex(y[base : base + nph], y[base + nph : base + 2 * nph]))
+
+    def phase(self, t):
+        """exp(-i w_k t) per field mode; one column per time for a time grid."""
+        return np.exp(np.multiply.outer(t, -1j * self.w_field)).T
+
+    def site_field(self, t, a_t):
+        """Real field on every site: mode image plus drives (``a_t`` is a * phase(t) if literal)."""
+        field = (self._q2 @ a_t).real if self.coupled else 0.0
+        if self.driven:
+            drive = (self.drive_amp * np.exp(np.multiply.outer(t, -1j * self.drive_freq))).real
+            field = field + (drive @ self._drive_weight).T
+        return field
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Time derivative of the packed state (the equations of ``close_rhs``)."""
+        n, j = self.n, self.exchange_j
+        sm, sz, a, b = self.split(y)
+        phase = self.phase(t) if self.literal else None
+        ds_minus, ds_z = -1j * self.omega * sm, np.zeros(n)
+        if self.coupled or self.driven:
+            field = self.site_field(t, a * phase if self.literal else a)
+            ds_minus += 1j * sz * field
+            ds_z -= 4.0 * sm.imag * field
+        if j != 0.0:
+            nb = np.bincount(self._nb_dst, weights=y.take(self._nb_src), minlength=3 * n)
+            nb_minus, nb_z = nb[:n] + 1j * nb[n : 2 * n], nb[2 * n :]
+            ds_minus += 2j * j * (sz * nb_minus - sm * nb_z)
+            ds_z -= 8.0 * j * (sm * np.conj(nb_minus)).imag
+        if self.phonon_coupled:
+            ds_minus += -4j * (self.lam @ b.real) * sm
+        da = -1j * self.w_field * a
+        if self.coupled:
+            source = sm.real @ self._q2_conj
+            da -= 1j * (source * np.conj(phase) if self.literal else source)
+        db = -1j * (self.nu * b + self.lam * sz.sum()) if self.n_phonon else b
+        return _pack(ds_minus, ds_z, da, db)
+
+    def energy(self, t, sm, sz, a, b):
+        """Mean-field Hamiltonian function of one state, or per column of a block."""
+        e = self.level_shift + (0.5 * self.omega) @ sz
+        if self.exchange_j != 0.0:
+            v, w = self.bond_v, self.bond_w
+            bond = 2.0 * (np.conj(sm[v]) * sm[w]).real + 0.5 * sz[v] * sz[w]
+            e = e + 2.0 * self.exchange_j * np.sum(bond, axis=0)
+        e = e + self.w_field @ (np.abs(a) ** 2 + 0.5) + self.nu @ (np.abs(b) ** 2 + 0.5)
+        if self.coupled or self.driven:
+            field = self.site_field(t, a * self.phase(t) if self.literal else a)
+            e = e + np.sum(field * 2.0 * sm.real, axis=0)
+        return e + 2.0 * (self.lam @ b.real) * np.sum(sz, axis=0)
 
 
 def close_rhs(mf: MeanFieldState, params: SystemParams, t: float) -> MeanFieldState:
@@ -113,64 +203,14 @@ def close_rhs(mf: MeanFieldState, params: SystemParams, t: float) -> MeanFieldSt
     linear equations driven by ``sum_j 2 Re(s-_j) q*`` and
     ``lambda_q sum_j s_z_j``.
     """
-    n = mf.n_sites
-    ds_minus = np.zeros(n, dtype=np.complex128)
-    ds_z = np.zeros(n, dtype=float)
-    omegas = params.omegas
-    j = params.exchange_j
-    lam_disp = 0.0
-    for q, mode in enumerate(params.phonon_modes):
-        lam_disp += mode.coupling * 2.0 * mf.b[q].real
-
-    for l in range(n):
-        b_l = _site_drive(params, mf, l, t)
-        sm, sz = mf.s_minus[l], mf.s_z[l]
-        ds_minus[l] = -1j * omegas[l] * sm + 1j * sz * b_l
-        ds_z[l] = -4.0 * sm.imag * b_l
-        if j != 0.0:
-            s_minus_nb = sum(mf.s_minus[w] for w in params.neighbors(l))
-            s_z_nb = sum(mf.s_z[w] for w in params.neighbors(l))
-            ds_minus[l] += 2j * j * (sz * s_minus_nb - sm * s_z_nb)
-            ds_z[l] += -8.0 * j * (sm * np.conj(s_minus_nb)).imag
-        if lam_disp != 0.0:
-            ds_minus[l] += -2j * lam_disp * sm
-
-    da = np.zeros_like(mf.a)
-    for k, mode in enumerate(params.field_modes):
-        source = sum(
-            2.0 * mf.s_minus[jj].real * np.conj(coupling_q(params, jj, k, t))
-            for jj in range(n)
-        )
-        da[k] = -1j * mode.omega * mf.a[k] - 1j * source
-
-    db = np.zeros_like(mf.b)
-    sz_total = float(np.sum(mf.s_z))
-    for q, mode in enumerate(params.phonon_modes):
-        db[q] = -1j * mode.nu * mf.b[q] - 1j * mode.coupling * sz_total
-
-    return MeanFieldState(ds_minus, ds_z, da, db, t)
+    closure = CompiledClosure(params).check(mf)
+    return MeanFieldState(*closure.split(closure.rhs(t, mf.pack())), t)
 
 
 def mean_field_energy(mf: MeanFieldState, params: SystemParams, t: float = 0.0) -> float:
     """Mean-field Hamiltonian function (conserved under static coupling)."""
-    e = 0.0
-    for l, (e_low, e_up) in enumerate(params.site_energies):
-        e += 0.5 * (e_up - e_low) * mf.s_z[l] + 0.5 * (e_low + e_up)
-    j = params.exchange_j
-    if j != 0.0:
-        for v, w in params.bonds():
-            e += 2.0 * j * (
-                2.0 * (np.conj(mf.s_minus[v]) * mf.s_minus[w]).real
-                + 0.5 * mf.s_z[v] * mf.s_z[w]
-            )
-    for k, mode in enumerate(params.field_modes):
-        e += mode.omega * (abs(mf.a[k]) ** 2 + 0.5)
-    for l in range(mf.n_sites):
-        e += _site_drive(params, mf, l, t) * 2.0 * mf.s_minus[l].real
-    for q, mode in enumerate(params.phonon_modes):
-        e += mode.nu * (abs(mf.b[q]) ** 2 + 0.5)
-        e += mode.coupling * 2.0 * mf.b[q].real * float(np.sum(mf.s_z))
-    return float(e)
+    closure = CompiledClosure(params).check(mf)
+    return float(closure.energy(t, mf.s_minus, mf.s_z, mf.a, mf.b))
 
 
 def mf_propagate(
@@ -189,77 +229,38 @@ def mf_propagate(
     closure's analogue of state normalization) and ``bloch_l`` the per-site
     invariant itself.
     """
-    n, n_field, n_phonon = mf.n_sites, len(params.field_modes), len(params.phonon_modes)
-    if mf.a.size != n_field or mf.b.size != n_phonon:
-        raise ValueError(
-            f"state has {mf.a.size} field / {mf.b.size} phonon amplitudes, "
-            f"params declare {n_field} / {n_phonon}"
-        )
+    closure = CompiledClosure(params).check(mf)
     t_start = mf.time
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
-
-    def rhs(t, y):
-        state = MeanFieldState.unpack(y, n, n_field, n_phonon, t)
-        return close_rhs(state, params, t).pack()
-
     if t_eval is None:
         t_eval = np.linspace(t_start, t_end, n_out)
-    sol = solve_ivp(
-        rhs,
-        (t_start, t_end),
-        mf.pack(),
-        method=method,
-        t_eval=t_eval,
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
+    sol = solve_ivp(closure.rhs, (t_start, t_end), mf.pack(), method=method, t_eval=t_eval,
+                    rtol=tol, atol=tol * 1e-2)
     if not sol.success:
         raise PropagationError(f"mean-field propagation failed: {sol.message}")
 
-    nt = sol.t.size
+    sm, sz, a, b = closure.split(sol.y)
+    times, rhs_evaluations, sz = sol.t, int(sol.nfev), sz.copy()
+    del sol  # the solver's state block is not needed past this point
+    gc.collect(1)  # the dead solver is in a reference cycle: free its work arrays now
+    bloch, s_plus = MeanFieldState(sm, sz, a, b).bloch_lengths(), np.conj(sm)
     records: dict[str, np.ndarray] = {}
-    for l in range(n):
-        records[f"sigma_minus_{l}"] = np.empty(nt, dtype=np.complex128)
-        records[f"sigma_plus_{l}"] = np.empty(nt, dtype=np.complex128)
-        records[f"sigma_z_{l}"] = np.empty(nt)
-        records[f"bloch_{l}"] = np.empty(nt)
-    for k in range(n_field):
-        records[f"a_{k}"] = np.empty(nt, dtype=np.complex128)
-        records[f"n_{k}"] = np.empty(nt)
-    for q in range(n_phonon):
-        records[f"b_{q}"] = np.empty(nt, dtype=np.complex128)
-        records[f"nb_{q}"] = np.empty(nt)
-    records["norm"] = np.empty(nt)
-    records["energy"] = np.empty(nt)
-
-    for i in range(nt):
-        state = MeanFieldState.unpack(sol.y[:, i], n, n_field, n_phonon, sol.t[i])
-        for l in range(n):
-            records[f"sigma_minus_{l}"][i] = state.s_minus[l]
-            records[f"sigma_plus_{l}"][i] = np.conj(state.s_minus[l])
-            records[f"sigma_z_{l}"][i] = state.s_z[l]
-            records[f"bloch_{l}"][i] = state.bloch_lengths()[l]
-        for k in range(n_field):
-            records[f"a_{k}"][i] = state.a[k]
-            records[f"n_{k}"][i] = abs(state.a[k]) ** 2
-        for q in range(n_phonon):
-            records[f"b_{q}"][i] = state.b[q]
-            records[f"nb_{q}"][i] = abs(state.b[q]) ** 2
-        records["norm"][i] = np.sqrt(np.mean(state.bloch_lengths()))
-        records["energy"][i] = mean_field_energy(state, params, sol.t[i])
-
-    bloch_drift = max(
-        float(np.max(np.abs(records[f"bloch_{l}"] - records[f"bloch_{l}"][0])))
-        for l in range(n)
+    for l in range(closure.n):
+        records.update({f"sigma_minus_{l}": sm[l], f"sigma_plus_{l}": s_plus[l],
+                        f"sigma_z_{l}": sz[l], f"bloch_{l}": bloch[l]})
+    for k in range(closure.n_field):
+        records.update({f"a_{k}": a[k], f"n_{k}": np.abs(a[k]) ** 2})
+    for q in range(closure.n_phonon):
+        records.update({f"b_{q}": b[q], f"nb_{q}": np.abs(b[q]) ** 2})
+    records["norm"] = np.sqrt(np.mean(bloch, axis=0))
+    chunks = (slice(lo, lo + RECORD_CHUNK) for lo in range(0, times.size, RECORD_CHUNK))
+    records["energy"] = np.concatenate(
+        [closure.energy(times[c], sm[:, c], sz[:, c], a[:, c], b[:, c]) for c in chunks]
     )
-    meta = {
-        "bloch_drift": bloch_drift,
-        "tol": tol,
-        "method": method,
-        "kind": "meanfield",
-    }
-    return Trajectory(times=sol.t.copy(), records=records, meta=meta)
+    meta = {"bloch_drift": float(np.max(np.abs(bloch - bloch[:, :1]))), "tol": tol,
+            "method": method, "kind": "meanfield", "rhs_evaluations": rhs_evaluations}
+    return Trajectory(times=times, records=records, meta=meta)
 
 
 # -- analytic Rabi oracle ---------------------------------------------------------
@@ -537,16 +538,12 @@ def volterra_diagnostics(
         for name in observables
     }
 
-    n, n_field, n_phonon = mf0.n_sites, len(params.field_modes), len(params.phonon_modes)
+    rhs = CompiledClosure(params).rhs
     rng = np.random.default_rng(seed)
     y_ref = mf0.pack()
     direction = rng.normal(size=y_ref.size)
     direction /= np.linalg.norm(direction)
     y_pert = y_ref + delta0 * direction
-
-    def rhs(t, y):
-        state = MeanFieldState.unpack(y, n, n_field, n_phonon, t)
-        return close_rhs(state, params, t).pack()
 
     logs = []
     t0 = mf0.time

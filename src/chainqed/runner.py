@@ -16,6 +16,7 @@ round-trip representation).
 
 from __future__ import annotations
 
+import cmath
 import concurrent.futures
 import copy
 import csv
@@ -103,8 +104,56 @@ def _as_list(value, name: str, problems: list[str]) -> list:
     return value
 
 
+def _section(raw: dict, name: str, problems: list[str]) -> dict:
+    """A top-level config section; absent or null reads as empty."""
+    value = raw.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        problems.append(f"{name} must be a mapping, got {type(value).__name__}")
+        return {}
+    return value
+
+
+def _mappings(value, name: str, problems: list[str]) -> list[dict]:
+    """Entries of a list of mappings; any other entry is reported and read as empty."""
+    entries = _as_list(value, name, problems)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            problems.append(f"{name}[{i}] must be a mapping, got {entry!r}")
+    return [entry if isinstance(entry, dict) else {} for entry in entries]
+
+
 def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value, name: str, problems: list[str], default: float = 0.0) -> float:
+    """``float(value)`` when that is a finite number; otherwise report it and return ``default``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if math.isfinite(number):
+        return number
+    problems.append(f"{name} must be a finite number, got {value!r}")
+    return default
+
+
+def _complex(value, name: str, problems: list[str]) -> complex:
+    """A finite complex number (see ``_parse_complex``); otherwise report it and return 0."""
+    try:
+        number = _parse_complex(value)
+    except (TypeError, ValueError):
+        number = complex(math.nan)
+    if cmath.isfinite(number):
+        return number
+    problems.append(f"{name} must be a finite complex number, got {value!r}")
+    return 0j
 
 
 def _parse_complex(value) -> complex:
@@ -142,7 +191,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         seed = 0
 
     # -- space ---------------------------------------------------------------
-    space_raw = raw.get("space", {})
+    space_raw = _section(raw, "space", problems)
     n_sites = space_raw.get("n_sites", 1)
     if not isinstance(n_sites, int) or n_sites < 1:
         problems.append(f"space.n_sites must be a positive integer, got {n_sites!r}")
@@ -168,7 +217,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         problems.append(str(exc))
 
     # -- params ----------------------------------------------------------------
-    params_raw = raw.get("params", {})
+    params_raw = _section(raw, "params", problems)
     if "site_energies" in params_raw:
         energies = params_raw["site_energies"]
     elif "omegas" in params_raw:
@@ -196,7 +245,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             )
 
     f_modes = []
-    fm_raw = _as_list(params_raw.get("field_modes"), "params.field_modes", problems)
+    fm_raw = _mappings(params_raw.get("field_modes"), "params.field_modes", problems)
     if len(fm_raw) != len(field_specs):
         problems.append(
             f"params.field_modes has {len(fm_raw)} entries, "
@@ -210,22 +259,27 @@ def config_from_dict(raw: dict) -> RunConfig:
         overlap = mode.get("polarization_overlap", [1.0] * n_sites)
         if isinstance(overlap, (int, float)):
             overlap = [overlap] * n_sites
+        overlap = _as_list(overlap, f"params.field_modes[{k}].polarization_overlap", problems)
         if len(overlap) != n_sites:
             problems.append(
                 f"params.field_modes[{k}].polarization_overlap needs one entry "
                 f"per site ({n_sites})"
             )
+        name = f"params.field_modes[{k}]"
         f_modes.append(
             FieldMode(
                 omega=float(omega),
-                wavevector=float(mode.get("wavevector", 0.0)),
-                amplitude=float(mode.get("amplitude", 0.0)),
-                polarization_overlap=tuple(float(x) for x in overlap),
+                wavevector=_real(mode.get("wavevector", 0.0), f"{name}.wavevector", problems),
+                amplitude=_real(mode.get("amplitude", 0.0), f"{name}.amplitude", problems),
+                polarization_overlap=tuple(
+                    _real(x, f"{name}.polarization_overlap[{v}]", problems)
+                    for v, x in enumerate(overlap)
+                ),
             )
         )
 
     p_modes = []
-    pm_raw = _as_list(params_raw.get("phonon_modes"), "params.phonon_modes", problems)
+    pm_raw = _mappings(params_raw.get("phonon_modes"), "params.phonon_modes", problems)
     if len(pm_raw) != len(phonon_specs):
         problems.append(
             f"params.phonon_modes has {len(pm_raw)} entries, "
@@ -236,23 +290,25 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not _finite(nu) or nu <= 0:
             problems.append(f"params.phonon_modes[{q}].nu must be a positive finite number")
             nu = 1.0
-        p_modes.append(PhononMode(nu=float(nu), coupling=float(mode.get("coupling", 0.0))))
+        coupling = _real(mode.get("coupling", 0.0), f"params.phonon_modes[{q}].coupling", problems)
+        p_modes.append(PhononMode(nu=float(nu), coupling=coupling))
 
     drives = []
-    for d, drv in enumerate(_as_list(params_raw.get("drives"), "params.drives", problems)):
-        try:
-            amplitude = _parse_complex(drv.get("amplitude", 0.0))
-        except (TypeError, ValueError):
-            problems.append(f"params.drives[{d}].amplitude is not a complex number")
-            amplitude = 0.0
-        frequency = drv.get("frequency", 0.0)
+    for d, drv in enumerate(_mappings(params_raw.get("drives"), "params.drives", problems)):
+        amplitude = _complex(drv.get("amplitude", 0.0), f"params.drives[{d}].amplitude", problems)
+        frequency = _real(drv.get("frequency", 0.0), f"params.drives[{d}].frequency", problems)
         sites = drv.get("sites")
         if sites is not None:
+            if not isinstance(sites, list) or not all(_is_integer(s) for s in sites):
+                problems.append(
+                    f"params.drives[{d}].sites must be a list of site indices, got {sites!r}"
+                )
+                sites = []
             sites = tuple(int(s) for s in sites)
             for s in sites:
                 if not 0 <= s < n_sites:
                     problems.append(f"params.drives[{d}] references missing site {s}")
-        drives.append(ClassicalDrive(amplitude, float(frequency), sites))
+        drives.append(ClassicalDrive(amplitude, frequency, sites))
 
     boundary = params_raw.get("boundary", "open")
     coupling_mode = params_raw.get("coupling_mode", "static_phase_at_t0")
@@ -262,9 +318,15 @@ def config_from_dict(raw: dict) -> RunConfig:
     dipole = params_raw.get("dipole", [1.0] * n_sites)
     if isinstance(dipole, (int, float)):
         dipole = [dipole] * n_sites
+    dipole = _as_list(dipole, "params.dipole", problems)
     if len(dipole) != n_sites:
         problems.append("params.dipole needs one entry per site")
-    positions = params_raw.get("site_positions")
+    dipole = [_real(p, f"params.dipole[{v}]", problems, 1.0) for v, p in enumerate(dipole)]
+    lattice_spacing = _real(
+        params_raw.get("lattice_spacing", 1.0), "params.lattice_spacing", problems, 1.0
+    )
+    positions = _as_list(params_raw.get("site_positions"), "params.site_positions", problems)
+    positions = [_real(x, f"params.site_positions[{v}]", problems) for v, x in enumerate(positions)]
     exchange_j = params_raw.get("exchange_j", 0.0)
     if not _finite(exchange_j):
         problems.append(f"params.exchange_j must be a finite number, got {exchange_j!r}")
@@ -277,9 +339,9 @@ def config_from_dict(raw: dict) -> RunConfig:
             exchange_j=float(exchange_j),
             boundary=boundary,
             field_modes=tuple(f_modes),
-            dipole=tuple(float(p) for p in dipole),
-            lattice_spacing=float(params_raw.get("lattice_spacing", 1.0)),
-            site_positions=tuple(float(x) for x in positions) if positions else None,
+            dipole=tuple(dipole),
+            lattice_spacing=lattice_spacing,
+            site_positions=tuple(positions) if positions else None,
             coupling_mode=coupling_mode,
             phonon_modes=tuple(p_modes),
             drives=tuple(drives),
@@ -293,58 +355,74 @@ def config_from_dict(raw: dict) -> RunConfig:
             pass
 
     # -- initial state ------------------------------------------------------------
-    initial = raw.get("initial", {})
-    site_states = _as_list(initial.get("sites"), "initial.sites", problems)
+    initial = _section(raw, "initial", problems)
+    site_states = _mappings(initial.get("sites"), "initial.sites", problems)
     if site_states and len(site_states) != n_sites:
         problems.append(
             f"initial.sites has {len(site_states)} entries for {n_sites} sites"
         )
-    field_states = _as_list(initial.get("field_modes"), "initial.field_modes", problems)
+    field_states = _mappings(initial.get("field_modes"), "initial.field_modes", problems)
     if field_states and len(field_states) != len(field_specs):
         problems.append(
             f"initial.field_modes has {len(field_states)} entries, "
             f"space declares {len(field_specs)}"
         )
-    phonon_states = _as_list(initial.get("phonon_modes"), "initial.phonon_modes", problems)
+    phonon_states = _mappings(initial.get("phonon_modes"), "initial.phonon_modes", problems)
     if phonon_states and len(phonon_states) != len(phonon_specs):
         problems.append(
             f"initial.phonon_modes has {len(phonon_states)} entries, "
             f"space declares {len(phonon_specs)}"
         )
     for i, st in enumerate(site_states):
-        kind = (st or {}).get("kind", "ground")
+        kind = st.get("kind", "ground")
         if kind not in ("ground", "excited", "angles"):
             problems.append(f"initial.sites[{i}].kind must be ground/excited/angles")
-    for i, st in enumerate(field_states):
-        kind = (st or {}).get("kind", "fock")
-        if kind not in ("fock", "coherent", "vacuum"):
-            problems.append(f"initial.field_modes[{i}].kind must be fock/coherent/vacuum")
-    for i, st in enumerate(phonon_states):
-        kind = (st or {}).get("kind", "vacuum")
-        if kind not in ("fock", "coherent", "vacuum"):
-            problems.append(f"initial.phonon_modes[{i}].kind must be fock/coherent/vacuum")
+        for angle in ("theta", "phi"):
+            _real(st.get(angle, 0.0), f"initial.sites[{i}].{angle}", problems)
+    for section, states, specs, default, amplitude in (
+        ("field_modes", field_states, field_specs, "fock", "alpha"),
+        ("phonon_modes", phonon_states, phonon_specs, "vacuum", "beta"),
+    ):
+        for i, st in enumerate(states):
+            name = f"initial.{section}[{i}]"
+            kind = st.get("kind", default)
+            if kind not in ("fock", "coherent", "vacuum"):
+                problems.append(f"{name}.kind must be fock/coherent/vacuum")
+            elif kind == "coherent":
+                _complex(st.get(amplitude, 0.0), f"{name}.{amplitude}", problems)
+            elif kind == "fock" and i < len(specs):
+                level, cutoff = st.get("n", 0), specs[i].cutoff
+                if not (_is_integer(level) and 0 <= level <= cutoff):
+                    problems.append(
+                        f"{name}.n must be a Fock level from 0 to the cutoff {cutoff}, got {level!r}"
+                    )
 
     # -- integration / output -------------------------------------------------------
+    integrate_raw = _section(raw, "integrate", problems)
     integrate = {
-        "tol": float(raw.get("integrate", {}).get("tol", 1e-10)),
-        "t_end": float(raw.get("integrate", {}).get("t_end", 10.0)),
-        "n_out": int(raw.get("integrate", {}).get("n_out", 201)),
-        "keep_states": bool(raw.get("integrate", {}).get("keep_states", False)),
+        "tol": _real(integrate_raw.get("tol", 1e-10), "integrate.tol", problems, 1e-10),
+        "t_end": _real(integrate_raw.get("t_end", 10.0), "integrate.t_end", problems, 10.0),
+        "n_out": integrate_raw.get("n_out", 201),
+        "keep_states": bool(integrate_raw.get("keep_states", False)),
     }
     for key in ("tol", "t_end"):
-        if not (math.isfinite(integrate[key]) and integrate[key] > 0):
+        if not integrate[key] > 0:
             problems.append(f"integrate.{key} must be positive and finite")
+    try:
+        integrate["n_out"] = int(integrate["n_out"])
+    except (TypeError, ValueError, OverflowError):
+        integrate["n_out"] = 0
     if not 2 <= integrate["n_out"] <= N_OUT_MAX:
-        problems.append(f"integrate.n_out must lie between 2 and {N_OUT_MAX}")
+        problems.append(f"integrate.n_out must be an integer between 2 and {N_OUT_MAX}")
 
-    output = dict(raw.get("output", {}))
+    output = dict(_section(raw, "output", problems))
     output.setdefault("formats", ["csv", "json"])
     for fmt in output["formats"]:
         if fmt not in ("csv", "json"):
             problems.append(f"output format {fmt!r} not supported (csv, json)")
     output.setdefault("basename", "trajectory")
 
-    verify = dict(raw.get("verify", {}))
+    verify = dict(_section(raw, "verify", problems))
     verify.setdefault("draws", 10)
     verify.setdefault("eom_threshold", DEFAULT_EOM_THRESHOLD)
     verify.setdefault("compact_threshold", DEFAULT_COMPACT_THRESHOLD)

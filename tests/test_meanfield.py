@@ -1,13 +1,19 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
+from chainqed import meanfield
 from chainqed.dynamics import Trajectory, propagate
 from chainqed.hamiltonian import (
     ClassicalDrive,
     FieldMode,
     PhononMode,
     SystemParams,
+    coupling_q,
     drive_field,
 )
 from chainqed.hilbert import (
@@ -132,6 +138,220 @@ def test_mean_field_energy_conserved_static():
     traj = mf_propagate(mf0, params, 50.0, tol=1e-11, n_out=101)
     energy = traj.records["energy"]
     assert np.max(np.abs(energy - energy[0])) <= 1e-8 * max(1.0, abs(energy[0]))
+
+
+# -- agreement with the per-site equations ---------------------------------------------
+
+
+def _oracle_site_drive(params, mf, l, t):
+    """Real driving field on site l: quantized-mode image plus classical drives."""
+    total = drive_field(params, l, t)
+    for k in range(len(params.field_modes)):
+        total += 2.0 * (coupling_q(params, l, k, t) * mf.a[k]).real
+    return total
+
+
+def _oracle_rhs(mf, params, t):
+    """The closed equations written site by site (the reference for ``close_rhs``)."""
+    n = mf.n_sites
+    ds_minus = np.zeros(n, dtype=np.complex128)
+    ds_z = np.zeros(n, dtype=float)
+    j = params.exchange_j
+    lam_disp = 0.0
+    for q, mode in enumerate(params.phonon_modes):
+        lam_disp += mode.coupling * 2.0 * mf.b[q].real
+    for l in range(n):
+        b_l = _oracle_site_drive(params, mf, l, t)
+        sm, sz = mf.s_minus[l], mf.s_z[l]
+        ds_minus[l] = -1j * params.omegas[l] * sm + 1j * sz * b_l
+        ds_z[l] = -4.0 * sm.imag * b_l
+        if j != 0.0:
+            s_minus_nb = sum(mf.s_minus[w] for w in params.neighbors(l))
+            s_z_nb = sum(mf.s_z[w] for w in params.neighbors(l))
+            ds_minus[l] += 2j * j * (sz * s_minus_nb - sm * s_z_nb)
+            ds_z[l] += -8.0 * j * (sm * np.conj(s_minus_nb)).imag
+        if lam_disp != 0.0:
+            ds_minus[l] += -2j * lam_disp * sm
+    da = np.zeros_like(mf.a)
+    for k, mode in enumerate(params.field_modes):
+        source = sum(
+            2.0 * mf.s_minus[jj].real * np.conj(coupling_q(params, jj, k, t)) for jj in range(n)
+        )
+        da[k] = -1j * mode.omega * mf.a[k] - 1j * source
+    db = np.zeros_like(mf.b)
+    sz_total = float(np.sum(mf.s_z))
+    for q, mode in enumerate(params.phonon_modes):
+        db[q] = -1j * mode.nu * mf.b[q] - 1j * mode.coupling * sz_total
+    return MeanFieldState(ds_minus, ds_z, da, db, t)
+
+
+def _oracle_energy(mf, params, t):
+    """The mean-field Hamiltonian function summed term by term."""
+    e = 0.0
+    for l, (e_low, e_up) in enumerate(params.site_energies):
+        e += 0.5 * (e_up - e_low) * mf.s_z[l] + 0.5 * (e_low + e_up)
+    j = params.exchange_j
+    if j != 0.0:
+        for v, w in params.bonds():
+            e += 2.0 * j * (
+                2.0 * (np.conj(mf.s_minus[v]) * mf.s_minus[w]).real
+                + 0.5 * mf.s_z[v] * mf.s_z[w]
+            )
+    for k, mode in enumerate(params.field_modes):
+        e += mode.omega * (abs(mf.a[k]) ** 2 + 0.5)
+    for l in range(mf.n_sites):
+        e += _oracle_site_drive(params, mf, l, t) * 2.0 * mf.s_minus[l].real
+    for q, mode in enumerate(params.phonon_modes):
+        e += mode.nu * (abs(mf.b[q]) ** 2 + 0.5)
+        e += mode.coupling * 2.0 * mf.b[q].real * float(np.sum(mf.s_z))
+    return float(e)
+
+
+def _random_system(n, boundary, coupling_mode, drives, phonons, seed=0):
+    rng = np.random.default_rng(seed)
+    omegas = rng.uniform(0.8, 1.2, size=n)
+    if drives == "subset":
+        # duplicated and repeated sites count once, as in drive_field
+        drive_set = (
+            ClassicalDrive(0.07 - 0.03j, 0.95, tuple(range(0, n, 2)) + (0,)),
+            ClassicalDrive(0.02j, 1.3, (n - 1,)),
+        )
+    elif drives == "all":
+        drive_set = (ClassicalDrive(0.05 + 0.01j, 1.05),)
+    else:
+        drive_set = ()
+    params = SystemParams(
+        site_energies=tuple((-0.5 * w + 0.1, 0.5 * w + 0.1) for w in omegas),
+        exchange_j=0.07,
+        boundary=boundary,
+        field_modes=tuple(
+            FieldMode(omega=w, wavevector=kv, amplitude=amp,
+                      polarization_overlap=tuple(rng.uniform(-1, 1, size=n)))
+            for w, kv, amp in ((1.0, 0.4, 0.03), (0.7, -1.1, 0.05))
+        ),
+        dipole=tuple(rng.uniform(0.5, 1.5, size=n)),
+        site_positions=tuple(np.cumsum(rng.uniform(0.5, 1.5, size=n))),
+        coupling_mode=coupling_mode,
+        phonon_modes=(PhononMode(0.5, 0.02), PhononMode(0.8, -0.03)) if phonons else (),
+        drives=drive_set,
+    )
+    theta, phi = rng.uniform(0.2, 2.8, size=n), rng.uniform(0, 2 * np.pi, size=n)
+    mf = MeanFieldState(
+        0.5 * np.sin(theta) * np.exp(1j * phi),
+        -np.cos(theta),
+        rng.normal(size=2) + 1j * rng.normal(size=2),
+        rng.normal(size=2) + 1j * rng.normal(size=2) if phonons else [],
+    )
+    return params, mf
+
+
+AGREEMENT_CASES = list(
+    itertools.product(
+        ("open", "periodic"),
+        (1, 2, 3, 16),
+        ("static_phase_at_t0", "literal_time_dependent"),
+        ("none", "subset", "all"),
+        (False, True),
+    )
+)
+
+
+@pytest.mark.parametrize("boundary,n,coupling_mode,drives,phonons", AGREEMENT_CASES)
+def test_compiled_closure_matches_site_equations(boundary, n, coupling_mode, drives, phonons):
+    params, mf = _random_system(n, boundary, coupling_mode, drives, phonons, seed=n)
+    for t in (0.0, 0.37, 5.2):
+        got, want = close_rhs(mf, params, t).pack(), _oracle_rhs(mf, params, t).pack()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        energy = _oracle_energy(mf, params, t)
+        assert abs(mean_field_energy(mf, params, t) - energy) <= 1e-14 * max(1.0, abs(energy))
+
+
+def test_mf_propagate_records_match_oracle_integration():
+    params, mf = _random_system(3, "open", "literal_time_dependent", "all", True, seed=21)
+    traj = mf_propagate(mf, params, 6.0, tol=1e-10, n_out=61)
+
+    def oracle(t, y):
+        n, nf, nph = 3, 2, 2
+        base = 3 * n + 2 * nf
+        state = MeanFieldState(
+            y[:n] + 1j * y[n:2 * n], y[2 * n:3 * n],
+            y[3 * n:3 * n + nf] + 1j * y[3 * n + nf:base],
+            y[base:base + nph] + 1j * y[base + nph:],
+        )
+        return _oracle_rhs(state, params, t).pack()
+
+    sol = solve_ivp(oracle, (0.0, 6.0), mf.pack(), method="DOP853", t_eval=traj.times,
+                    rtol=1e-10, atol=1e-12)
+    y = sol.y
+    want = {"norm": np.sqrt(np.mean(y[6:9] ** 2 + 4 * (y[0:3] ** 2 + y[3:6] ** 2), axis=0))}
+    for l in range(3):
+        want[f"sigma_minus_{l}"] = y[l] + 1j * y[3 + l]
+        want[f"sigma_plus_{l}"] = y[l] - 1j * y[3 + l]
+        want[f"sigma_z_{l}"] = y[6 + l]
+        want[f"bloch_{l}"] = y[6 + l] ** 2 + 4 * (y[l] ** 2 + y[3 + l] ** 2)
+    for k in range(2):
+        want[f"a_{k}"] = y[9 + k] + 1j * y[11 + k]
+        want[f"n_{k}"] = y[9 + k] ** 2 + y[11 + k] ** 2
+        want[f"b_{k}"] = y[13 + k] + 1j * y[15 + k]
+        want[f"nb_{k}"] = y[13 + k] ** 2 + y[15 + k] ** 2
+    want["energy"] = np.array([
+        _oracle_energy(MeanFieldState(want_sm, y[6:9, i], y[9:11, i] + 1j * y[11:13, i],
+                                      y[13:15, i] + 1j * y[15:17, i]), params, t)
+        for i, (t, want_sm) in enumerate(zip(sol.t, (y[0:3] + 1j * y[3:6]).T))
+    ])
+    assert set(traj.records) == set(want)
+    for name, values in want.items():
+        assert np.max(np.abs(traj.records[name] - values)) <= 1e-12, name
+
+
+def test_mf_propagate_counts_rhs_evaluations(monkeypatch):
+    params, mf = _random_system(2, "open", "static_phase_at_t0", "all", True, seed=4)
+    calls = []
+
+    def counting_solve_ivp(fun, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return fun(t, y)
+        return solve_ivp(counted, *args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "solve_ivp", counting_solve_ivp)
+    traj = mf_propagate(mf, params, 3.0, n_out=11)
+    assert traj.meta["rhs_evaluations"] > 0
+    assert traj.meta["rhs_evaluations"] == len(calls)
+
+
+def test_state_size_mismatch_refused():
+    params, mf = _random_system(3, "open", "static_phase_at_t0", "none", False)
+    short = MeanFieldState(mf.s_minus[:2], mf.s_z[:2], mf.a, mf.b)
+    for call in (lambda: close_rhs(short, params, 0.0), lambda: mean_field_energy(short, params),
+                 lambda: mf_propagate(short, params, 1.0)):
+        with pytest.raises(ValueError, match=r"params declare \(3,"):
+            call()
+
+
+def test_long_periodic_chain_keeps_bloch_lengths():
+    # 4096 sites: an n x n array of floats would take 134 MB
+    n = 4096
+    rng = np.random.default_rng(9)
+    params = SystemParams(
+        site_energies=tuple((-0.5 * w, 0.5 * w) for w in rng.uniform(0.9, 1.1, size=n)),
+        exchange_j=0.05,
+        boundary="periodic",
+        field_modes=(FieldMode(omega=1.0, wavevector=0.4, amplitude=0.02),),
+        phonon_modes=(PhononMode(nu=0.5, coupling=0.01),),
+        drives=(ClassicalDrive(0.02, 1.0, tuple(range(0, n, 64))),),
+    )
+    theta, phi = rng.uniform(0.2, 1.2, size=n), rng.uniform(0, 2 * np.pi, size=n)
+    mf0 = MeanFieldState(0.5 * np.sin(theta) * np.exp(1j * phi), -np.cos(theta), [1.0], [0.0])
+    tracemalloc.start()
+    try:
+        traj = mf_propagate(mf0, params, 2.0, n_out=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["bloch_drift"] <= 1e-8
+    assert peak < 8 * n * n / 4  # a quarter of one dense n x n float array
+    assert len(traj.records) == 4 * n + 2 + 2 + 2
 
 
 # -- Rabi oracle ----------------------------------------------------------------------

@@ -148,6 +148,57 @@ def test_non_finite_and_out_of_range_values_rejected(section, key, value, named)
     assert any(named in problem for problem in err.value.problems), err.value.problems
 
 
+MALFORMED = [
+    # (dotted path into the valid config, value, text naming the problem)
+    ("space", [{"n_sites": 2}], "space must be a mapping"),
+    ("params.field_modes.0", 1.5, "params.field_modes[0] must be a mapping"),
+    ("params.phonon_modes.0", "soft", "params.phonon_modes[0] must be a mapping"),
+    ("initial.field_modes", [None], "initial.field_modes[0] must be a mapping"),
+    ("integrate.tol", "abc", "integrate.tol"),
+    ("integrate.n_out", "many", "integrate.n_out"),
+    ("params.drives", [{"amplitude": 0.1, "frequency": 1.0, "sites": ["x"]}], "params.drives[0].sites"),
+    ("initial.field_modes", [{"kind": "fock", "n": 4}], "initial.field_modes[0].n"),
+    ("initial.phonon_modes", [{"kind": "fock", "n": 3}], "initial.phonon_modes[0].n"),
+    ("initial.phonon_modes", [{"kind": "fock", "n": -1}], "initial.phonon_modes[0].n"),
+    ("initial.field_modes", [{"kind": "coherent", "alpha": "abc"}], "initial.field_modes[0].alpha"),
+    ("initial.sites", [{"kind": "angles", "theta": NAN}, {}], "initial.sites[0].theta"),
+    ("params.field_modes.0.amplitude", NAN, "params.field_modes[0].amplitude"),
+    ("params.field_modes.0.wavevector", INF, "params.field_modes[0].wavevector"),
+    ("params.field_modes.0.polarization_overlap", [1.0, NAN],
+     "params.field_modes[0].polarization_overlap[1]"),
+    ("params.phonon_modes.0.coupling", -INF, "params.phonon_modes[0].coupling"),
+    ("params.dipole", [1.0, INF], "params.dipole[1]"),
+    ("params.dipole", NAN, "params.dipole[0]"),
+    ("params.lattice_spacing", NAN, "params.lattice_spacing"),
+    ("params.site_positions", [0.0, -INF], "params.site_positions[1]"),
+    ("params.drives", [{"amplitude": [0.1, NAN], "frequency": 1.0}], "params.drives[0].amplitude"),
+    ("params.drives", [{"amplitude": 0.1, "frequency": INF}], "params.drives[0].frequency"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", MALFORMED,
+                         ids=[f"{c[0]}={c[1]!r}" for c in MALFORMED])
+def test_malformed_values_end_in_config_error(path, value, named):
+    raw = _valid_raw()
+    raw["initial"] = {}
+    *parents, last = path.split(".")
+    node = raw
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any(named in problem for problem in err.value.problems), err.value.problems
+
+
+def test_fock_levels_up_to_the_cutoff_accepted():
+    raw = _valid_raw()
+    raw["initial"] = {"field_modes": [{"kind": "fock", "n": 3}], "phonon_modes": [{"kind": "fock", "n": 2}]}
+    config = config_from_dict(raw)
+    psi = initial_state(config, config.build_space())
+    assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-14)
+
+
 def test_drive_site_reference_checked():
     raw = {
         "space": {"n_sites": 1},
