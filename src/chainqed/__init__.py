@@ -22,7 +22,6 @@ from .hamiltonian import (
     build_hcp,
     build_hf,
     build_hp,
-    build_total,
     coupling_q,
 )
 from .hilbert import (

@@ -42,6 +42,7 @@ implemented here, by requiring exact agreement with the commutator form.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .hamiltonian import (
+    CompiledModel,
     OperatorCache,
     SystemParams,
     TotalHamiltonian,
@@ -160,6 +162,13 @@ def observable_operators(space: SpaceIndex, params: SystemParams, cache: Operato
 
 
 _REAL_RECORDS = ("sigma_z_", "n_", "nb_", "top_field_", "top_phonon_")
+
+
+def collect_solver() -> None:
+    """Free the solver ``solve_ivp`` just returned from: scipy leaves it in a
+    reference cycle (its wrapped right-hand side closes over it), and a
+    young-generation collection frees it and its work arrays in microseconds."""
+    gc.collect(1)
 
 
 def _check_grid(t_eval, t_start: float, t_end: float) -> np.ndarray:
@@ -311,6 +320,7 @@ def propagate(
             rtol=tol,
             atol=tol * 1e-2,
         )
+        collect_solver()
         if not sol.success:
             raise PropagationError(f"propagation failed: {sol.message}")
         method, rhs_evaluations = "DOP853", int(sol.nfev)
@@ -796,7 +806,7 @@ def ehrenfest_check(
     fd = (series[2:] - series[:-2]) / (2.0 * h)
 
     cache = OperatorCache(space)
-    static = params.coupling_mode != "literal_time_dependent" and not params.drives
+    static = CompiledModel(params).is_static
     rhs_op = _rhs_operator_for(space, params, observable, traj.times[0], cache)
     expectations = np.empty(len(traj) - 2, dtype=np.complex128)
     for i in range(1, len(traj) - 1):

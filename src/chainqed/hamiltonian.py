@@ -24,19 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .hilbert import (
     Operator,
     SpaceIndex,
     annihilation_local,
-    creation_local,
     embed_local,
+    identity,
     number_local,
     zero,
 )
 from .transition_ops import (
     SIGMA_X_LOCAL,
-    SIGMA_Z_LOCAL,
     build_transition_set,
 )
 
@@ -224,6 +224,52 @@ def drive_field(params: SystemParams, j: int, t: float) -> float:
     return total
 
 
+class CompiledModel:
+    """Arrays of one ``SystemParams``, read by ``TotalHamiltonian`` and the mean-field closure.
+
+    ``q0[j, k]`` is ``coupling_q(j, k, 0)``; with the literal coupling it picks up the mode
+    phase ``phase(t)``.  ``drive_table[d, j]`` is 1 where drive d acts on site j (a site
+    listed twice counts once) and ``drive_values(t)`` holds each drive's value; drives
+    with zero amplitude or no site are left out.  Exchange bonds are index arrays.
+    """
+
+    def __init__(self, params: SystemParams):
+        n, nf = params.n_sites, len(params.field_modes)
+        self.n, self.n_field, self.n_phonon = n, nf, len(params.phonon_modes)
+        self.omega = np.array(params.omegas, dtype=float)
+        self.level_shift = 0.5 * float(np.sum(params.site_energies))
+        self.q0 = np.array([[coupling_q(params, j, k, 0.0) for k in range(nf)] for j in range(n)],
+                           dtype=np.complex128).reshape(n, nf)
+        self.w_field = np.array([m.omega for m in params.field_modes], dtype=float)
+        self.coupled = bool(np.any(self.q0))
+        self.literal = self.coupled and params.coupling_mode == LITERAL_TIME_DEPENDENT
+        bonds = np.array(params.bonds(), dtype=np.intp).reshape(-1, 2)
+        self.exchange_j = params.exchange_j if bonds.size else 0.0
+        self.bond_v, self.bond_w = bonds.T
+        self.nu = np.array([m.nu for m in params.phonon_modes], dtype=float)
+        self.lam = np.array([m.coupling for m in params.phonon_modes], dtype=float)
+        self.phonon_coupled = bool(np.any(self.lam))
+        sites = np.arange(n)
+        table = np.array(
+            [np.ones(n) if d.sites is None else np.isin(sites, d.sites) for d in params.drives], dtype=float
+        ).reshape(-1, n)
+        amp = np.array([d.amplitude for d in params.drives], dtype=np.complex128)
+        live = (amp != 0) & table.any(axis=1)
+        self.drive_table, self.drive_amp = table[live], amp[live]
+        self.drive_freq = np.array([d.frequency for d in params.drives], dtype=float)[live]
+        self.driven = bool(live.any())
+        # H(t) depends on time only through a literal coupling phase or a drive
+        self.is_static = not (self.literal or self.driven)
+
+    def phase(self, t):
+        """exp(-i w_k t) per field mode; one column per time for a time grid."""
+        return np.exp(np.multiply.outer(t, -1j * self.w_field)).T
+
+    def drive_values(self, t):
+        """2 Re(A_d exp(-i w_d t)) per drive; one row per time for a time grid."""
+        return 2.0 * (self.drive_amp * np.exp(np.multiply.outer(t, -1j * self.drive_freq))).real
+
+
 # -- cached per-space elementary operators ------------------------------------
 
 
@@ -237,6 +283,7 @@ class OperatorCache:
 
     def __init__(self, space: SpaceIndex):
         self.space = space
+        self.unit = identity(space, "I")  # one identity for every site and mode
         self.sigma = [build_transition_set(space, v) for v in range(space.n_sites)]
         self.sigma_x = [
             embed_local(space, space.site_slot(v), SIGMA_X_LOCAL, f"sigma_x[{v}]")
@@ -293,7 +340,7 @@ def build_h0(space: SpaceIndex, params: SystemParams, cache: OperatorCache | Non
     for v, (e_low, e_up) in enumerate(params.site_energies):
         omega_v = e_up - e_low
         shift = 0.5 * (e_low + e_up)
-        h = h + 0.5 * omega_v * ops.sigma[v].z + shift * ops.sigma[v].unit
+        h = h + 0.5 * omega_v * ops.sigma[v].z + shift * ops.unit
     return h.with_tag("H0")
 
 
@@ -328,7 +375,7 @@ def build_hf(space: SpaceIndex, params: SystemParams, cache: OperatorCache | Non
     ops = _cache(space, cache)
     h = zero(space, "HF")
     for k, mode in enumerate(params.field_modes):
-        h = h + mode.omega * (ops.a_num[k] + 0.5 * ops.sigma[0].unit)
+        h = h + mode.omega * (ops.a_num[k] + 0.5 * ops.unit)
     return h.with_tag("HF")
 
 
@@ -376,7 +423,7 @@ def build_hp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | Non
     ops = _cache(space, cache)
     h = zero(space, "HP")
     for q, mode in enumerate(params.phonon_modes):
-        h = h + mode.nu * (ops.b_num[q] + 0.5 * ops.sigma[0].unit)
+        h = h + mode.nu * (ops.b_num[q] + 0.5 * ops.unit)
     return h.with_tag("HP")
 
 
@@ -394,91 +441,61 @@ def build_hcp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | No
     return h.with_tag("HCP")
 
 
-def build_total(
-    space: SpaceIndex,
-    params: SystemParams,
-    t: float = 0.0,
-    cache: OperatorCache | None = None,
-) -> Operator:
-    """Full Hamiltonian HC + HF + HCF(t) + HP + HCP (+ classical drives)."""
-    ops = _cache(space, cache)
-    h = (
-        build_hc(space, params, ops)
-        + build_hf(space, params, ops)
-        + build_hcf(space, params, t, ops)
-        + build_hp(space, params, ops)
-        + build_hcp(space, params, ops)
-    )
-    if params.drives:
-        h = h + build_hdrive(space, params, t, ops)
-    return h.with_tag("H")
+def _weighted_sum(space: SpaceIndex, weights, ops: list[Operator]) -> Operator:
+    """sum_i weights[i] ops[i] over the nonzero weights (a weight of 1 adds the operator itself)."""
+    terms = [op if w == 1 else op * w for w, op in zip(weights, ops) if w != 0]
+    return sum(terms[1:], terms[0]) if terms else zero(space)
 
 
 class TotalHamiltonian:
-    """Precompiled total Hamiltonian for efficient time-dependent evaluation.
+    """The total Hamiltonian HC + HF + HCF(t) + HP + HCP + drives, built from a ``CompiledModel``.
 
-    The static part is assembled once; the coupling terms are stored per
-    field mode so that the literal time dependence reduces to two phase
-    factors per mode, and classical drives to one scalar per drive.
+    Time-independent terms are summed once into ``static``.  Each time-dependent
+    term is one operator with a scalar coefficient: the per-mode coupling block
+    ``sum_j q_jk(0) sigma_x_j a_k`` and its adjoint with the mode phase and its
+    conjugate (literal coupling), and ``sum_j sigma_x_j`` over a drive's sites with
+    the drive value.
     """
 
     def __init__(self, space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None):
         ops = _cache(space, cache)
-        self.space = space
-        self.params = params
-        self.cache = ops
+        model = CompiledModel(params)
+        self.space, self.params, self.cache, self.model = space, params, ops, model
         self.static = (
             build_hc(space, params, ops)
             + build_hf(space, params, ops)
             + build_hp(space, params, ops)
             + build_hcp(space, params, ops)
         )
-        self._mode_terms: list[tuple[Operator, Operator]] = []
-        if params.coupling_mode == LITERAL_TIME_DEPENDENT:
-            # q_jk(t) = q_jk(0) * exp(-i omega_k t): per-mode lowering blocks
-            # picking up a common phase.
-            for k in range(len(params.field_modes)):
-                block = zero(space)
-                for j in range(params.n_sites):
-                    q0 = coupling_q(params, j, k, 0.0)
-                    if q0 != 0:
-                        block = block + q0 * (ops.sigma_x[j] @ ops.a[k])
-                self._mode_terms.append((block, block.dag()))
+        blocks = [_weighted_sum(space, model.q0[:, k], ops.sigma_x) @ ops.a[k] for k in range(model.n_field)]
+        self._terms: list[Operator] = []
+        if model.literal:
+            self._terms += blocks + [block.dag() for block in blocks]
         else:
-            self.static = self.static + build_hcf(space, params, 0.0, ops)
-        self._drive_ops: list[tuple[ClassicalDrive, Operator]] = []
-        for drive in params.drives:
-            sites = drive.sites if drive.sites is not None else tuple(range(params.n_sites))
-            op = zero(space)
-            for j in sites:
-                op = op + ops.sigma_x[j]
-            self._drive_ops.append((drive, op))
+            for block in blocks:
+                self.static = self.static + block + block.dag()
+        self._terms += [_weighted_sum(space, row, ops.sigma_x) for row in model.drive_table]
+        # [static | terms]: H(t) psi is one product with (psi, c_1 psi, c_2 psi, ...)
+        stacked = [self.static.matrix] + [op.matrix for op in self._terms]
+        self._stacked = sparse.hstack(stacked, format="csr") if self._terms else self.static.matrix
 
     @property
     def is_static(self) -> bool:
-        return not self._mode_terms and not self._drive_ops
+        return self.model.is_static
+
+    def _coefficients(self, t: float) -> np.ndarray:
+        """Coefficients of the time-dependent terms at time t, in the order of ``_terms``."""
+        phase = self.model.phase(t) if self.model.literal else np.empty(0)
+        return np.concatenate((phase, phase.conj(), self.model.drive_values(t)))
 
     def at(self, t: float) -> Operator:
         """The Hamiltonian operator at time t."""
         h = self.static
-        for k, (block, block_dag) in enumerate(self._mode_terms):
-            phase = np.exp(-1j * self.params.field_modes[k].omega * t)
-            h = h + phase * block + np.conj(phase) * block_dag
-        for drive, op in self._drive_ops:
-            amp = 2.0 * (drive.amplitude * np.exp(-1j * drive.frequency * t)).real
-            if amp != 0.0:
-                h = h + amp * op
+        for c, op in zip(self._coefficients(t), self._terms):
+            if c != 0:
+                h = h + op * c
         return h
 
     def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
         """H(t) |psi> without assembling the summed matrix."""
-        out = self.static.matrix @ psi
-        for k, (block, block_dag) in enumerate(self._mode_terms):
-            phase = np.exp(-1j * self.params.field_modes[k].omega * t)
-            out += phase * (block.matrix @ psi)
-            out += np.conj(phase) * (block_dag.matrix @ psi)
-        for drive, op in self._drive_ops:
-            amp = 2.0 * (drive.amplitude * np.exp(-1j * drive.frequency * t)).real
-            if amp != 0.0:
-                out += amp * (op.matrix @ psi)
-        return out
+        return self._stacked @ np.concatenate((psi, np.multiply.outer(self._coefficients(t), psi).ravel()))

@@ -17,15 +17,14 @@ classification) for probing driven regimes.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks, peak_widths
 
-from .dynamics import RECORD_CHUNK, PropagationError, Trajectory
-from .hamiltonian import LITERAL_TIME_DEPENDENT, SystemParams, coupling_q
+from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, collect_solver
+from .hamiltonian import CompiledModel, SystemParams
 
 
 @dataclass
@@ -84,45 +83,25 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-class CompiledClosure:
-    """Arrays of one ``SystemParams`` that the closed equations read, built once per run.
+class CompiledClosure(CompiledModel):
+    """The closed equations on the arrays of one ``SystemParams``, compiled once per run.
 
-    The right-hand side, the energy and the recording are then array operations without a
-    per-site loop; exchange sums run over the bond index arrays of ``params.bonds()`` (no
-    n x n adjacency) and terms whose coefficients are all zero are skipped.  State arrays
-    are indexed site (or mode) first: one state, or a block with one column per time.
+    The compiled model (``hamiltonian.CompiledModel``) holds the couplings and drives that
+    ``TotalHamiltonian`` reads too; this class adds the packing of the state vector, the
+    neighbour-sum indices, the right-hand side and the energy.  These are array operations
+    without a per-site loop; exchange sums run over the bond index arrays (no n x n
+    adjacency) and terms whose coefficients are all zero are skipped.  State arrays are
+    indexed site (or mode) first: one state, or a block with one column per time.
     """
 
     def __init__(self, params: SystemParams):
-        n, nf = params.n_sites, len(params.field_modes)
-        self.n, self.n_field, self.n_phonon = n, nf, len(params.phonon_modes)
-        self.omega = np.array(params.omegas, dtype=float)
-        self.level_shift = 0.5 * float(np.sum(params.site_energies))
-        q0 = np.array([[coupling_q(params, j, k, 0.0) for k in range(nf)] for j in range(n)],
-                      dtype=np.complex128).reshape(n, nf)
+        super().__init__(params)
         # doubled: the site field is Re(2 q a), the mode source Re(s-) . 2 q*
-        self._q2, self._q2_conj = 2.0 * q0, 2.0 * q0.conj()
-        self.w_field = np.array([m.omega for m in params.field_modes], dtype=float)
-        self.coupled = bool(np.any(q0))
-        self.literal = self.coupled and params.coupling_mode == LITERAL_TIME_DEPENDENT
-        bonds = np.array(params.bonds(), dtype=np.intp).reshape(-1, 2)
-        self.exchange_j = params.exchange_j if bonds.size else 0.0
-        self.bond_v, self.bond_w = bonds.T
+        self._q2, self._q2_conj = 2.0 * self.q0, 2.0 * self.q0.conj()
         # neighbour sums of (Re s-, Im s-, s_z) as one bincount over 3n bins
-        rows = n * np.arange(3)[:, None]
+        rows = self.n * np.arange(3)[:, None]
         self._nb_src = (np.concatenate([self.bond_w, self.bond_v]) + rows).ravel()
         self._nb_dst = (np.concatenate([self.bond_v, self.bond_w]) + rows).ravel()
-        self.nu = np.array([m.nu for m in params.phonon_modes], dtype=float)
-        self.lam = np.array([m.coupling for m in params.phonon_modes], dtype=float)
-        self.phonon_coupled = bool(np.any(self.lam))
-        self.drive_amp = np.array([d.amplitude for d in params.drives], dtype=np.complex128)
-        self.drive_freq = np.array([d.frequency for d in params.drives], dtype=float)
-        # (drives x sites) mask, doubled: drive d adds 2 Re(A_d e^{-i w_d t}) on its sites
-        sites = np.arange(n)
-        self._drive_weight = 2.0 * np.array(
-            [np.ones(n) if d.sites is None else np.isin(sites, d.sites) for d in params.drives]
-        ).reshape(-1, n)
-        self.driven = bool(np.any(self.drive_amp) and np.any(self._drive_weight))
 
     def check(self, mf: MeanFieldState) -> CompiledClosure:
         """This closure, after refusing a state whose sizes differ from the parameters."""
@@ -140,16 +119,11 @@ class CompiledClosure:
                 _complex(y[3 * n : 3 * n + nf], y[3 * n + nf : base]),
                 _complex(y[base : base + nph], y[base + nph : base + 2 * nph]))
 
-    def phase(self, t):
-        """exp(-i w_k t) per field mode; one column per time for a time grid."""
-        return np.exp(np.multiply.outer(t, -1j * self.w_field)).T
-
     def site_field(self, t, a_t):
         """Real field on every site: mode image plus drives (``a_t`` is a * phase(t) if literal)."""
         field = (self._q2 @ a_t).real if self.coupled else 0.0
         if self.driven:
-            drive = (self.drive_amp * np.exp(np.multiply.outer(t, -1j * self.drive_freq))).real
-            field = field + (drive @ self._drive_weight).T
+            field = field + (self.drive_values(t) @ self.drive_table).T
         return field
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -243,7 +217,7 @@ def mf_propagate(
     sm, sz, a, b = closure.split(sol.y)
     times, rhs_evaluations, sz = sol.t, int(sol.nfev), sz.copy()
     del sol  # the solver's state block is not needed past this point
-    gc.collect(1)  # the dead solver is in a reference cycle: free its work arrays now
+    collect_solver()
     bloch, s_plus = MeanFieldState(sm, sz, a, b).bloch_lengths(), np.conj(sm)
     records: dict[str, np.ndarray] = {}
     for l in range(closure.n):
@@ -551,6 +525,7 @@ def volterra_diagnostics(
         t1 = t0 + renorm_interval
         sol_ref = solve_ivp(rhs, (t0, t1), y_ref, method="DOP853", rtol=tol, atol=tol * 1e-2)
         sol_pert = solve_ivp(rhs, (t0, t1), y_pert, method="DOP853", rtol=tol, atol=tol * 1e-2)
+        collect_solver()
         if not (sol_ref.success and sol_pert.success):
             raise PropagationError("Lyapunov probe integration failed")
         y_ref = sol_ref.y[:, -1]

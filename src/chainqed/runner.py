@@ -53,6 +53,9 @@ from .hilbert import (
 from .meanfield import MeanFieldState, bloch_state
 
 TASKS = ("propagate", "meanfield", "compare", "verify_eom", "verify_compact", "sweep")
+MEAN_FIELD_TASKS = ("meanfield", "compare")
+# initial-state key of the coherent amplitude, per bosonic mode section
+_MODE_AMPLITUDE = {"field_modes": "alpha", "phonon_modes": "beta"}
 
 DEFAULT_EOM_THRESHOLD = 1e-11
 DEFAULT_COMPACT_THRESHOLD = 1e-10
@@ -68,6 +71,10 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("invalid configuration:\n" + "\n".join(f"- {p}" for p in problems))
+
+    def __reduce__(self):
+        # rebuilt from its problem list when a sweep worker sends it back
+        return ConfigError, (self.problems,)
 
 
 @dataclass
@@ -196,20 +203,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(n_sites, int) or n_sites < 1:
         problems.append(f"space.n_sites must be a positive integer, got {n_sites!r}")
         n_sites = 1
-    field_specs = []
-    for k, mode in enumerate(_as_list(space_raw.get("field_modes"), "space.field_modes", problems)):
-        cutoff = mode.get("cutoff", 1) if isinstance(mode, dict) else mode
-        if not isinstance(cutoff, int) or cutoff < 1:
-            problems.append(f"space.field_modes[{k}].cutoff must be an integer >= 1")
-            cutoff = 1
-        field_specs.append(ModeSpec(cutoff))
-    phonon_specs = []
-    for q, mode in enumerate(_as_list(space_raw.get("phonon_modes"), "space.phonon_modes", problems)):
-        cutoff = mode.get("cutoff", 1) if isinstance(mode, dict) else mode
-        if not isinstance(cutoff, int) or cutoff < 1:
-            problems.append(f"space.phonon_modes[{q}].cutoff must be an integer >= 1")
-            cutoff = 1
-        phonon_specs.append(ModeSpec(cutoff))
+    mode_specs = {}
+    for section in _MODE_AMPLITUDE:
+        mode_specs[section] = []
+        for k, mode in enumerate(_as_list(space_raw.get(section), f"space.{section}", problems)):
+            cutoff = mode.get("cutoff", 1) if isinstance(mode, dict) else mode
+            if not isinstance(cutoff, int) or cutoff < 1:
+                problems.append(f"space.{section}[{k}].cutoff must be an integer >= 1")
+                cutoff = 1
+            mode_specs[section].append(ModeSpec(cutoff))
+    field_specs, phonon_specs = mode_specs["field_modes"], mode_specs["phonon_modes"]
     space_spec = SpaceSpec(n_sites, tuple(field_specs), tuple(phonon_specs))
     try:
         build_space(space_spec)
@@ -361,41 +364,29 @@ def config_from_dict(raw: dict) -> RunConfig:
         problems.append(
             f"initial.sites has {len(site_states)} entries for {n_sites} sites"
         )
-    field_states = _mappings(initial.get("field_modes"), "initial.field_modes", problems)
-    if field_states and len(field_states) != len(field_specs):
-        problems.append(
-            f"initial.field_modes has {len(field_states)} entries, "
-            f"space declares {len(field_specs)}"
-        )
-    phonon_states = _mappings(initial.get("phonon_modes"), "initial.phonon_modes", problems)
-    if phonon_states and len(phonon_states) != len(phonon_specs):
-        problems.append(
-            f"initial.phonon_modes has {len(phonon_states)} entries, "
-            f"space declares {len(phonon_specs)}"
-        )
+    checked = {section: _mappings(initial.get(section), f"initial.{section}", problems) for section in mode_specs}
+    for section, states in checked.items():
+        if states and len(states) != len(mode_specs[section]):
+            problems.append(
+                f"initial.{section} has {len(states)} entries, space declares {len(mode_specs[section])}"
+            )
     for i, st in enumerate(site_states):
         kind = st.get("kind", "ground")
         if kind not in ("ground", "excited", "angles"):
             problems.append(f"initial.sites[{i}].kind must be ground/excited/angles")
         for angle in ("theta", "phi"):
             _real(st.get(angle, 0.0), f"initial.sites[{i}].{angle}", problems)
-    for section, states, specs, default, amplitude in (
-        ("field_modes", field_states, field_specs, "fock", "alpha"),
-        ("phonon_modes", phonon_states, phonon_specs, "vacuum", "beta"),
-    ):
-        for i, st in enumerate(states):
+    for section, specs in mode_specs.items():
+        for i, (kind, value) in enumerate(_mode_states(checked, section, len(specs))):
             name = f"initial.{section}[{i}]"
-            kind = st.get("kind", default)
-            if kind not in ("fock", "coherent", "vacuum"):
+            if kind not in ("fock", "coherent"):
                 problems.append(f"{name}.kind must be fock/coherent/vacuum")
             elif kind == "coherent":
-                _complex(st.get(amplitude, 0.0), f"{name}.{amplitude}", problems)
-            elif kind == "fock" and i < len(specs):
-                level, cutoff = st.get("n", 0), specs[i].cutoff
-                if not (_is_integer(level) and 0 <= level <= cutoff):
-                    problems.append(
-                        f"{name}.n must be a Fock level from 0 to the cutoff {cutoff}, got {level!r}"
-                    )
+                _complex(value, f"{name}.{_MODE_AMPLITUDE[section]}", problems)
+            elif i < len(specs) and not (_is_integer(value) and 0 <= value <= specs[i].cutoff):
+                problems.append(
+                    f"{name}.n must be a Fock level from 0 to the cutoff {specs[i].cutoff}, got {value!r}"
+                )
 
     # -- integration / output -------------------------------------------------------
     integrate_raw = _section(raw, "integrate", problems)
@@ -428,6 +419,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     verify.setdefault("compact_threshold", DEFAULT_COMPACT_THRESHOLD)
 
     sweep = raw.get("sweep")
+    runs_task = task
     if task == "sweep":
         if not isinstance(sweep, dict):
             problems.append("sweep task requires a sweep section")
@@ -437,9 +429,11 @@ def config_from_dict(raw: dict) -> RunConfig:
             values = sweep.get("values")
             if not values:
                 problems.append("sweep.values must be a non-empty list")
-            subtask = sweep.get("task", "propagate")
-            if subtask not in TASKS or subtask == "sweep":
-                problems.append(f"sweep.task must be a non-sweep task, got {subtask!r}")
+            runs_task = sweep.get("task", "propagate")
+            if runs_task not in TASKS or runs_task == "sweep":
+                problems.append(f"sweep.task must be a non-sweep task, got {runs_task!r}")
+    if runs_task in MEAN_FIELD_TASKS:
+        problems.extend(_mean_field_problems(checked, space_spec))
 
     if problems:
         raise ConfigError(problems)
@@ -460,47 +454,66 @@ def config_from_dict(raw: dict) -> RunConfig:
 # -- initial state assembly ----------------------------------------------------------
 
 
+def _mode_states(initial: dict, section: str, n_modes: int) -> list[tuple[str, object]]:
+    """(kind, value) of each mode's entry in an ``initial`` field or phonon section.
+
+    A missing section reads as vacuum for every mode, a missing kind as ``fock``
+    and ``vacuum`` as Fock level 0.  The value is the Fock level ``n`` (default 0)
+    or the coherent amplitude (``alpha`` for field, ``beta`` for phonon modes;
+    default 0) as written in the config; other kinds are passed on as given.
+    """
+    states = []
+    for st in initial.get(section) or [{}] * n_modes:
+        kind = st.get("kind", "fock")
+        if kind == "coherent":
+            states.append((kind, st.get(_MODE_AMPLITUDE[section], 0.0)))
+        elif kind == "vacuum":
+            states.append(("fock", 0))
+        else:
+            states.append((kind, st.get("n", 0)))
+    return states
+
+
+def _mean_field_problems(initial: dict, space_spec: SpaceSpec) -> list[str]:
+    """Mode entries that a mean-field run cannot start from: Fock states above the vacuum."""
+    counts = {"field_modes": len(space_spec.field_modes), "phonon_modes": len(space_spec.phonon_modes)}
+    return [
+        f"initial.{section}[{i}]: a Fock state (n = {value}) has no mean-field amplitude; "
+        f"the meanfield and compare tasks need coherent or vacuum mode states"
+        for section, n_modes in counts.items()
+        for i, (kind, value) in enumerate(_mode_states(initial, section, n_modes))
+        if kind == "fock" and value != 0
+    ]
+
+
 def initial_state(config: RunConfig, space: SpaceIndex) -> np.ndarray:
     """Exact product initial state from the config's ``initial`` section."""
-    locals_ = []
-    site_states = config.initial.get("sites") or [{"kind": "ground"}] * space.n_sites
-    for st in site_states:
-        locals_.append(
-            site_local_state(
-                st.get("kind", "ground"),
-                float(st.get("theta", 0.0)),
-                float(st.get("phi", 0.0)),
-            )
-        )
-    field_states = config.initial.get("field_modes") or [
-        {"kind": "vacuum"}
-    ] * space.n_field_modes
-    for k, st in enumerate(field_states):
-        cutoff = space.field_cutoff(k)
-        kind = st.get("kind", "vacuum")
-        if kind == "vacuum":
-            locals_.append(fock_local(0, cutoff))
-        elif kind == "fock":
-            locals_.append(fock_local(int(st.get("n", 0)), cutoff))
-        else:
-            locals_.append(coherent_local(_parse_complex(st.get("alpha", 0.0)), cutoff))
-    phonon_states = config.initial.get("phonon_modes") or [
-        {"kind": "vacuum"}
-    ] * space.n_phonon_modes
-    for q, st in enumerate(phonon_states):
-        cutoff = space.phonon_cutoff(q)
-        kind = st.get("kind", "vacuum")
-        if kind == "vacuum":
-            locals_.append(fock_local(0, cutoff))
-        elif kind == "fock":
-            locals_.append(fock_local(int(st.get("n", 0)), cutoff))
-        else:
-            locals_.append(coherent_local(_parse_complex(st.get("beta", 0.0)), cutoff))
+    locals_ = [
+        site_local_state(st.get("kind", "ground"), float(st.get("theta", 0.0)), float(st.get("phi", 0.0)))
+        for st in config.initial.get("sites") or [{"kind": "ground"}] * space.n_sites
+    ]
+    cutoffs = {
+        "field_modes": [space.field_cutoff(k) for k in range(space.n_field_modes)],
+        "phonon_modes": [space.phonon_cutoff(q) for q in range(space.n_phonon_modes)],
+    }
+    for section, cuts in cutoffs.items():
+        for (kind, value), cutoff in zip(_mode_states(config.initial, section, len(cuts)), cuts):
+            if kind == "coherent":
+                locals_.append(coherent_local(_parse_complex(value), cutoff))
+            else:
+                locals_.append(fock_local(int(value), cutoff))
     return product_state(space, locals_)
 
 
 def initial_mean_field(config: RunConfig) -> MeanFieldState:
-    """Mean-field image of the same initial product state."""
+    """Mean-field image of the same initial product state.
+
+    Raises ``ConfigError`` for a Fock mode state above the vacuum, which has no
+    c-number amplitude.
+    """
+    problems = _mean_field_problems(config.initial, config.space_spec)
+    if problems:
+        raise ConfigError(problems)
     n = config.space_spec.n_sites
     s_minus = np.zeros(n, dtype=complex)
     s_z = np.zeros(n)
@@ -515,21 +528,13 @@ def initial_mean_field(config: RunConfig) -> MeanFieldState:
             s_minus[l], s_z[l] = bloch_state(
                 float(st.get("theta", 0.0)), float(st.get("phi", 0.0))
             )
-    n_field = len(config.space_spec.field_modes)
-    a = np.zeros(n_field, dtype=complex)
-    for k, st in enumerate(config.initial.get("field_modes") or [{}] * n_field):
-        if st.get("kind") == "coherent":
-            a[k] = _parse_complex(st.get("alpha", 0.0))
-        elif st.get("kind") == "fock" and int(st.get("n", 0)) != 0:
-            raise ValueError(
-                "mean-field runs need coherent or vacuum field initial states "
-                "(a Fock state has no c-number amplitude)"
-            )
-    n_phonon = len(config.space_spec.phonon_modes)
-    b = np.zeros(n_phonon, dtype=complex)
-    for q, st in enumerate(config.initial.get("phonon_modes") or [{}] * n_phonon):
-        if st.get("kind") == "coherent":
-            b[q] = _parse_complex(st.get("beta", 0.0))
+
+    def amplitudes(section: str, n_modes: int) -> np.ndarray:
+        states = _mode_states(config.initial, section, n_modes)
+        return np.array([_parse_complex(v) if kind == "coherent" else 0.0 for kind, v in states], dtype=complex)
+
+    a = amplitudes("field_modes", len(config.space_spec.field_modes))
+    b = amplitudes("phonon_modes", len(config.space_spec.phonon_modes))
     return MeanFieldState(s_minus, s_z, a, b)
 
 
@@ -795,18 +800,20 @@ def _write_trajectory(config: RunConfig, traj, out_dir: Path, basename: str) -> 
     return files
 
 
+def _exact_run(config: RunConfig, keep_states: bool = False) -> dynamics.Trajectory:
+    space, integ = config.build_space(), config.integrate
+    return dynamics.propagate(space, config.params, initial_state(config, space), integ["t_end"],
+                              tol=integ["tol"], n_out=integ["n_out"], keep_states=keep_states)
+
+
+def _mean_field_run(config: RunConfig) -> dynamics.Trajectory:
+    integ = config.integrate
+    return meanfield.mf_propagate(initial_mean_field(config), config.params, integ["t_end"],
+                                  tol=integ["tol"], n_out=integ["n_out"])
+
+
 def _task_propagate(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
-    space = config.build_space()
-    psi0 = initial_state(config, space)
-    traj = dynamics.propagate(
-        space,
-        config.params,
-        psi0,
-        config.integrate["t_end"],
-        tol=config.integrate["tol"],
-        n_out=config.integrate["n_out"],
-        keep_states=config.integrate["keep_states"],
-    )
+    traj = _exact_run(config, config.integrate["keep_states"])
     report.results["meta"] = traj.meta
     report.trajectory_files += _write_trajectory(config, traj, out_dir, config.output["basename"])
     report.checks.append(
@@ -816,14 +823,7 @@ def _task_propagate(config: RunConfig, out_dir: Path, report: RunReport, verbose
 
 
 def _task_meanfield(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
-    mf0 = initial_mean_field(config)
-    traj = meanfield.mf_propagate(
-        mf0,
-        config.params,
-        config.integrate["t_end"],
-        tol=config.integrate["tol"],
-        n_out=config.integrate["n_out"],
-    )
+    traj = _mean_field_run(config)
     report.results["meta"] = traj.meta
     report.trajectory_files += _write_trajectory(
         config, traj, out_dir, config.output["basename"] + "_meanfield"
@@ -831,23 +831,8 @@ def _task_meanfield(config: RunConfig, out_dir: Path, report: RunReport, verbose
 
 
 def _task_compare(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
-    space = config.build_space()
-    psi0 = initial_state(config, space)
-    exact = dynamics.propagate(
-        space,
-        config.params,
-        psi0,
-        config.integrate["t_end"],
-        tol=config.integrate["tol"],
-        n_out=config.integrate["n_out"],
-    )
-    mf_traj = meanfield.mf_propagate(
-        initial_mean_field(config),
-        config.params,
-        config.integrate["t_end"],
-        tol=config.integrate["tol"],
-        n_out=config.integrate["n_out"],
-    )
+    mf_traj = _mean_field_run(config)  # first: it refuses a state without a mean-field image
+    exact = _exact_run(config)
     report.trajectory_files += _write_trajectory(
         config, exact, out_dir, config.output["basename"] + "_exact"
     )
@@ -855,11 +840,9 @@ def _task_compare(config: RunConfig, out_dir: Path, report: RunReport, verbose: 
         config, mf_traj, out_dir, config.output["basename"] + "_meanfield"
     )
     shared = sorted(set(exact.records) & set(mf_traj.records) - {"energy", "norm"})
-    deviations = {}
-    for name in shared:
-        dev = np.max(np.abs(exact.records[name] - mf_traj.records[name]))
-        deviations[name] = float(dev)
-    report.results["deviations"] = deviations
+    report.results["deviations"] = {
+        name: float(np.max(np.abs(exact.records[name] - mf_traj.records[name]))) for name in shared
+    }
     report.results["exact_meta"] = exact.meta
     report.results["meanfield_meta"] = mf_traj.meta
 

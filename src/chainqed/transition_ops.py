@@ -74,14 +74,25 @@ def transition_local(j: str, m: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionSet:
-    """Per-site transition operators embedded on the full space."""
+    """Per-site transition operators embedded on the full space.
+
+    ``unit`` and ``zero`` complete the set; they are built on use, so a set
+    holds no full-dimension identity or zero matrix of its own.
+    """
 
     site: int
+    space: SpaceIndex
     minus: Operator
     plus: Operator
     z: Operator
-    unit: Operator
-    zero: Operator
+
+    @property
+    def unit(self) -> Operator:
+        return identity(self.space, f"sigma_e[{self.site}]")
+
+    @property
+    def zero(self) -> Operator:
+        return zero(self.space, f"sigma_0[{self.site}]")
 
     def extended(self) -> dict[str, Operator]:
         """The closed extended set keyed by name."""
@@ -101,11 +112,10 @@ def build_transition_set(space: SpaceIndex, site: int) -> TransitionSet:
     slot = space.site_slot(site)
     return TransitionSet(
         site=site,
+        space=space,
         minus=embed_local(space, slot, SIGMA_MINUS_LOCAL, f"sigma_minus[{site}]"),
         plus=embed_local(space, slot, SIGMA_PLUS_LOCAL, f"sigma_plus[{site}]"),
         z=embed_local(space, slot, SIGMA_Z_LOCAL, f"sigma_z[{site}]"),
-        unit=identity(space, f"sigma_e[{site}]"),
-        zero=zero(space, f"sigma_0[{site}]"),
     )
 
 

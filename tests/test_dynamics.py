@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
 from chainqed.dynamics import (
@@ -44,6 +46,7 @@ from chainqed.hilbert import (
     product_state,
     site_local_state,
 )
+from chainqed.meanfield import MeanFieldState, mf_propagate, volterra_diagnostics
 from chainqed.runner import draw_params
 
 
@@ -218,6 +221,39 @@ def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, method):
     traj = propagate(space, params, psi0, 0.5, n_out=3)
     assert traj.meta["method"] == method
     assert (traj.meta["rhs_evaluations"] == 0) == (method == "eigh")
+
+
+@pytest.mark.parametrize("path,repeats", [("exact", 30), ("meanfield", 30), ("lyapunov", 1)])
+def test_finished_runs_leave_no_dop853_solver_alive(monkeypatch, path, repeats):
+    # scipy's solver sits in a reference cycle; the runs free it without a
+    # full collection, so a loop of short runs does not pile up work arrays
+    solvers = []
+    init = DOP853.__init__
+
+    def tracked(self, *args, **kwargs):
+        solvers.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DOP853, "__init__", tracked)
+    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.5, 0.5)),
+        exchange_j=0.05,
+        field_modes=(FieldMode(omega=1.0, amplitude=0.05, polarization_overlap=(1.0, 1.0)),),
+        drives=(ClassicalDrive(amplitude=0.05, frequency=1.0, sites=(0,)),),
+    )
+    psi0 = product_state(space, [site_local_state("excited"), site_local_state("ground"), fock_local(0, 2)])
+    mf0 = MeanFieldState([0.0, 0.0], [1.0, -1.0], [0.0], [])
+    run = {
+        "exact": lambda: propagate(space, params, psi0, 5.0, n_out=11),
+        "meanfield": lambda: mf_propagate(mf0, params, 5.0, n_out=11),
+        # one probe: a base run plus two solves per renormalization interval
+        "lyapunov": lambda: volterra_diagnostics(params, mf0, 20.0, n_out=64),
+    }[path]
+    for _ in range(repeats):
+        run()
+    assert len(solvers) >= 30
+    assert [ref for ref in solvers if ref() is not None] == []
 
 
 @pytest.mark.parametrize("drives", [(), (ClassicalDrive(amplitude=0.01, frequency=1.0),)], ids=["eigh", "DOP853"])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from chainqed.hamiltonian import (
+    LITERAL_TIME_DEPENDENT,
+    STATIC_PHASE,
     ClassicalDrive,
     FieldMode,
     OperatorCache,
@@ -17,10 +20,10 @@ from chainqed.hamiltonian import (
     build_hdrive,
     build_hf,
     build_hp,
-    build_total,
     coupling_q,
 )
-from chainqed.hilbert import ModeSpec, Operator, SpaceSpec, build_space, commutator
+from chainqed.dynamics import propagate
+from chainqed.hilbert import ModeSpec, Operator, SpaceSpec, build_space, commutator, identity
 from chainqed.transition_ops import build_transition_set
 
 
@@ -276,67 +279,140 @@ def test_hp_ground_energy():
 # -- total Hamiltonian -----------------------------------------------------------------
 
 
-def test_total_decoupled_is_diagonal_with_additive_spectrum():
-    space = build_space(SpaceSpec(1, (ModeSpec(2),), (ModeSpec(1),)))
-    params = SystemParams(
-        site_energies=((0.0, 1.0),),
-        field_modes=(FieldMode(omega=0.7, amplitude=0.0),),
-        phonon_modes=(PhononMode(nu=0.3, coupling=0.0),),
+def term_sum(space, params, t, cache=None):
+    """Reference H(t): the sum of the independent per-term builders."""
+    ops = cache if cache is not None else OperatorCache(space)
+    return (
+        build_hc(space, params, ops)
+        + build_hf(space, params, ops)
+        + build_hcf(space, params, t, ops)
+        + build_hp(space, params, ops)
+        + build_hcp(space, params, ops)
+        + build_hdrive(space, params, t, ops)
     )
-    h = build_total(space, params).to_dense()
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    diag = np.diag(h).real
-    for i in range(space.dim):
-        site, m, q = space.index_to_occupation(i)
-        expected = site * 1.0 + 0.7 * (m + 0.5) + 0.3 * (q + 0.5)
-        assert_allclose(diag[i], expected, atol=1e-13)
 
 
-def test_total_hermitian_at_random_t():
+COUPLING_CASES = [STATIC_PHASE, LITERAL_TIME_DEPENDENT]
+DRIVE_CASES = {
+    "undriven": (),
+    "all-sites": (ClassicalDrive(amplitude=0.05 + 0.02j, frequency=1.0),),
+    # a site listed twice in one drive counts once, as in drive_field
+    "subset-repeated": (ClassicalDrive(0.03 - 0.01j, 0.9, (1, 1)), ClassicalDrive(0.02j, 1.3, (0,))),
+}
+
+
+def _driven_chain(coupling_mode, drives):
     space = build_space(SpaceSpec(2, (ModeSpec(2),), (ModeSpec(1),)))
-    params = SystemParams(
-        site_energies=((-0.5, 0.5), (-0.4, 0.6)),
-        exchange_j=0.1,
-        field_modes=(FieldMode(omega=1.0, wavevector=0.4, amplitude=0.25,
-                               polarization_overlap=(1.0, 0.9)),),
-        phonon_modes=(PhononMode(nu=0.5, coupling=0.1),),
-        coupling_mode="literal_time_dependent",
-    )
-    rng = np.random.default_rng(17)
-    for t in rng.uniform(0, 30, size=3):
-        assert build_total(space, params, t).hermiticity_defect() <= 1e-13
-
-
-def test_total_static_mode_time_independent():
-    space = build_space(SpaceSpec(1, (ModeSpec(2),)))
-    params = SystemParams(
-        site_energies=((-0.5, 0.5),),
-        field_modes=(FieldMode(omega=1.0, amplitude=0.3, polarization_overlap=(1.0,)),),
-        coupling_mode="static_phase_at_t0",
-    )
-    h1 = build_total(space, params, 0.0)
-    h2 = build_total(space, params, 7.31)
-    assert (h1 - h2).max_abs() == 0.0
-
-
-def test_total_hamiltonian_precompiled_matches_builder():
-    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
     params = SystemParams(
         site_energies=((-0.5, 0.5), (-0.45, 0.55)),
         exchange_j=0.07,
         field_modes=(FieldMode(omega=1.2, wavevector=0.9, amplitude=0.2,
                                polarization_overlap=(1.0, 0.8)),),
-        coupling_mode="literal_time_dependent",
-        drives=(ClassicalDrive(amplitude=0.05 + 0.02j, frequency=1.0),),
+        phonon_modes=(PhononMode(nu=0.5, coupling=0.1),),
+        coupling_mode=coupling_mode,
+        drives=drives,
     )
-    ham = TotalHamiltonian(space, params)
-    assert not ham.is_static
+    return space, params
+
+
+def test_total_decoupled_is_diagonal_with_additive_spectrum():
+    space = build_space(SpaceSpec(1, (ModeSpec(2),), (ModeSpec(1),)))
+    for coupling_mode in COUPLING_CASES:
+        params = SystemParams(
+            site_energies=((0.0, 1.0),),
+            field_modes=(FieldMode(omega=0.7, amplitude=0.0),),
+            phonon_modes=(PhononMode(nu=0.3, coupling=0.0),),
+            coupling_mode=coupling_mode,
+        )
+        ham = TotalHamiltonian(space, params)
+        assert ham.is_static
+        h = ham.at(2.5)
+        assert (h - term_sum(space, params, 2.5)).max_abs() == 0.0
+        h = h.to_dense()
+        assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+        diag = np.diag(h).real
+        for i in range(space.dim):
+            site, m, q = space.index_to_occupation(i)
+            expected = site * 1.0 + 0.7 * (m + 0.5) + 0.3 * (q + 0.5)
+            assert_allclose(diag[i], expected, atol=1e-13)
+
+
+def test_total_hermitian_at_random_t():
+    rng = np.random.default_rng(17)
+    for coupling_mode in COUPLING_CASES:
+        for drives in DRIVE_CASES.values():
+            space, params = _driven_chain(coupling_mode, drives)
+            ham = TotalHamiltonian(space, params)
+            for t in rng.uniform(0, 30, size=3):
+                assert term_sum(space, params, t).hermiticity_defect() <= 1e-13
+                assert ham.at(t).hermiticity_defect() <= 1e-13
+
+
+def test_total_static_mode_time_independent():
+    for coupling_mode, drives, static in [
+        (STATIC_PHASE, (), True),
+        (LITERAL_TIME_DEPENDENT, (), False),
+        (STATIC_PHASE, DRIVE_CASES["all-sites"], False),
+        # a zero-amplitude drive or a drive on no site leaves H static
+        (STATIC_PHASE, (ClassicalDrive(0.0, 1.0), ClassicalDrive(0.1, 1.0, ())), True),
+    ]:
+        space, params = _driven_chain(coupling_mode, drives)
+        ham = TotalHamiltonian(space, params)
+        assert ham.is_static == static
+        h1 = term_sum(space, params, 0.0)
+        h2 = term_sum(space, params, 7.31)
+        assert ((h1 - h2).max_abs() == 0.0) == static
+        if static:
+            assert (ham.static - h2).max_abs() == 0.0
+            assert (ham.at(7.31) - h2).max_abs() == 0.0
+
+
+def test_total_hamiltonian_precompiled_matches_builder():
     rng = np.random.default_rng(23)
+    for coupling_mode in COUPLING_CASES:
+        for case, drives in DRIVE_CASES.items():
+            space, params = _driven_chain(coupling_mode, drives)
+            ham = TotalHamiltonian(space, params)
+            assert ham.is_static == (coupling_mode == STATIC_PHASE and case == "undriven")
+            psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            for t in (0.0, 0.83, 4.2):
+                h_ref = term_sum(space, params, t, ham.cache)
+                assert (ham.at(t) - h_ref).max_abs() <= 1e-13, (coupling_mode, case, t)
+                assert_allclose(ham.apply(t, psi), h_ref.to_dense() @ psi, atol=1e-12)
+
+
+def _duplicate_drive_system():
+    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.5, 0.5)),
+        exchange_j=0.05,
+        field_modes=(FieldMode(omega=1.0, amplitude=0.05, polarization_overlap=(1.0, 1.0)),),
+        drives=(ClassicalDrive(amplitude=0.1, frequency=1.0, sites=(0, 0)),),
+    )
+    return space, params
+
+
+def test_drive_listing_a_site_twice_counts_it_once():
+    space, params = _duplicate_drive_system()
+    ham = TotalHamiltonian(space, params)
+    rng = np.random.default_rng(5)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    for t in (0.0, 0.83, 4.2):
-        h_ref = build_total(space, params, t)
-        assert (ham.at(t) - h_ref).max_abs() <= 1e-13
-        assert_allclose(ham.apply(t, psi), h_ref.to_dense() @ psi, atol=1e-12)
+    for t in (0.0, 0.3, 2.9):
+        h_ref = term_sum(space, params, t)
+        assert (ham.at(t) - h_ref).max_abs() <= 1e-14
+        assert_allclose(ham.apply(t, psi), h_ref.matrix @ psi, atol=1e-14)
+
+
+def test_propagation_with_a_site_listed_twice_matches_term_sum():
+    space, params = _duplicate_drive_system()
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[0] = 1.0
+    times = np.linspace(0.0, 12.0, 7)
+    traj = propagate(space, params, psi0, times[-1], t_eval=times, tol=1e-11, keep_states=True)
+    ops = OperatorCache(space)
+    ref = solve_ivp(lambda t, psi: -1j * (term_sum(space, params, t, ops).matrix @ psi),
+                    (0.0, times[-1]), psi0, method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
+    assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
 
 
 def test_drive_term():
@@ -348,6 +424,16 @@ def test_drive_term():
     h = build_hdrive(space, params, 0.0)
     cache = OperatorCache(space)
     assert (h - 0.2 * cache.sigma_x[0]).max_abs() <= 1e-15
+
+
+def test_operator_cache_keeps_no_per_site_identity_or_zero():
+    space = build_space(SpaceSpec(3, (ModeSpec(2),)))
+    cache = OperatorCache(space)
+    for ts in cache.sigma:
+        stored = sorted(name for name, value in vars(ts).items() if isinstance(value, Operator))
+        assert stored == ["minus", "plus", "z"]
+        assert (ts.unit - identity(space)).max_abs() == 0.0
+        assert ts.zero.matrix.nnz == 0 and ts.zero.dim == space.dim
 
 
 def test_params_validation():

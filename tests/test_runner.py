@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,86 @@ def test_initial_state_builders(tmp_path):
     assert mf.n_sites == 2
     assert_allclose(mf.a[0], 0.5)
     assert_allclose(mf.s_z[1], -1.0)
+
+
+FOCK_FIELD = COUPLED.replace("{kind: coherent, alpha: 0.5}", "{kind: fock, n: 1}")
+
+
+def _names_fock_field(problems) -> bool:
+    return any(p.startswith("initial.field_modes[0]") and "Fock state (n = 1)" in p for p in problems)
+
+
+@pytest.mark.parametrize("task", ["meanfield", "compare"])
+def test_fock_field_state_refused_for_mean_field_tasks(tmp_path, task):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, FOCK_FIELD.replace("task: propagate", f"task: {task}")))
+    assert _names_fock_field(err.value.problems), err.value.problems
+    # the exact task accepts the same state, and the mean-field reader refuses it
+    config = load_config(write_config(tmp_path, FOCK_FIELD))
+    with pytest.raises(ConfigError) as err:
+        initial_mean_field(config)
+    assert _names_fock_field(err.value.problems), err.value.problems
+
+
+@pytest.mark.parametrize("command", ["meanfield", "compare", "run"])
+def test_cli_fock_field_state_exits_2(tmp_path, capsys, command):
+    text = FOCK_FIELD if command != "run" else FOCK_FIELD.replace("task: propagate", "task: compare")
+    code = cli.main([command, "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "initial.field_modes[0]" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "trajectory_exact.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_sweep_point_with_fock_field_state_exits_2(tmp_path, capsys, workers):
+    text = FOCK_FIELD.replace("task: propagate", "task: sweep").replace("n: 1}", "n: 0}") + """
+sweep:
+  path: initial.field_modes.0.n
+  values: [0, 1]
+  task: meanfield
+"""
+    path = write_config(tmp_path, text)
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--workers", str(workers)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "initial.field_modes[0]" in err and "Traceback" not in err
+    # a sweep whose subtask is mean-field is refused at validation
+    path.write_text(text.replace("n: 0}", "n: 1}"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert _names_fock_field(exc.value.problems), exc.value.problems
+
+
+def test_config_error_survives_pickling():
+    err = ConfigError(["first problem", "second problem"])
+    back = pickle.loads(pickle.dumps(err))
+    assert back.problems == err.problems and str(back) == str(err)
+
+
+def test_mode_entries_read_alike_by_both_initial_states(tmp_path):
+    raw = _valid_raw()
+    raw["initial"] = {"field_modes": [{"kind": "coherent", "alpha": [0.3, -0.2]}],
+                      "phonon_modes": [{"kind": "coherent", "beta": 0.4}]}
+    config = config_from_dict(raw)
+    space = config.build_space()
+    psi = initial_state(config, space)
+    mf = initial_mean_field(config)
+    a_op = np.kron(np.eye(4), np.kron(np.diag(np.sqrt(np.arange(1, 4)), 1), np.eye(3)))
+    b_op = np.kron(np.eye(16), np.diag(np.sqrt(np.arange(1, 3)), 1))
+    assert_allclose(mf.a, [0.3 - 0.2j])
+    assert_allclose(mf.b, [0.4])
+    assert_allclose(np.vdot(psi, a_op @ psi), 0.3 - 0.2j, atol=0.05)
+    assert_allclose(np.vdot(psi, b_op @ psi), 0.4, atol=0.05)
+    # a missing kind reads as a Fock state in both, and vacuum as Fock level 0
+    raw["initial"] = {"field_modes": [{"n": 2}], "phonon_modes": [{"kind": "vacuum", "n": 2}]}
+    config = config_from_dict(raw)
+    psi = initial_state(config, space)
+    n_op = np.kron(np.eye(4), np.kron(np.diag(np.arange(4.0)), np.eye(3)))
+    nb_op = np.kron(np.eye(16), np.diag(np.arange(3.0)))
+    assert_allclose([np.vdot(psi, n_op @ psi), np.vdot(psi, nb_op @ psi)], [2.0, 0.0], atol=1e-14)
+    with pytest.raises(ConfigError):
+        initial_mean_field(config)
 
 
 # -- trajectory persistence -------------------------------------------------------
