@@ -2,13 +2,17 @@
 
 Two independent routes to the same physics are kept side by side:
 
-* :func:`propagate` evolves the state under the total Hamiltonian.  A
-  time-independent Hamiltonian of dimension at most ``SPECTRAL_MAX_DIM``
-  is propagated exactly by its dense eigendecomposition (``eigh``), with
-  no step error and a cost independent of the horizon; every other case
-  (explicitly time-dependent generators, larger static ones) is
-  integrated with the adaptive explicit Runge-Kutta scheme DOP853.
-  ``Trajectory.meta["method"]`` names the backend that ran,
+* :func:`propagate` evolves the state under the total Hamiltonian with one
+  of three backends, picked from the input.  A time-independent
+  Hamiltonian of dimension at most ``SPECTRAL_MAX_DIM`` is propagated by
+  its dense eigendecomposition (``eigh``); a larger one, on a uniform
+  output grid, by the action of the sparse matrix exponential
+  (``expm_multiply``, scaled truncated Taylor series).  Both are exact to
+  roundoff, with no step error.  Explicitly time-dependent generators,
+  and large static ones on a non-uniform grid, are integrated with the
+  adaptive explicit Runge-Kutta scheme DOP853.
+  ``Trajectory.meta["method"]`` names the backend that ran and
+  ``meta["backend_reason"]`` why,
 * the ``heisenberg_rhs_*`` builders assemble, term by term, the explicit
   operator right-hand sides of the site, field and phonon equations of
   motion, which must coincide with ``i [H, O]`` as matrices.
@@ -49,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonian import (
     CompiledModel,
@@ -58,13 +63,15 @@ from .hamiltonian import (
     build_hcp,
     coupling_q,
     drive_field,
+    operator_cache,
 )
 from .hilbert import (
     DimensionMismatchError,
     Operator,
     SpaceIndex,
+    anticommutator,
     commutator,
-    embed_local,
+    embed_modes,
     identity,
     top_level_projector_local,
     zero,
@@ -75,9 +82,10 @@ NORM_DRIFT_WARNING = 1e-6
 TOP_LEVEL_FLAG = 1e-6
 # Largest dimension propagated by dense eigendecomposition.  Dense ``eigh``
 # costs O(dim^3) time and O(dim^2) memory (2-vCPU x86, OpenBLAS, 2 threads:
-# 0.5 s / +11 MB at 512, 1.1 s / +37 MB at 1024, 2.65 s / +72 MB at 1456);
-# above this size sparse DOP853 stepping needs far less memory and, at
-# moderate horizons, no more time.
+# 0.5 s / +11 MB at 512, 1.1 s / +37 MB at 1024, 2.65 s / +72 MB at 1456).
+# Above this size a static H on a uniform grid goes to sparse
+# ``expm_multiply`` (dim 1456, 401 points to t = 150: 1.2-1.5 s against
+# 2.0-2.7 s for DOP853 at tol 1e-10), and on a non-uniform grid to DOP853.
 SPECTRAL_MAX_DIM = 512
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
@@ -134,30 +142,21 @@ class Trajectory:
 
 def observable_operators(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> dict[str, Operator]:
     """Named operators recorded along a trajectory."""
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     table: dict[str, Operator] = {}
     for l in range(space.n_sites):
         table[f"sigma_minus_{l}"] = ops.sigma[l].minus
         table[f"sigma_plus_{l}"] = ops.sigma[l].plus
         table[f"sigma_z_{l}"] = ops.sigma[l].z
+    top = {kind: embed_modes(space, kind, top_level_projector_local, f"top_{kind}") for kind in ("field", "phonon")}
     for k in range(space.n_field_modes):
         table[f"a_{k}"] = ops.a[k]
         table[f"n_{k}"] = ops.a_num[k]
-        table[f"top_field_{k}"] = embed_local(
-            space,
-            space.field_slot(k),
-            top_level_projector_local(space.field_cutoff(k)),
-            f"top_field[{k}]",
-        )
+        table[f"top_field_{k}"] = top["field"][k]
     for q in range(space.n_phonon_modes):
         table[f"b_{q}"] = ops.b[q]
         table[f"nb_{q}"] = ops.b_num[q]
-        table[f"top_phonon_{q}"] = embed_local(
-            space,
-            space.phonon_slot(q),
-            top_level_projector_local(space.phonon_cutoff(q)),
-            f"top_phonon[{q}]",
-        )
+        table[f"top_phonon_{q}"] = top["phonon"][q]
     return table
 
 
@@ -193,10 +192,7 @@ def _spectral_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
     The eigendecomposition runs eagerly, so its failures surface here; the
     state chunks are generated lazily.
     """
-    dense = h.to_dense()
-    if not np.isfinite(dense).all():
-        raise PropagationError("Hamiltonian has non-finite entries")
-    energies, vecs = np.linalg.eigh(dense)
+    energies, vecs = np.linalg.eigh(h.to_dense())
     if not np.isfinite(energies).all():
         raise PropagationError("eigendecomposition returned non-finite eigenvalues")
     coeffs = vecs.conj().T @ psi0
@@ -204,6 +200,31 @@ def _spectral_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
         vecs @ (np.exp(-1j * np.outer(energies, elapsed[lo:lo + RECORD_CHUNK])) * coeffs[:, None])
         for lo in range(0, elapsed.size, RECORD_CHUNK)
     )
+
+
+def _is_uniform(times: np.ndarray) -> bool:
+    """No time further than a few ulps of linspace/arange (1e-14 of max(1, |t|)) from an equally spaced grid."""
+    grid = np.linspace(times[0], times[-1], times.size)
+    return bool(np.max(np.abs(times - grid)) <= 1e-14 * max(1.0, abs(times[0]), abs(times[-1])))
+
+
+def _exponential_states(h: Operator, psi0: np.ndarray, elapsed: np.ndarray) -> np.ndarray:
+    """States ``exp(-i H t) psi0`` at uniformly spaced elapsed times, one column each.
+
+    scipy takes the first point of an interval with the step parameters of
+    the interval's length (NaN for start 50, stop 52), so a late first point
+    gets a call of its own.
+    """
+    generator = -1j * h.matrix
+    if elapsed[0] > 0:
+        psi0 = expm_multiply(elapsed[0] * generator, psi0)
+    if elapsed.size == 1:
+        rows = psi0[None, :].copy()
+    else:
+        rows = expm_multiply(generator, psi0, start=0.0, stop=elapsed[-1] - elapsed[0], num=elapsed.size, endpoint=True)
+    if not np.isfinite(rows).all():
+        raise PropagationError("matrix exponential returned non-finite states")
+    return rows.T
 
 
 def _expect_columns(op: Operator, block: np.ndarray) -> np.ndarray:
@@ -248,13 +269,20 @@ def propagate(
 ) -> Trajectory:
     """Evolve d psi/dt = -i H(t) psi and record observables.
 
-    The backend follows from the input.  A static Hamiltonian of dimension
-    at most ``SPECTRAL_MAX_DIM`` is propagated by its eigendecomposition
-    (``meta["method"] == "eigh"``, no right-hand-side evaluations), exact up
-    to roundoff.  Otherwise DOP853 integrates the equation; explicitly
-    time-dependent generators (literal coupling phases, classical drives)
-    are evaluated at the integrator's internal stage times, not frozen per
-    step.
+    The backend follows from the input, and ``meta["backend_reason"]`` says
+    why it was chosen:
+
+    * static H, dimension at most ``SPECTRAL_MAX_DIM``: dense
+      eigendecomposition (``meta["method"] == "eigh"``);
+    * static H above that size on a uniform output grid: one
+      ``expm_multiply`` call over the grid (``"expm_multiply"``);
+    * static H above that size on a non-uniform ``t_eval``, and every
+      explicitly time-dependent H (literal coupling phases, classical
+      drives): DOP853 (``"DOP853"``), with the generator evaluated at the
+      integrator's internal stage times, not frozen per step.
+
+    The two exponential paths are exact to roundoff and make no
+    right-hand-side evaluations (``meta["rhs_evaluations"] == 0``).
 
     Parameters
     ----------
@@ -262,7 +290,7 @@ def propagate(
         Initial state; ``state.time`` (0 for a bare array) is the start time.
     tol:
         Local error tolerance of the DOP853 integrator (rtol; atol is two
-        orders tighter).  Unused on the eigendecomposition path.
+        orders tighter).  Unused on both exponential paths.
     t_eval:
         Explicit output grid, strictly increasing within ``[start, t_end]``;
         overrides ``n_out`` equally spaced points.
@@ -274,7 +302,7 @@ def propagate(
     ------
     PropagationError
         On integrator failure (step-size underflow and the like), or a
-        non-finite Hamiltonian or spectrum on the eigendecomposition path.
+        non-finite Hamiltonian, spectrum or state on an exponential path.
     """
     if isinstance(state, StateVector):
         psi0, t_start = state.amplitudes, state.time
@@ -292,38 +320,27 @@ def propagate(
     times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
 
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
-    states = None
+    if ham.is_static and not np.isfinite(ham.static.matrix.data).all():
+        raise PropagationError("Hamiltonian has non-finite entries")
+    states, rhs_evaluations, large = None, 0, f"dim > {SPECTRAL_MAX_DIM}"
     if ham.is_static and space.dim <= SPECTRAL_MAX_DIM:
-        method, rhs_evaluations = "eigh", 0
+        method, reason = "eigh", f"static, dim <= {SPECTRAL_MAX_DIM}"
         chunks = _spectral_chunks(ham.static, psi0, times - t_start)
         if keep_states:
             states = np.concatenate(list(chunks), axis=1)
             chunks = _column_chunks(states)
+    elif ham.is_static and _is_uniform(times):
+        method, reason = "expm_multiply", f"static, {large}, uniform grid"
+        states = _exponential_states(ham.static, psi0, times - t_start)
+        chunks = _column_chunks(states)
     else:
-        if ham.is_static:
-            h_static = ham.static.matrix
-
-            def rhs(t, psi):
-                return -1j * (h_static @ psi)
-
-        else:
-
-            def rhs(t, psi):
-                return -1j * ham.apply(t, psi)
-
-        sol = solve_ivp(
-            rhs,
-            (t_start, t_end),
-            psi0,
-            method="DOP853",
-            t_eval=times,
-            rtol=tol,
-            atol=tol * 1e-2,
-        )
+        sol = solve_ivp(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0, method="DOP853",
+                        t_eval=times, rtol=tol, atol=tol * 1e-2)
         collect_solver()
         if not sol.success:
             raise PropagationError(f"propagation failed: {sol.message}")
         method, rhs_evaluations = "DOP853", int(sol.nfev)
+        reason = f"static, {large}, non-uniform t_eval" if ham.is_static else "time-dependent"
         times, states = sol.t, sol.y
         chunks = _column_chunks(states)
 
@@ -344,6 +361,7 @@ def propagate(
         "truncation_flagged": max_top > TOP_LEVEL_FLAG,
         "tol": tol,
         "method": method,
+        "backend_reason": reason,
         "warnings": warnings,
         "rhs_evaluations": rhs_evaluations,
     }
@@ -369,7 +387,7 @@ def field_coupling_operator(
 
     Classical drives enter additively as multiples of the identity.
     """
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     b = zero(space, f"B[{l}]")
     for k in range(space.n_field_modes):
         q = coupling_q(params, l, k, t)
@@ -384,7 +402,7 @@ def phonon_displacement_operator(
     space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None
 ) -> Operator:
     """sum_q lambda_q (b_q^dag + b_q): the phonon field seen by every site."""
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     disp = zero(space, "phonon_disp")
     for q, mode in enumerate(params.phonon_modes):
         if mode.coupling != 0.0:
@@ -416,16 +434,12 @@ def heisenberg_rhs_sigma(
     Neighbour sums follow the boundary policy; every component equals
     ``i [H_total, .]`` exactly (tested).
     """
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     if not 0 <= l < space.n_sites:
         raise IndexError(f"site {l} out of range")
     sig = ops.sigma[l]
     omega_l = params.omegas[l]
     b_l = field_coupling_operator(space, params, l, t, ops)
-
-    def acomm(x: Operator, y: Operator) -> Operator:
-        return x @ y + y @ x
-
     nb = params.neighbors(l)
     nb_minus = zero(space)
     nb_plus = zero(space)
@@ -440,9 +454,9 @@ def heisenberg_rhs_sigma(
     rhs_plus = 1j * omega_l * sig.plus - 1j * (sig.z @ b_l)
     rhs_z = 2j * ((sig.minus - sig.plus) @ b_l)
     if j != 0.0 and nb:
-        rhs_minus = rhs_minus + (1j * j) * (acomm(sig.z, nb_minus) - acomm(sig.minus, nb_z))
-        rhs_plus = rhs_plus + (1j * j) * (acomm(sig.plus, nb_z) - acomm(sig.z, nb_plus))
-        rhs_z = rhs_z + (2j * j) * (acomm(sig.minus, nb_plus) - acomm(sig.plus, nb_minus))
+        rhs_minus = rhs_minus + (1j * j) * (anticommutator(sig.z, nb_minus) - anticommutator(sig.minus, nb_z))
+        rhs_plus = rhs_plus + (1j * j) * (anticommutator(sig.plus, nb_z) - anticommutator(sig.z, nb_plus))
+        rhs_z = rhs_z + (2j * j) * (anticommutator(sig.minus, nb_plus) - anticommutator(sig.plus, nb_minus))
     if include_phonons and params.phonon_modes:
         disp = phonon_displacement_operator(space, params, ops)
         rhs_minus = rhs_minus + (-2j) * (disp @ sig.minus)
@@ -462,7 +476,7 @@ def heisenberg_rhs_field(
     ``da/dt = -i w_k a - i sum_j (plus_j + minus_j) q_jk^*`` and the
     Hermitian conjugate.  Valid away from the Fock truncation boundary.
     """
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     if not 0 <= k < space.n_field_modes:
         raise IndexError(f"field mode {k} out of range")
     omega_k = params.field_modes[k].omega
@@ -484,7 +498,7 @@ def heisenberg_rhs_phonon(
     ``db/dt = -i nu_q b - i lambda_q sum_j z_j`` and the conjugate; the
     source term is diagonal.  Valid away from the truncation boundary.
     """
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     if not 0 <= q < space.n_phonon_modes:
         raise IndexError(f"phonon mode {q} out of range")
     mode = params.phonon_modes[q]
@@ -510,11 +524,9 @@ def heisenberg_commutator(
 def bulk_projector(space: SpaceIndex) -> Operator:
     """Projector excluding the top Fock level of every bosonic mode."""
     proj = identity(space, "bulk")
-    for sub_pos, sub in enumerate(space.subsystems):
-        if sub.kind == "site":
-            continue
-        top = embed_local(space, sub_pos, top_level_projector_local(sub.dim - 1))
-        proj = proj @ (identity(space) - top)
+    for kind in ("field", "phonon"):
+        for top in embed_modes(space, kind, top_level_projector_local, f"top_{kind}"):
+            proj = proj @ (identity(space) - top)
     return proj.with_tag("bulk")
 
 
@@ -534,7 +546,7 @@ def verify_heisenberg_identities(
     Site-equation residuals are unprojected; field and phonon residuals are
     evaluated under the bulk projector (see module docstring).
     """
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     ham = TotalHamiltonian(space, params, ops)
     proj = bulk_projector(space)
     res: dict[str, float] = {}
@@ -634,7 +646,7 @@ def sigma_phonon_correction(
     """
     if component not in ("minus", "plus"):
         raise ValueError("component must be 'minus' or 'plus'")
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     sig_op = getattr(ops.sigma[l], component)
     sign = -1.0 if component == "minus" else 1.0
 
@@ -684,7 +696,7 @@ def build_g_vector(
     reproduces the transverse phonon corrections; it drops out of the
     inversion equation, which has no phonon contribution.
     """
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     b_l = field_coupling_operator(space, params, l, t, ops)
     j_eff = params.effective_exchange
     g_minus = -1.0 * b_l
@@ -710,7 +722,7 @@ def compact_rhs(
     cache: OperatorCache | None = None,
 ) -> OpVector:
     """Site equations of motion in compact form: metric . (sigma_l x G_l)."""
-    ops = cache if cache is not None else OperatorCache(space)
+    ops = operator_cache(space, cache)
     sig = sigma_vector(ops.sigma[l])
     g_vec = build_g_vector(
         space, params, l, t, include_phonons=include_phonons, cache=ops
@@ -733,11 +745,9 @@ def verify_compact_form(
     check; substituting the identity metric breaks the inversion component
     whenever field coupling is present (negative control).
     """
-    ops = cache if cache is not None else OperatorCache(space)
-    explicit = heisenberg_rhs_sigma(space, params, l, t, cache=ops)
-    compact = compact_rhs(space, params, l, t, metric=metric, cache=ops)
-    diff = compact - explicit
-    return diff.max_abs()
+    explicit = heisenberg_rhs_sigma(space, params, l, t, cache=cache)
+    compact = compact_rhs(space, params, l, t, metric=metric, cache=cache)
+    return (compact - explicit).max_abs()
 
 
 # -- Ehrenfest consistency ----------------------------------------------------------
@@ -805,7 +815,7 @@ def ehrenfest_check(
     series = traj.observable(observable)
     fd = (series[2:] - series[:-2]) / (2.0 * h)
 
-    cache = OperatorCache(space)
+    cache = operator_cache(space)
     static = CompiledModel(params).is_static
     rhs_op = _rhs_operator_for(space, params, observable, traj.times[0], cache)
     expectations = np.empty(len(traj) - 2, dtype=np.complex128)

@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +32,7 @@ from .hilbert import (
     SpaceIndex,
     annihilation_local,
     embed_local,
+    embed_modes,
     identity,
     number_local,
     zero,
@@ -278,7 +280,7 @@ class OperatorCache:
 
     Building the Kronecker embeddings dominates Hamiltonian construction;
     the cache makes repeated builds (time-dependent evaluation, equation
-    oracles) cheap.
+    oracles) cheap.  Its operators are shared, never modified in place.
     """
 
     def __init__(self, space: SpaceIndex):
@@ -289,42 +291,23 @@ class OperatorCache:
             embed_local(space, space.site_slot(v), SIGMA_X_LOCAL, f"sigma_x[{v}]")
             for v in range(space.n_sites)
         ]
-        self.a = [
-            embed_local(
-                space,
-                space.field_slot(k),
-                annihilation_local(space.field_cutoff(k)),
-                f"a[{k}]",
-            )
-            for k in range(space.n_field_modes)
-        ]
+        self.a = embed_modes(space, "field", annihilation_local, "a")
         self.a_dag = [op.dag() for op in self.a]
-        self.a_num = [
-            embed_local(
-                space, space.field_slot(k), number_local(space.field_cutoff(k)), f"n[{k}]"
-            )
-            for k in range(space.n_field_modes)
-        ]
-        self.b = [
-            embed_local(
-                space,
-                space.phonon_slot(q),
-                annihilation_local(space.phonon_cutoff(q)),
-                f"b[{q}]",
-            )
-            for q in range(space.n_phonon_modes)
-        ]
+        self.a_num = embed_modes(space, "field", number_local, "n")
+        self.b = embed_modes(space, "phonon", annihilation_local, "b")
         self.b_dag = [op.dag() for op in self.b]
-        self.b_num = [
-            embed_local(
-                space, space.phonon_slot(q), number_local(space.phonon_cutoff(q)), f"nb[{q}]"
-            )
-            for q in range(space.n_phonon_modes)
-        ]
+        self.b_num = embed_modes(space, "phonon", number_local, "nb")
+
+    @classmethod
+    @lru_cache(maxsize=2)  # a 16-site cache holds 77.5 MiB: keep few alive
+    def for_space(cls, space: SpaceIndex) -> "OperatorCache":
+        """The one cache shared by every caller on an equal ``space``."""
+        return cls(space)
 
 
-def _cache(space: SpaceIndex, cache: OperatorCache | None) -> OperatorCache:
-    return cache if cache is not None else OperatorCache(space)
+def operator_cache(space: SpaceIndex, cache: OperatorCache | None = None) -> OperatorCache:
+    """``cache`` when given, else the shared cache of ``space``."""
+    return cache if cache is not None else OperatorCache.for_space(space)
 
 
 # -- Hamiltonian builders -------------------------------------------------------
@@ -335,7 +318,7 @@ def build_h0(space: SpaceIndex, params: SystemParams, cache: OperatorCache | Non
 
     Equals ``sum_v [ (omega_v / 2) sigma_z_v + (E_low + E_up)/2 * unit ]``.
     """
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "H0")
     for v, (e_low, e_up) in enumerate(params.site_energies):
         omega_v = e_up - e_low
@@ -352,7 +335,7 @@ def build_exchange(
     ``sum_bonds [ J (s+ s- + s- s+ + z z / 2) + H.c. ]`` -- the bracket is
     already Hermitian, so the conjugate doubles it (effective coupling 2J).
     """
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "HJ")
     j = params.exchange_j
     if j == 0.0 or space.n_sites < 2:
@@ -366,13 +349,12 @@ def build_exchange(
 
 def build_hc(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
     """Chain Hamiltonian: bare levels plus exchange."""
-    ops = _cache(space, cache)
-    return (build_h0(space, params, ops) + build_exchange(space, params, ops)).with_tag("HC")
+    return (build_h0(space, params, cache) + build_exchange(space, params, cache)).with_tag("HC")
 
 
 def build_hf(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
     """Free field Hamiltonian: sum_k omega_k (n_k + 1/2)."""
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "HF")
     for k, mode in enumerate(params.field_modes):
         h = h + mode.omega * (ops.a_num[k] + 0.5 * ops.unit)
@@ -390,7 +372,7 @@ def build_hcf(
     ``sum_jk [ q_jk(t) sigma_x_j a_k + sigma_x_j a_k^dag q_jk(t)^* ]``,
     Hermitian at every t.
     """
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "HCF")
     for k in range(len(params.field_modes)):
         for j in range(params.n_sites):
@@ -409,7 +391,7 @@ def build_hdrive(
     cache: OperatorCache | None = None,
 ) -> Operator:
     """Classical drive term: sum_j drive_field(j, t) sigma_x_j."""
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "Hdrive")
     for j in range(params.n_sites):
         amp = drive_field(params, j, t)
@@ -420,7 +402,7 @@ def build_hdrive(
 
 def build_hp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
     """Free phonon Hamiltonian: sum_q nu_q (n_q + 1/2)."""
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "HP")
     for q, mode in enumerate(params.phonon_modes):
         h = h + mode.nu * (ops.b_num[q] + 0.5 * ops.unit)
@@ -429,7 +411,7 @@ def build_hp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | Non
 
 def build_hcp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
     """Site-phonon coupling: sum_jq lambda_q (b_q^dag + b_q) sigma_z_j."""
-    ops = _cache(space, cache)
+    ops = operator_cache(space, cache)
     h = zero(space, "HCP")
     for q, mode in enumerate(params.phonon_modes):
         lam = mode.coupling
@@ -458,7 +440,7 @@ class TotalHamiltonian:
     """
 
     def __init__(self, space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None):
-        ops = _cache(space, cache)
+        ops = operator_cache(space, cache)
         model = CompiledModel(params)
         self.space, self.params, self.cache, self.model = space, params, ops, model
         self.static = (

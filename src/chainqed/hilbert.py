@@ -315,6 +315,12 @@ def embed_local(space: SpaceIndex, subsystem: int, local, tag: str = "") -> Oper
     return Operator(mat, tag)
 
 
+def embed_modes(space: SpaceIndex, kind: str, local, name: str) -> list[Operator]:
+    """``local(cutoff)`` embedded at every mode of one kind ('field' or 'phonon'), in mode order."""
+    return [embed_local(space, pos, local(sub.dim - 1), f"{name}[{sub.label}]")
+            for pos, sub in enumerate(space.subsystems) if sub.kind == kind]
+
+
 # -- local bosonic operators -------------------------------------------------
 
 

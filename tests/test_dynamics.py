@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
+from chainqed import dynamics
 from chainqed.dynamics import (
     SPECTRAL_MAX_DIM,
     PropagationError,
@@ -206,21 +207,131 @@ def _vacuum_site_field(cutoff, **kwargs):
     return space, params, product_state(space, [site_local_state("excited"), fock_local(0, cutoff)])
 
 
+NON_UNIFORM = np.array([0.0, 0.1, 0.5])
+
+
 @pytest.mark.parametrize(
-    "cutoff,kwargs,method",
+    "cutoff,kwargs,t_eval,method,reason",
     [
-        (SPECTRAL_MAX_DIM // 2 - 1, {}, "eigh"),  # dim == SPECTRAL_MAX_DIM
-        (SPECTRAL_MAX_DIM // 2, {}, "DOP853"),  # dim == SPECTRAL_MAX_DIM + 2
-        (2, {"drives": (ClassicalDrive(amplitude=0.01, frequency=1.0),)}, "DOP853"),
-        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, "DOP853"),
+        (SPECTRAL_MAX_DIM // 2 - 1, {}, None, "eigh", "static, dim <= 512"),  # dim == SPECTRAL_MAX_DIM
+        (SPECTRAL_MAX_DIM // 2, {}, None, "expm_multiply", "static, dim > 512, uniform grid"),  # dim 514
+        (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "DOP853", "static, dim > 512, non-uniform t_eval"),
+        (2, {}, NON_UNIFORM, "eigh", "static, dim <= 512"),
+        (2, {"drives": (ClassicalDrive(amplitude=0.01, frequency=1.0),)}, None, "DOP853", "time-dependent"),
+        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "DOP853", "time-dependent"),
     ],
-    ids=["static-at-limit", "static-above-limit", "driven-small", "literal-small"],
+    ids=["static-at-limit", "static-above-limit", "static-above-limit-nonuniform", "static-small-nonuniform",
+         "driven-small", "literal-small"],
 )
-def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, method):
+def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, t_eval, method, reason):
     space, params, psi0 = _vacuum_site_field(cutoff, **kwargs)
-    traj = propagate(space, params, psi0, 0.5, n_out=3)
+    traj = propagate(space, params, psi0, 0.5, n_out=3, t_eval=t_eval)
     assert traj.meta["method"] == method
-    assert (traj.meta["rhs_evaluations"] == 0) == (method == "eigh")
+    assert traj.meta["backend_reason"] == reason
+    assert (traj.meta["rhs_evaluations"] == 0) == (method != "DOP853")
+
+
+def large_static_system():
+    """A site and a coherent field of cutoff 256: dim 514, one above the eigendecomposition limit."""
+    cutoff = SPECTRAL_MAX_DIM // 2
+    space = build_space(SpaceSpec(1, (ModeSpec(cutoff),)))
+    params = single_site_params(
+        field_modes=(FieldMode(omega=1.0, amplitude=0.05, polarization_overlap=(1.0,)),),
+    )
+    psi0 = product_state(space, [site_local_state("angles", theta=1.1, phi=0.4), coherent_local(2.0, cutoff)])
+    return space, params, psi0
+
+
+def _expm_states(space, params, psi0, elapsed):
+    """exp(-iHt) psi0 on a uniform grid by ``scipy.linalg.expm``: one exponential to the first time, one per step."""
+    h = TotalHamiltonian(space, params).static.to_dense()
+    states = [expm(-1j * h * elapsed[0]) @ psi0]
+    if elapsed.size > 1:
+        step = expm(-1j * h * (elapsed[1] - elapsed[0]))
+        for _ in elapsed[1:]:
+            states.append(step @ states[-1])
+    return np.stack(states, axis=1)
+
+
+@pytest.mark.parametrize(
+    "start,grid",
+    [
+        (0.0, {"n_out": 9}),
+        (1.5, {"n_out": 9}),  # StateVector time != 0
+        (0.0, {"n_out": 1}),
+        (0.0, {"n_out": 2}),
+        (-2.0, {"t_eval": "late"}),  # a short uniform grid long after the start
+        (0.0, {"t_eval": "single"}),
+    ],
+    ids=["n_out-9", "start-1.5", "n_out-1", "n_out-2", "late-uniform-grid", "single-late-point"],
+)
+def test_exponential_path_matches_matrix_exponential(start, grid):
+    space, params, psi0 = large_static_system()
+    rng = np.random.default_rng(514)
+    t_end = start + rng.uniform(4.0, 8.0)
+    if grid.get("t_eval") == "late":
+        grid = {"t_eval": np.linspace(t_end - rng.uniform(0.4, 0.5), t_end, 6)}
+    elif grid.get("t_eval") == "single":
+        grid = {"t_eval": np.array([t_end])}
+    traj = propagate(space, params, StateVector(psi0, time=start), t_end, keep_states=True, **grid)
+    assert traj.meta["method"] == "expm_multiply"
+    assert traj.meta["rhs_evaluations"] == 0
+    assert traj.states.shape == (space.dim, traj.times.size)
+    assert np.max(np.abs(traj.states - _expm_states(space, params, psi0, traj.times - start))) <= 1e-8
+    assert traj.meta["norm_drift"] <= 1e-10
+
+
+def test_exponential_path_matches_tight_dop853():
+    space, params, psi0 = large_static_system()
+    h = TotalHamiltonian(space, params).static.matrix
+    t_eval = np.linspace(0.0, 6.0, 13)
+    ref = solve_ivp(lambda t, psi: -1j * (h @ psi), (0.0, 6.0), psi0, method="DOP853",
+                    t_eval=t_eval, rtol=1e-12, atol=1e-14)
+    traj = propagate(space, params, psi0, 6.0, n_out=13, keep_states=True)
+    assert traj.meta["method"] == "expm_multiply"
+    assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
+    # records come from the same states as on the other paths
+    sz = np.einsum("ij,ij->j", ref.y.conj(), TotalHamiltonian(space, params).cache.sigma[0].z.matrix @ ref.y).real
+    assert np.max(np.abs(traj.records["sigma_z_0"] - sz)) <= 1e-8
+
+
+def test_exponential_path_without_keep_states_records_the_same():
+    space, params, psi0 = large_static_system()
+    kept = propagate(space, params, psi0, 3.0, n_out=7, keep_states=True)
+    plain = propagate(space, params, psi0, 3.0, n_out=7)
+    assert plain.states is None
+    for name, values in kept.records.items():
+        assert np.array_equal(values, plain.records[name])
+
+
+def test_non_uniform_grid_above_the_limit_falls_back_to_dop853():
+    space, params, psi0 = large_static_system()
+    t_eval = np.array([0.0, 0.3, 1.0, 2.5, 3.0])
+    traj = propagate(space, params, psi0, 3.0, t_eval=t_eval, tol=1e-12, keep_states=True)
+    assert traj.meta["method"] == "DOP853"
+    assert traj.meta["backend_reason"] == "static, dim > 512, non-uniform t_eval"
+    assert traj.meta["rhs_evaluations"] > 0
+    energies, vecs = np.linalg.eigh(TotalHamiltonian(space, params).static.to_dense())
+    exact = vecs @ (np.exp(-1j * np.outer(energies, t_eval)) * (vecs.conj().T @ psi0)[:, None])
+    assert np.max(np.abs(traj.states - exact)) <= 1e-8
+
+
+def test_exponential_path_rejects_non_finite_hamiltonian():
+    space, _, psi0 = large_static_system()
+    params = single_site_params(
+        field_modes=(FieldMode(omega=1.0, amplitude=float("nan"), polarization_overlap=(1.0,)),),
+    )
+    assert TotalHamiltonian(space, params).is_static
+    with pytest.raises(PropagationError, match="non-finite entries"):
+        propagate(space, params, psi0, 1.0)
+
+
+def test_exponential_path_rejects_non_finite_states(monkeypatch):
+    space, params, psi0 = large_static_system()
+    # a Hermitian H has a unitary exponential; stand in for an overflow inside scipy
+    monkeypatch.setattr(dynamics, "expm_multiply", lambda a, b, **kw: np.full((kw["num"], b.size), np.nan))
+    with pytest.raises(PropagationError, match="non-finite states"):
+        propagate(space, params, psi0, 1.0)
 
 
 @pytest.mark.parametrize("path,repeats", [("exact", 30), ("meanfield", 30), ("lyapunov", 1)])
@@ -533,6 +644,51 @@ def test_compact_rhs_matches_commutator_directly():
                      ("z", cache.sigma[0].z)):
         oracle = heisenberg_commutator(space, params, op)
         assert (getattr(rhs, comp) - oracle).max_abs() <= 1e-12
+
+
+def _cached_matrices(cache):
+    """(name, CSR arrays) of every operator the cache holds, copied."""
+    out = []
+    for attr, value in vars(cache).items():
+        for i, item in enumerate(value if isinstance(value, list) else [value]):
+            ops = vars(item).items() if not isinstance(item, Operator) else [("", item)]
+            for name, op in ops:
+                if isinstance(op, Operator):
+                    m = op.matrix
+                    out.append((f"{attr}[{i}].{name}", m.data.copy(), m.indices.copy(), m.indptr.copy()))
+    return out
+
+
+def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(monkeypatch):
+    builds = []
+    init = OperatorCache.__init__
+
+    def counted(self, space):
+        builds.append(space)
+        init(self, space)
+
+    monkeypatch.setattr(OperatorCache, "__init__", counted)
+    OperatorCache.for_space.cache_clear()
+    space = build_space(SpaceSpec(3, (ModeSpec(2),), (ModeSpec(2),)))
+    rng = np.random.default_rng(28)
+    before = None
+    for _ in range(3):
+        params = draw_params(space, rng, boundary="periodic")
+        assert max(verify_heisenberg_identities(space, params).values()) <= 1e-11
+        if before is None:
+            before = _cached_matrices(OperatorCache.for_space(space))
+        assert max(verify_compact_form(space, params, l) for l in range(3)) <= 1e-10
+        assert min(verify_compact_form(space, params, l, metric=(1.0, 1.0, 1.0)) for l in range(3)) > 1e-3
+    assert len(builds) == 1
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[1] = 1.0
+    propagate(space, params, psi0, 2.0, n_out=5)
+    assert len(builds) == 1
+    after = _cached_matrices(OperatorCache.for_space(space))
+    assert [entry[0] for entry in after] == [entry[0] for entry in before]
+    assert len(after) == 1 + 3 * 4 + 6  # unit; minus, plus, z, sigma_x per site; a, a_dag, n, b, b_dag, nb
+    for old, new in zip(before, after):
+        assert all(np.array_equal(x, y) for x, y in zip(old[1:], new[1:])), old[0]
 
 
 # -- Ehrenfest consistency ------------------------------------------------------------------

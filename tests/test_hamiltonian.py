@@ -21,6 +21,7 @@ from chainqed.hamiltonian import (
     build_hf,
     build_hp,
     coupling_q,
+    operator_cache,
 )
 from chainqed.dynamics import propagate
 from chainqed.hilbert import ModeSpec, Operator, SpaceSpec, build_space, commutator, identity
@@ -434,6 +435,35 @@ def test_operator_cache_keeps_no_per_site_identity_or_zero():
         assert stored == ["minus", "plus", "z"]
         assert (ts.unit - identity(space)).max_abs() == 0.0
         assert ts.zero.matrix.nnz == 0 and ts.zero.dim == space.dim
+
+
+def test_equal_spaces_share_one_cache():
+    spec = SpaceSpec(2, (ModeSpec(2),))
+    first, second = build_space(spec), build_space(spec)
+    assert first is not second and first == second
+    assert OperatorCache.for_space(first) is OperatorCache.for_space(second)
+    assert operator_cache(second) is OperatorCache.for_space(first)
+    own = OperatorCache(first)
+    assert operator_cache(first, own) is own
+
+
+def test_shared_caches_stay_bounded(monkeypatch):
+    builds = []
+    init = OperatorCache.__init__
+
+    def counted(self, space):
+        builds.append(space)
+        init(self, space)
+
+    monkeypatch.setattr(OperatorCache, "__init__", counted)
+    OperatorCache.for_space.cache_clear()
+    spaces = [build_space(SpaceSpec(n)) for n in (1, 2, 3)]
+    caches = [OperatorCache.for_space(space) for space in spaces]
+    assert OperatorCache.for_space.cache_info().currsize == 2
+    assert OperatorCache.for_space(spaces[2]) is caches[2]
+    assert OperatorCache.for_space(spaces[1]) is caches[1]
+    assert OperatorCache.for_space(spaces[0]) is not caches[0]  # the oldest was evicted
+    assert builds == [spaces[0], spaces[1], spaces[2], spaces[0]]
 
 
 def test_params_validation():
