@@ -3,16 +3,18 @@
 Two independent routes to the same physics are kept side by side:
 
 * :func:`propagate` evolves the state under the total Hamiltonian with one
-  of three backends, picked from the input.  A time-independent
+  of four backends, picked from the input.  A time-independent
   Hamiltonian of dimension at most ``SPECTRAL_MAX_DIM`` is propagated by
   its dense eigendecomposition (``eigh``); a larger one, on a uniform
   output grid, by the action of the sparse matrix exponential
   (``expm_multiply``, scaled truncated Taylor series).  Both are exact to
-  roundoff, with no step error.  Explicitly time-dependent generators,
-  and large static ones on a non-uniform grid, are integrated with the
-  adaptive explicit Runge-Kutta scheme DOP853.
-  ``Trajectory.meta["method"]`` names the backend that ran and
-  ``meta["backend_reason"]`` why,
+  roundoff, with no step error.  An explicitly time-dependent generator
+  of dimension at most ``SPECTRAL_MAX_DIM`` is integrated by DOP853 in the
+  interaction picture of its static part, whose eigendecomposition
+  removes the fast carrier from the integrated amplitudes; a larger one,
+  and a large static one on a non-uniform grid, by plain DOP853 (adaptive
+  explicit Runge-Kutta).  ``Trajectory.meta["method"]`` names the backend
+  that ran and ``meta["backend_reason"]`` why,
 * the ``heisenberg_rhs_*`` builders assemble, term by term, the explicit
   operator right-hand sides of the site, field and phonon equations of
   motion, which must coincide with ``i [H, O]`` as matrices.
@@ -86,6 +88,8 @@ TOP_LEVEL_FLAG = 1e-6
 # Above this size a static H on a uniform grid goes to sparse
 # ``expm_multiply`` (dim 1456, 401 points to t = 150: 1.2-1.5 s against
 # 2.0-2.7 s for DOP853 at tol 1e-10), and on a non-uniform grid to DOP853.
+# The same limit bounds the interaction picture of a time-dependent H, which
+# needs the eigendecomposition of its static part; above it plain DOP853 runs.
 SPECTRAL_MAX_DIM = 512
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
@@ -186,20 +190,50 @@ def _column_chunks(states: np.ndarray):
     return (states[:, lo:lo + RECORD_CHUNK] for lo in range(0, states.shape[1], RECORD_CHUNK))
 
 
-def _spectral_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
-    """States ``V exp(-i E t) V^dag psi0`` at the elapsed times, in column chunks.
-
-    The eigendecomposition runs eagerly, so its failures surface here; the
-    state chunks are generated lazily.
-    """
+def _eigensystem(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and eigenvector columns of a Hermitian operator, by dense ``eigh``."""
     energies, vecs = np.linalg.eigh(h.to_dense())
     if not np.isfinite(energies).all():
         raise PropagationError("eigendecomposition returned non-finite eigenvalues")
-    coeffs = vecs.conj().T @ psi0
+    return energies, vecs
+
+
+def _frame_chunks(energies: np.ndarray, vecs: np.ndarray, elapsed: np.ndarray, amps: np.ndarray):
+    """States ``V exp(-i E tau) amps(tau)`` at the elapsed times tau, in column chunks.
+
+    ``amps`` has one column per time: eigenbasis amplitudes in the frame that
+    rotates with the energies ``E`` (a broadcast column when they are constant).
+    """
     return (
-        vecs @ (np.exp(-1j * np.outer(energies, elapsed[lo:lo + RECORD_CHUNK])) * coeffs[:, None])
+        vecs @ (np.exp(-1j * np.outer(energies, elapsed[lo:lo + RECORD_CHUNK])) * amps[:, lo:lo + RECORD_CHUNK])
         for lo in range(0, elapsed.size, RECORD_CHUNK)
     )
+
+
+def _dop853(rhs, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray, tol: float):
+    """One DOP853 solve onto the output grid: (times, states, right-hand-side calls)."""
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=times, rtol=tol, atol=tol * 1e-2)
+    collect_solver()
+    if not sol.success:
+        raise PropagationError(f"propagation failed: {sol.message}")
+    return sol.t, sol.y, int(sol.nfev)
+
+
+def _interaction_rhs(ham: TotalHamiltonian, energies: np.ndarray, vecs: np.ndarray, t_start: float):
+    """d phi/dt for ``phi = exp(i E (t - t_start)) V^dag psi``, with ``H_static = V E V^dag``.
+
+    ``-i (exp(i E tau) V^dag H(t) V exp(-i E tau) phi - E phi)``: one
+    ``ham.apply`` per call, and phi moves only as fast as the
+    time-dependent terms, not at the static carrier frequencies.
+    """
+    vecs_dag = vecs.conj().T
+
+    def rhs(t: float, phi: np.ndarray) -> np.ndarray:
+        rotation = np.exp(-1j * (t - t_start) * energies)
+        h_psi = ham.apply(t, vecs @ (rotation * phi))
+        return -1j * (rotation.conj() * (vecs_dag @ h_psi) - energies * phi)
+
+    return rhs
 
 
 def _is_uniform(times: np.ndarray) -> bool:
@@ -276,21 +310,28 @@ def propagate(
       eigendecomposition (``meta["method"] == "eigh"``);
     * static H above that size on a uniform output grid: one
       ``expm_multiply`` call over the grid (``"expm_multiply"``);
-    * static H above that size on a non-uniform ``t_eval``, and every
-      explicitly time-dependent H (literal coupling phases, classical
-      drives): DOP853 (``"DOP853"``), with the generator evaluated at the
-      integrator's internal stage times, not frozen per step.
+    * time-dependent H (literal coupling phases, classical drives) of
+      dimension at most ``SPECTRAL_MAX_DIM``: DOP853 in the interaction
+      picture of ``ham.static = V E V^dag`` (``"interaction+DOP853"``).  It
+      integrates ``phi = exp(i E (t - t0)) V^dag psi``, whose right-hand
+      side makes one ``ham.apply`` call, and maps phi back to psi in chunks
+      of ``RECORD_CHUNK`` output points;
+    * static H above that size on a non-uniform ``t_eval``, and
+      time-dependent H above it: DOP853 (``"DOP853"``).
 
-    The two exponential paths are exact to roundoff and make no
-    right-hand-side evaluations (``meta["rhs_evaluations"] == 0``).
+    Both DOP853 paths evaluate the generator at the integrator's internal
+    stage times, not frozen per step.  The two exponential paths are exact
+    to roundoff and make no right-hand-side evaluations
+    (``meta["rhs_evaluations"] == 0``).
 
     Parameters
     ----------
     state:
         Initial state; ``state.time`` (0 for a bare array) is the start time.
     tol:
-        Local error tolerance of the DOP853 integrator (rtol; atol is two
-        orders tighter).  Unused on both exponential paths.
+        Local error tolerance of the DOP853 integrator, in either frame
+        (rtol; atol is two orders tighter).  Unused on both exponential
+        paths.
     t_eval:
         Explicit output grid, strictly increasing within ``[start, t_end]``;
         overrides ``n_out`` equally spaced points.
@@ -301,8 +342,10 @@ def propagate(
     Raises
     ------
     PropagationError
-        On integrator failure (step-size underflow and the like), or a
-        non-finite Hamiltonian, spectrum or state on an exponential path.
+        Before any backend runs, when a matrix of the Hamiltonian or a
+        time-dependent coefficient at the start time is non-finite; on
+        integrator failure (step-size underflow and the like); on a
+        non-finite spectrum, or non-finite states from ``expm_multiply``.
     """
     if isinstance(state, StateVector):
         psi0, t_start = state.amplitudes, state.time
@@ -320,12 +363,21 @@ def propagate(
     times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
 
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
-    if ham.is_static and not np.isfinite(ham.static.matrix.data).all():
-        raise PropagationError("Hamiltonian has non-finite entries")
-    states, rhs_evaluations, large = None, 0, f"dim > {SPECTRAL_MAX_DIM}"
-    if ham.is_static and space.dim <= SPECTRAL_MAX_DIM:
-        method, reason = "eigh", f"static, dim <= {SPECTRAL_MAX_DIM}"
-        chunks = _spectral_chunks(ham.static, psi0, times - t_start)
+    if not ham.is_finite(t_start):
+        raise PropagationError(f"Hamiltonian has non-finite entries or coefficients at t = {t_start}")
+    states, rhs_evaluations = None, 0
+    small, large = f"dim <= {SPECTRAL_MAX_DIM}", f"dim > {SPECTRAL_MAX_DIM}"
+    if space.dim <= SPECTRAL_MAX_DIM:
+        energies, vecs = _eigensystem(ham.static)
+        phi0 = vecs.conj().T @ psi0
+        if ham.is_static:
+            method, reason = "eigh", f"static, {small}"
+            amps = np.broadcast_to(phi0[:, None], (space.dim, times.size))
+        else:
+            method, reason = "interaction+DOP853", f"time-dependent, {small}"
+            rhs = _interaction_rhs(ham, energies, vecs, t_start)
+            times, amps, rhs_evaluations = _dop853(rhs, (t_start, t_end), phi0, times, tol)
+        chunks = _frame_chunks(energies, vecs, times - t_start, amps)
         if keep_states:
             states = np.concatenate(list(chunks), axis=1)
             chunks = _column_chunks(states)
@@ -334,14 +386,10 @@ def propagate(
         states = _exponential_states(ham.static, psi0, times - t_start)
         chunks = _column_chunks(states)
     else:
-        sol = solve_ivp(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0, method="DOP853",
-                        t_eval=times, rtol=tol, atol=tol * 1e-2)
-        collect_solver()
-        if not sol.success:
-            raise PropagationError(f"propagation failed: {sol.message}")
-        method, rhs_evaluations = "DOP853", int(sol.nfev)
-        reason = f"static, {large}, non-uniform t_eval" if ham.is_static else "time-dependent"
-        times, states = sol.t, sol.y
+        method = "DOP853"
+        reason = f"static, {large}, non-uniform t_eval" if ham.is_static else f"time-dependent, {large}"
+        times, states, rhs_evaluations = _dop853(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0,
+                                                 times, tol)
         chunks = _column_chunks(states)
 
     records = _record(chunks, observable_operators(space, params, ham.cache), ham, times)

@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -263,6 +263,10 @@ class CompiledModel:
         # H(t) depends on time only through a literal coupling phase or a drive
         self.is_static = not (self.literal or self.driven)
 
+    def is_finite(self) -> bool:
+        """Whether every compiled number (frequencies, couplings, drives, level shift) is finite."""
+        return all(np.isfinite(v).all() for v in vars(self).values() if isinstance(v, (np.ndarray, float)))
+
     def phase(self, t):
         """exp(-i w_k t) per field mode; one column per time for a time grid."""
         return np.exp(np.multiply.outer(t, -1j * self.w_field)).T
@@ -470,13 +474,35 @@ class TotalHamiltonian:
         phase = self.model.phase(t) if self.model.literal else np.empty(0)
         return np.concatenate((phase, phase.conj(), self.model.drive_values(t)))
 
+    def is_finite(self, t: float) -> bool:
+        """Whether every matrix entry, and every coefficient at time t, is finite."""
+        return bool(np.isfinite(self._stacked.data).all() and np.isfinite(self._coefficients(t)).all())
+
+    @cached_property
+    def _union(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One CSR pattern covering ``static`` and every term: (values, indices, indptr).
+
+        ``values[:, 0]`` holds the static entries and ``values[:, i]`` those of
+        term i on the union pattern, zero where a matrix has no entry.  Built
+        on the first ``at`` of a time-dependent H.
+        """
+        dim = self.space.dim
+        coo = self._stacked.tocoo()
+        term, col = np.divmod(coo.col.astype(np.int64), dim)
+        keys, slot = np.unique(coo.row.astype(np.int64) * dim + col, return_inverse=True)
+        values = np.zeros((keys.size, 1 + len(self._terms)), dtype=np.complex128)
+        np.add.at(values, (slot, term), coo.data)
+        rows, indices = np.divmod(keys, dim)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim))))
+        return values, indices.astype(np.int32), indptr.astype(np.int32)
+
     def at(self, t: float) -> Operator:
-        """The Hamiltonian operator at time t."""
-        h = self.static
-        for c, op in zip(self._coefficients(t), self._terms):
-            if c != 0:
-                h = h + op * c
-        return h
+        """The Hamiltonian operator at time t (``static`` itself when H is static)."""
+        if self.is_static:
+            return self.static
+        values, indices, indptr = self._union
+        data = values @ np.concatenate(([1.0], self._coefficients(t)))
+        return Operator(sparse.csr_matrix((data, indices, indptr), shape=(self.space.dim,) * 2), self.static.tag)
 
     def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
         """H(t) |psi> without assembling the summed matrix."""

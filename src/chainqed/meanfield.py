@@ -164,6 +164,14 @@ class CompiledClosure(CompiledModel):
         return e + 2.0 * (self.lam @ b.real) * np.sum(sz, axis=0)
 
 
+def _run_closure(params: SystemParams, mf: MeanFieldState) -> CompiledClosure:
+    """The closure of a run, checked against the state and refusing non-finite parameters."""
+    closure = CompiledClosure(params).check(mf)
+    if not closure.is_finite():
+        raise PropagationError("model has non-finite frequencies, couplings or drives")
+    return closure
+
+
 def close_rhs(mf: MeanFieldState, params: SystemParams, t: float) -> MeanFieldState:
     """Time derivative of the closed (factorized) equations.
 
@@ -201,9 +209,11 @@ def mf_propagate(
 
     ``norm`` records the root of the mean per-site Bloch length (the
     closure's analogue of state normalization) and ``bloch_l`` the per-site
-    invariant itself.
+    invariant itself.  Raises ``PropagationError`` before integrating when a
+    compiled frequency, coupling or drive is non-finite, and when the
+    integration fails.
     """
-    closure = CompiledClosure(params).check(mf)
+    closure = _run_closure(params, mf)
     t_start = mf.time
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
@@ -494,7 +504,9 @@ def volterra_diagnostics(
     separation regrowth with renormalization every ``renorm_interval``
     (default: one twentieth of the run); spectral flatness is computed
     from the base trajectory.  Raises when the run is too short to fit at
-    least five renormalization intervals.
+    least five renormalization intervals, and ``PropagationError`` before
+    any integration when a compiled frequency, coupling or drive is
+    non-finite.
     """
     t_span = t_end - mf0.time
     if renorm_interval is None:
@@ -506,13 +518,13 @@ def volterra_diagnostics(
             f"({n_intervals} renormalization intervals, need >= 5)"
         )
 
+    rhs = _run_closure(params, mf0).rhs
     base = mf_propagate(mf0, params, t_end, tol=tol, n_out=n_out)
     flatness = {
         name: spectral_flatness(spectrum(base, name, window="hann").power)
         for name in observables
     }
 
-    rhs = CompiledClosure(params).rhs
     rng = np.random.default_rng(seed)
     y_ref = mf0.pack()
     direction = rng.normal(size=y_ref.size)

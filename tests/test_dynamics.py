@@ -34,7 +34,12 @@ from chainqed.hamiltonian import (
     PhononMode,
     SystemParams,
     TotalHamiltonian,
+    build_hc,
+    build_hcf,
     build_hcp,
+    build_hdrive,
+    build_hf,
+    build_hp,
 )
 from chainqed.hilbert import (
     ModeSpec,
@@ -208,6 +213,7 @@ def _vacuum_site_field(cutoff, **kwargs):
 
 
 NON_UNIFORM = np.array([0.0, 0.1, 0.5])
+DRIVE = (ClassicalDrive(amplitude=0.01, frequency=1.0),)
 
 
 @pytest.mark.parametrize(
@@ -217,18 +223,20 @@ NON_UNIFORM = np.array([0.0, 0.1, 0.5])
         (SPECTRAL_MAX_DIM // 2, {}, None, "expm_multiply", "static, dim > 512, uniform grid"),  # dim 514
         (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "DOP853", "static, dim > 512, non-uniform t_eval"),
         (2, {}, NON_UNIFORM, "eigh", "static, dim <= 512"),
-        (2, {"drives": (ClassicalDrive(amplitude=0.01, frequency=1.0),)}, None, "DOP853", "time-dependent"),
-        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "DOP853", "time-dependent"),
+        (2, {"drives": DRIVE}, None, "interaction+DOP853", "time-dependent, dim <= 512"),
+        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+DOP853", "time-dependent, dim <= 512"),
+        (SPECTRAL_MAX_DIM // 2, {"drives": DRIVE}, None, "DOP853", "time-dependent, dim > 512"),
     ],
     ids=["static-at-limit", "static-above-limit", "static-above-limit-nonuniform", "static-small-nonuniform",
-         "driven-small", "literal-small"],
+         "driven-small", "literal-small", "driven-above-limit"],
 )
 def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, t_eval, method, reason):
     space, params, psi0 = _vacuum_site_field(cutoff, **kwargs)
     traj = propagate(space, params, psi0, 0.5, n_out=3, t_eval=t_eval)
     assert traj.meta["method"] == method
     assert traj.meta["backend_reason"] == reason
-    assert (traj.meta["rhs_evaluations"] == 0) == (method != "DOP853")
+    exponential_method = method in ("eigh", "expm_multiply")
+    assert (traj.meta["rhs_evaluations"] == 0) == exponential_method
 
 
 def large_static_system():
@@ -394,6 +402,130 @@ def test_spectral_path_rejects_non_finite_spectrum(free_site):
     psi0 = product_state(space, [site_local_state("ground")])
     with pytest.raises(PropagationError, match="non-finite eigenvalues"):
         propagate(space, params, psi0, 1.0, hamiltonian=ham)
+
+
+# -- time-dependent runs in the interaction picture ---------------------------------------
+
+
+def compare_driven_system():
+    """The compare-driven benchmark physics, over a short time: 2 sites, literal coupling, a drive on site 0 (dim 52)."""
+    space = build_space(SpaceSpec(2, (ModeSpec(12),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.48, 0.52)),
+        exchange_j=0.02,
+        coupling_mode=LITERAL_TIME_DEPENDENT,
+        field_modes=(FieldMode(omega=1.0, wavevector=0.3, amplitude=0.02, polarization_overlap=(1.0, 0.8)),),
+        drives=(ClassicalDrive(amplitude=0.005, frequency=1.0, sites=(0,)),),
+    )
+    psi0 = product_state(space, [site_local_state("angles", theta=1.0), site_local_state("ground"),
+                                 coherent_local(1.0, 12)])
+    return space, params, psi0, 4.0
+
+
+def criterion_07_system():
+    """A resonantly driven site: the criterion-07 drive, over a twentieth of the Rabi period."""
+    space = build_space(SpaceSpec(1))
+    params = single_site_params(drives=(ClassicalDrive(amplitude=0.005, frequency=1.0),))
+    return space, params, product_state(space, [site_local_state("ground")]), 30.0
+
+
+def literal_phonon_system():
+    """Literal coupling with phonons and two drives, one on a subset of the sites."""
+    space = build_space(SpaceSpec(2, (ModeSpec(3),), (ModeSpec(2),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.45, 0.55)),
+        exchange_j=0.07,
+        coupling_mode=LITERAL_TIME_DEPENDENT,
+        field_modes=(FieldMode(omega=1.2, wavevector=0.9, amplitude=0.1, polarization_overlap=(1.0, 0.8)),),
+        phonon_modes=(PhononMode(nu=0.5, coupling=0.1),),
+        drives=(ClassicalDrive(0.03 - 0.01j, 0.9, (1,)), ClassicalDrive(0.02j, 1.3)),
+    )
+    psi0 = product_state(space, [site_local_state("angles", theta=0.7, phi=0.3), site_local_state("excited"),
+                                 coherent_local(0.5, 3), fock_local(0, 2)])
+    return space, params, psi0, 4.0
+
+
+def _term_sum_parts(space, params):
+    """The per-term builders' sum, independent of TotalHamiltonian: (fixed matrix, H_CF(t) + H_drive(t))."""
+    ops = OperatorCache(space)
+    fixed = (build_hc(space, params, ops) + build_hf(space, params, ops) + build_hp(space, params, ops)
+             + build_hcp(space, params, ops)).matrix
+    return fixed, lambda t: build_hcf(space, params, t, ops) + build_hdrive(space, params, t, ops)
+
+
+@pytest.mark.parametrize(
+    "system,start",
+    [(compare_driven_system, 0.0), (criterion_07_system, 0.0), (literal_phonon_system, 0.0),
+     (literal_phonon_system, 2.0)],  # StateVector time != 0
+    ids=["compare-driven", "criterion-07", "literal-phonons", "literal-phonons-late-start"],
+)
+def test_interaction_path_matches_tight_dop853_of_the_term_sum(system, start):
+    space, params, psi0, duration = system()
+    fixed, varying = _term_sum_parts(space, params)
+    t_eval = np.linspace(start, start + duration, 2 * dynamics.RECORD_CHUNK + 5)  # mapped back in three chunks
+    ref = solve_ivp(lambda t, psi: -1j * (fixed @ psi + varying(t).matrix @ psi), (start, t_eval[-1]), psi0,
+                    method="DOP853", t_eval=t_eval, rtol=1e-12, atol=1e-14)
+    traj = propagate(space, params, StateVector(psi0, time=start), t_eval[-1], t_eval=t_eval, keep_states=True)
+    assert traj.meta["method"] == "interaction+DOP853"
+    assert traj.meta["rhs_evaluations"] > 0
+    assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
+
+
+def test_interaction_path_without_keep_states_records_the_same():
+    space, params, psi0, t_end = literal_phonon_system()
+    # more points than one record chunk, so the states are mapped back in several
+    kept = propagate(space, params, psi0, t_end, n_out=2 * dynamics.RECORD_CHUNK + 5, keep_states=True)
+    plain = propagate(space, params, psi0, t_end, n_out=2 * dynamics.RECORD_CHUNK + 5)
+    assert plain.states is None
+    assert set(kept.records) == set(plain.records)
+    for name, values in kept.records.items():
+        assert np.array_equal(values, plain.records[name]), name
+
+
+def test_time_dependent_energy_record_is_the_term_sum_expectation():
+    space, params, psi0, t_end = literal_phonon_system()
+    fixed, varying = _term_sum_parts(space, params)
+    traj = propagate(space, params, psi0, t_end, n_out=11, keep_states=True)
+    for k, t in enumerate(traj.times):
+        psi = traj.states[:, k]
+        expected = np.vdot(psi, fixed @ psi) + varying(t).expect(psi)
+        assert abs(traj.records["energy"][k] - expected.real) <= 1e-12
+
+
+NAN = float("nan")
+NON_FINITE_MODELS = {
+    "nan-drive": dict(
+        field_modes=(FieldMode(omega=1.0, amplitude=0.05, polarization_overlap=(1.0,)),),
+        drives=(ClassicalDrive(amplitude=NAN, frequency=1.0),),
+    ),
+    "nan-literal-coupling": dict(
+        coupling_mode=LITERAL_TIME_DEPENDENT,
+        field_modes=(FieldMode(omega=1.0, amplitude=NAN, polarization_overlap=(1.0,)),),
+    ),
+}
+
+
+@pytest.mark.parametrize("cutoff", [2, SPECTRAL_MAX_DIM // 2], ids=["interaction", "DOP853"])
+@pytest.mark.parametrize("model", list(NON_FINITE_MODELS))
+def test_exact_path_refuses_a_non_finite_time_dependent_model(model, cutoff):
+    space = build_space(SpaceSpec(1, (ModeSpec(cutoff),)))
+    params = single_site_params(**NON_FINITE_MODELS[model])
+    assert not TotalHamiltonian(space, params).is_static
+    psi0 = product_state(space, [site_local_state("excited"), fock_local(0, cutoff)])
+    with pytest.raises(PropagationError, match="non-finite"):
+        propagate(space, params, psi0, 1.0)
+
+
+@pytest.mark.parametrize("probe", ["mf_propagate", "volterra_diagnostics"])
+@pytest.mark.parametrize("model", list(NON_FINITE_MODELS))
+def test_mean_field_path_refuses_a_non_finite_model(model, probe):
+    params = single_site_params(**NON_FINITE_MODELS[model])
+    mf0 = MeanFieldState([0.0], [-1.0], [0.0], [])
+    with pytest.raises(PropagationError, match="non-finite"):
+        if probe == "mf_propagate":
+            mf_propagate(mf0, params, 1.0)
+        else:
+            volterra_diagnostics(params, mf0, 10.0, n_out=64)
 
 
 # -- Heisenberg right-hand sides ------------------------------------------------------

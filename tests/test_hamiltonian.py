@@ -382,6 +382,30 @@ def test_total_hamiltonian_precompiled_matches_builder():
                 assert_allclose(ham.apply(t, psi), h_ref.to_dense() @ psi, atol=1e-12)
 
 
+def test_at_reads_one_pattern_and_matches_term_sum():
+    rng = np.random.default_rng(31)
+    # a purely imaginary amplitude makes the first drive's value exactly 0 at t = 0
+    drives = (ClassicalDrive(0.04j, 1.1, (0,)), ClassicalDrive(0.03, 0.7))
+    for coupling_mode in COUPLING_CASES:
+        space, params = _driven_chain(coupling_mode, drives)
+        ham = TotalHamiltonian(space, params)
+        assert ham.model.drive_values(0.0)[0] == 0.0
+        nnz = {ham.at(t).matrix.nnz for t in (0.0, 1.0)}
+        assert len(nnz) == 1
+        for t in (0.0, *rng.uniform(0, 30, size=4)):
+            h = ham.at(t)
+            assert h.matrix.nnz in nnz
+            assert (h - term_sum(space, params, t, ham.cache)).max_abs() <= 1e-14, (coupling_mode, t)
+
+
+def test_at_of_a_static_hamiltonian_is_the_static_operator():
+    space, params = _driven_chain(STATIC_PHASE, ())
+    ham = TotalHamiltonian(space, params)
+    assert ham.is_static
+    assert ham.at(0.0) is ham.static
+    assert ham.at(4.7) is ham.static
+
+
 def _duplicate_drive_system():
     space = build_space(SpaceSpec(2, (ModeSpec(2),)))
     params = SystemParams(
@@ -410,8 +434,13 @@ def test_propagation_with_a_site_listed_twice_matches_term_sum():
     psi0[0] = 1.0
     times = np.linspace(0.0, 12.0, 7)
     traj = propagate(space, params, psi0, times[-1], t_eval=times, tol=1e-11, keep_states=True)
+    assert traj.meta["method"] == "interaction+DOP853"
     ops = OperatorCache(space)
-    ref = solve_ivp(lambda t, psi: -1j * (term_sum(space, params, t, ops).matrix @ psi),
+    # the term sum with its time-independent builders assembled once (static phase: H_CF is fixed)
+    assert params.coupling_mode == STATIC_PHASE
+    fixed = (build_hc(space, params, ops) + build_hf(space, params, ops) + build_hcf(space, params, 0.0, ops)
+             + build_hp(space, params, ops) + build_hcp(space, params, ops)).matrix
+    ref = solve_ivp(lambda t, psi: -1j * (fixed @ psi + build_hdrive(space, params, t, ops).matrix @ psi),
                     (0.0, times[-1]), psi0, method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
 
