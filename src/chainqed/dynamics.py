@@ -9,7 +9,7 @@ Two independent routes to the same physics are kept side by side:
   output grid, by the action of the sparse matrix exponential
   (``expm_multiply``, scaled truncated Taylor series).  Both are exact to
   roundoff, with no step error.  An explicitly time-dependent generator
-  of dimension at most ``SPECTRAL_MAX_DIM`` is integrated by DOP853 in the
+  of dimension at most ``INTERACTION_MAX_DIM`` is integrated by DOP853 in the
   interaction picture of its static part, whose eigendecomposition
   removes the fast carrier from the integrated amplitudes; a larger one,
   and a large static one on a non-uniform grid, by plain DOP853 (adaptive
@@ -88,9 +88,18 @@ TOP_LEVEL_FLAG = 1e-6
 # Above this size a static H on a uniform grid goes to sparse
 # ``expm_multiply`` (dim 1456, 401 points to t = 150: 1.2-1.5 s against
 # 2.0-2.7 s for DOP853 at tol 1e-10), and on a non-uniform grid to DOP853.
-# The same limit bounds the interaction picture of a time-dependent H, which
-# needs the eigendecomposition of its static part; above it plain DOP853 runs.
 SPECTRAL_MAX_DIM = 512
+# Largest time-dependent H integrated in the interaction picture of its static
+# part.  The frame cuts DOP853's right-hand-side calls up to 4.7x, but every
+# call adds two dense dim x dim products.  propagate wall time, plain DOP853 ->
+# frame, tol 1e-10, eigh included (same box): literal coupling plus a weak
+# drive 2.65 -> 1.19 s at dim 52, 0.68 -> 0.47 s and 0.83 -> 0.72 s at 128,
+# 0.47 -> 0.57 s and 0.81 -> 0.87 s at 256, 0.93 -> 1.32 s and 0.99 -> 1.82 s
+# at 512; a weakly driven spin chain 0.71 -> 0.58 s at 128, 0.87 -> 0.91 s at
+# 256.  Where the drive is strong or the static carrier slow, the frame loses
+# at any size: drive amplitude 0.1, 0.83 -> 1.04 s at 128; one resonantly
+# driven site (criterion 07), 0.27 -> 0.34 s.
+INTERACTION_MAX_DIM = 128
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
 
@@ -311,13 +320,14 @@ def propagate(
     * static H above that size on a uniform output grid: one
       ``expm_multiply`` call over the grid (``"expm_multiply"``);
     * time-dependent H (literal coupling phases, classical drives) of
-      dimension at most ``SPECTRAL_MAX_DIM``: DOP853 in the interaction
+      dimension at most ``INTERACTION_MAX_DIM``: DOP853 in the interaction
       picture of ``ham.static = V E V^dag`` (``"interaction+DOP853"``).  It
       integrates ``phi = exp(i E (t - t0)) V^dag psi``, whose right-hand
       side makes one ``ham.apply`` call, and maps phi back to psi in chunks
       of ``RECORD_CHUNK`` output points;
-    * static H above that size on a non-uniform ``t_eval``, and
-      time-dependent H above it: DOP853 (``"DOP853"``).
+    * static H above ``SPECTRAL_MAX_DIM`` on a non-uniform ``t_eval``,
+      and time-dependent H above ``INTERACTION_MAX_DIM``: DOP853
+      (``"DOP853"``).
 
     Both DOP853 paths evaluate the generator at the integrator's internal
     stage times, not frozen per step.  The two exponential paths are exact
@@ -343,7 +353,7 @@ def propagate(
     ------
     PropagationError
         Before any backend runs, when a matrix of the Hamiltonian or a
-        time-dependent coefficient at the start time is non-finite; on
+        compiled parameter behind its coefficients is non-finite; on
         integrator failure (step-size underflow and the like); on a
         non-finite spectrum, or non-finite states from ``expm_multiply``.
     """
@@ -363,18 +373,20 @@ def propagate(
     times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
 
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
-    if not ham.is_finite(t_start):
-        raise PropagationError(f"Hamiltonian has non-finite entries or coefficients at t = {t_start}")
+    if not ham.is_finite():
+        raise PropagationError("Hamiltonian has non-finite entries or parameters")
     states, rhs_evaluations = None, 0
-    small, large = f"dim <= {SPECTRAL_MAX_DIM}", f"dim > {SPECTRAL_MAX_DIM}"
-    if space.dim <= SPECTRAL_MAX_DIM:
+    limit = SPECTRAL_MAX_DIM if ham.is_static else INTERACTION_MAX_DIM
+    kind = "static" if ham.is_static else "time-dependent"
+    if space.dim <= limit:
+        reason = f"{kind}, dim <= {limit}"
         energies, vecs = _eigensystem(ham.static)
         phi0 = vecs.conj().T @ psi0
         if ham.is_static:
-            method, reason = "eigh", f"static, {small}"
+            method = "eigh"
             amps = np.broadcast_to(phi0[:, None], (space.dim, times.size))
         else:
-            method, reason = "interaction+DOP853", f"time-dependent, {small}"
+            method = "interaction+DOP853"
             rhs = _interaction_rhs(ham, energies, vecs, t_start)
             times, amps, rhs_evaluations = _dop853(rhs, (t_start, t_end), phi0, times, tol)
         chunks = _frame_chunks(energies, vecs, times - t_start, amps)
@@ -382,12 +394,12 @@ def propagate(
             states = np.concatenate(list(chunks), axis=1)
             chunks = _column_chunks(states)
     elif ham.is_static and _is_uniform(times):
-        method, reason = "expm_multiply", f"static, {large}, uniform grid"
+        method, reason = "expm_multiply", f"static, dim > {limit}, uniform grid"
         states = _exponential_states(ham.static, psi0, times - t_start)
         chunks = _column_chunks(states)
     else:
         method = "DOP853"
-        reason = f"static, {large}, non-uniform t_eval" if ham.is_static else f"time-dependent, {large}"
+        reason = f"{kind}, dim > {limit}" + (", non-uniform t_eval" if ham.is_static else "")
         times, states, rhs_evaluations = _dop853(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0,
                                                  times, tol)
         chunks = _column_chunks(states)

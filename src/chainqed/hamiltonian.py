@@ -474,9 +474,9 @@ class TotalHamiltonian:
         phase = self.model.phase(t) if self.model.literal else np.empty(0)
         return np.concatenate((phase, phase.conj(), self.model.drive_values(t)))
 
-    def is_finite(self, t: float) -> bool:
-        """Whether every matrix entry, and every coefficient at time t, is finite."""
-        return bool(np.isfinite(self._stacked.data).all() and np.isfinite(self._coefficients(t)).all())
+    def is_finite(self) -> bool:
+        """Whether every matrix entry and every compiled number behind the coefficients is finite."""
+        return bool(np.isfinite(self._stacked.data).all() and self.model.is_finite())
 
     @cached_property
     def _union(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

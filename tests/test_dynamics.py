@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from chainqed import dynamics
 from chainqed.dynamics import (
+    INTERACTION_MAX_DIM,
     SPECTRAL_MAX_DIM,
     PropagationError,
     StateVector,
@@ -223,12 +224,14 @@ DRIVE = (ClassicalDrive(amplitude=0.01, frequency=1.0),)
         (SPECTRAL_MAX_DIM // 2, {}, None, "expm_multiply", "static, dim > 512, uniform grid"),  # dim 514
         (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "DOP853", "static, dim > 512, non-uniform t_eval"),
         (2, {}, NON_UNIFORM, "eigh", "static, dim <= 512"),
-        (2, {"drives": DRIVE}, None, "interaction+DOP853", "time-dependent, dim <= 512"),
-        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+DOP853", "time-dependent, dim <= 512"),
-        (SPECTRAL_MAX_DIM // 2, {"drives": DRIVE}, None, "DOP853", "time-dependent, dim > 512"),
+        (2, {"drives": DRIVE}, None, "interaction+DOP853", "time-dependent, dim <= 128"),
+        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+DOP853", "time-dependent, dim <= 128"),
+        (INTERACTION_MAX_DIM // 2 - 1, {"drives": DRIVE}, None, "interaction+DOP853",
+         "time-dependent, dim <= 128"),  # dim == INTERACTION_MAX_DIM
+        (INTERACTION_MAX_DIM // 2, {"drives": DRIVE}, None, "DOP853", "time-dependent, dim > 128"),  # dim 130
     ],
     ids=["static-at-limit", "static-above-limit", "static-above-limit-nonuniform", "static-small-nonuniform",
-         "driven-small", "literal-small", "driven-above-limit"],
+         "driven-small", "literal-small", "driven-at-limit", "driven-above-limit"],
 )
 def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, t_eval, method, reason):
     space, params, psi0 = _vacuum_site_field(cutoff, **kwargs)
