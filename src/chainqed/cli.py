@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .runner import ConfigError, load_config, run
+from .runner import ConfigError, config_from_dict, load_config, run
 
 _SUBCOMMANDS = {
     "run": None,
@@ -46,12 +46,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.seed is not None:
+            config = config_from_dict({**config.raw, "seed": args.seed})
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.raw["seed"] = args.seed
-        config.seed = args.seed
     try:
         report = run(
             config,

@@ -351,6 +351,9 @@ def propagate(
 
     Raises
     ------
+    ValueError
+        When the initial state is not normalized (a NaN amplitude included),
+        or ``t_end`` does not exceed its start time.
     PropagationError
         Before any backend runs, when a matrix of the Hamiltonian or a
         compiled parameter behind its coefficients is non-finite; on
@@ -368,7 +371,7 @@ def propagate(
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
     norm0 = np.linalg.norm(psi0)
-    if abs(norm0 - 1.0) > 1e-10:
+    if not abs(norm0 - 1.0) <= 1e-10:  # also refuses a NaN amplitude
         raise ValueError(f"initial state is not normalized: |psi| = {norm0}")
     times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
 

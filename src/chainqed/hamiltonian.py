@@ -165,42 +165,6 @@ class SystemParams:
         """Exchange coupling after the literal Hermitian-conjugate doubling."""
         return 2.0 * self.exchange_j
 
-    def validate_against(self, space: SpaceIndex) -> list[str]:
-        """All consistency problems between these parameters and a space."""
-        problems = []
-        if self.n_sites != space.n_sites:
-            problems.append(
-                f"params declare {self.n_sites} sites, space has {space.n_sites}"
-            )
-        if len(self.field_modes) != space.n_field_modes:
-            problems.append(
-                f"params declare {len(self.field_modes)} field modes, "
-                f"space has {space.n_field_modes}"
-            )
-        if len(self.phonon_modes) != space.n_phonon_modes:
-            problems.append(
-                f"params declare {len(self.phonon_modes)} phonon modes, "
-                f"space has {space.n_phonon_modes}"
-            )
-        if len(self.dipole) != self.n_sites:
-            problems.append("dipole list length does not match n_sites")
-        if self.site_positions is not None and len(self.site_positions) != self.n_sites:
-            problems.append("site_positions length does not match n_sites")
-        for k, mode in enumerate(self.field_modes):
-            if len(mode.polarization_overlap) not in (0, self.n_sites):
-                problems.append(
-                    f"field mode {k}: polarization_overlap must have one entry "
-                    f"per site ({self.n_sites}), got {len(mode.polarization_overlap)}"
-                )
-        for d, drive in enumerate(self.drives):
-            if drive.sites is not None:
-                for s in drive.sites:
-                    if not 0 <= s < self.n_sites:
-                        problems.append(f"drive {d} references missing site {s}")
-        if self.boundary == "periodic" and self.n_sites < 3:
-            problems.append("periodic boundary requires at least 3 sites")
-        return problems
-
 
 def coupling_q(params: SystemParams, j: int, k: int, t: float) -> complex:
     """Site-mode coupling function q_jk(t).

@@ -69,6 +69,15 @@ class SpaceSpec:
             dim *= mode.cutoff + 1
         return dim
 
+    def check_dimension(self, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> int:
+        """The dimension; ``SpaceTooLargeError`` if it exceeds ``dimension_cap``."""
+        dim = self.dimension
+        if dim > dimension_cap:
+            raise SpaceTooLargeError(
+                f"space too large: dimension {dim} exceeds cap {dimension_cap}"
+            )
+        return dim
+
 
 @dataclass(frozen=True)
 class Subsystem:
@@ -161,11 +170,7 @@ def build_space(spec: SpaceSpec, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> 
     SpaceTooLargeError
         If the total dimension exceeds ``dimension_cap``.
     """
-    dim = spec.dimension
-    if dim > dimension_cap:
-        raise SpaceTooLargeError(
-            f"space too large: dimension {dim} exceeds cap {dimension_cap}"
-        )
+    dim = spec.check_dimension(dimension_cap)
     subsystems = [Subsystem("site", i, 2) for i in range(spec.n_sites)]
     subsystems += [
         Subsystem("field", k, m.cutoff + 1) for k, m in enumerate(spec.field_modes)

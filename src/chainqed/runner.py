@@ -33,7 +33,9 @@ import yaml
 
 from . import dynamics, meanfield
 from .hamiltonian import (
+    BOUNDARIES,
     COUPLING_MODES,
+    STATIC_PHASE,
     ClassicalDrive,
     FieldMode,
     PhononMode,
@@ -57,8 +59,6 @@ MEAN_FIELD_TASKS = ("meanfield", "compare")
 # initial-state key of the coherent amplitude, per bosonic mode section
 _MODE_AMPLITUDE = {"field_modes": "alpha", "phonon_modes": "beta"}
 
-DEFAULT_EOM_THRESHOLD = 1e-11
-DEFAULT_COMPACT_THRESHOLD = 1e-10
 NEGATIVE_CONTROL_FLOOR = 1e-3
 # Output grid points per run: 10^6 points of a few dozen records already
 # take hundreds of MB in the trajectory files.
@@ -79,7 +79,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run description plus the raw mapping it came from."""
+    """Validated run description plus the raw mapping it came from.
+
+    The sections hold every key with its default filled in (see ``_ROWS``);
+    ``raw`` stays as given, so ``config_hash`` depends only on what was written.
+    """
 
     raw: dict
     task: str
@@ -99,76 +103,10 @@ class RunConfig:
         ).hexdigest()
 
     def build_space(self) -> SpaceIndex:
-        return build_space(self.space_spec)
-
-
-def _as_list(value, name: str, problems: list[str]) -> list:
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        problems.append(f"{name} must be a list")
-        return []
-    return value
-
-
-def _section(raw: dict, name: str, problems: list[str]) -> dict:
-    """A top-level config section; absent or null reads as empty."""
-    value = raw.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        problems.append(f"{name} must be a mapping, got {type(value).__name__}")
-        return {}
-    return value
-
-
-def _mappings(value, name: str, problems: list[str]) -> list[dict]:
-    """Entries of a list of mappings; any other entry is reported and read as empty."""
-    entries = _as_list(value, name, problems)
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"{name}[{i}] must be a mapping, got {entry!r}")
-    return [entry if isinstance(entry, dict) else {} for entry in entries]
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _real(value, name: str, problems: list[str], default: float = 0.0) -> float:
-    """``float(value)`` when that is a finite number; otherwise report it and return ``default``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if math.isfinite(number):
-        return number
-    problems.append(f"{name} must be a finite number, got {value!r}")
-    return default
-
-
-def _complex(value, name: str, problems: list[str]) -> complex:
-    """A finite complex number (see ``_parse_complex``); otherwise report it and return 0."""
-    try:
-        number = _parse_complex(value)
-    except (TypeError, ValueError):
-        number = complex(math.nan)
-    if cmath.isfinite(number):
-        return number
-    problems.append(f"{name} must be a finite complex number, got {value!r}")
-    return 0j
-
-
-def _parse_complex(value) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        return complex(value.replace(" ", ""))
-    return complex(value)
+        try:
+            return build_space(self.space_spec)
+        except SpaceTooLargeError as exc:
+            raise ConfigError([str(exc)]) from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -187,321 +125,387 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    problems: list[str] = []
+    """Check a raw config against ``_ROWS``; every problem found ends in one ``ConfigError``.
 
-    task = raw.get("task", "propagate")
-    if task not in TASKS:
-        problems.append(f"task must be one of {TASKS}, got {task!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        problems.append(f"seed must be a non-negative integer, got {seed!r}")
-        seed = 0
-
-    # -- space ---------------------------------------------------------------
-    space_raw = _section(raw, "space", problems)
-    n_sites = space_raw.get("n_sites", 1)
-    if not isinstance(n_sites, int) or n_sites < 1:
-        problems.append(f"space.n_sites must be a positive integer, got {n_sites!r}")
-        n_sites = 1
-    mode_specs = {}
-    for section in _MODE_AMPLITUDE:
-        mode_specs[section] = []
-        for k, mode in enumerate(_as_list(space_raw.get(section), f"space.{section}", problems)):
-            cutoff = mode.get("cutoff", 1) if isinstance(mode, dict) else mode
-            if not isinstance(cutoff, int) or cutoff < 1:
-                problems.append(f"space.{section}[{k}].cutoff must be an integer >= 1")
-                cutoff = 1
-            mode_specs[section].append(ModeSpec(cutoff))
-    field_specs, phonon_specs = mode_specs["field_modes"], mode_specs["phonon_modes"]
-    space_spec = SpaceSpec(n_sites, tuple(field_specs), tuple(phonon_specs))
-    try:
-        build_space(space_spec)
-    except SpaceTooLargeError as exc:
-        problems.append(str(exc))
-
-    # -- params ----------------------------------------------------------------
-    params_raw = _section(raw, "params", problems)
-    if "site_energies" in params_raw:
-        energies = params_raw["site_energies"]
-    elif "omegas" in params_raw:
-        omegas = params_raw["omegas"]
-        if isinstance(omegas, (int, float)):
-            omegas = [omegas] * n_sites
-        for v, w in enumerate(omegas):
-            if not _finite(w):
-                problems.append(f"params.omegas[{v}] must be a finite number, got {w!r}")
-        energies = [[-0.5 * w, 0.5 * w] if _finite(w) else [-0.5, 0.5] for w in omegas]
-    else:
-        energies = [[-0.5, 0.5]] * n_sites
-    if len(energies) != n_sites:
-        problems.append(
-            f"params.site_energies has {len(energies)} entries for {n_sites} sites"
-        )
-    for v, pair in enumerate(energies):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            problems.append(f"params.site_energies[{v}] must be [lower, upper]")
-        elif not all(_finite(e) for e in pair):
-            problems.append(f"params.site_energies[{v}] entries must be finite numbers, got {pair}")
-        elif not pair[1] > pair[0]:
-            problems.append(
-                f"params.site_energies[{v}]: upper must exceed lower, got {pair}"
-            )
-
-    f_modes = []
-    fm_raw = _mappings(params_raw.get("field_modes"), "params.field_modes", problems)
-    if len(fm_raw) != len(field_specs):
-        problems.append(
-            f"params.field_modes has {len(fm_raw)} entries, "
-            f"space declares {len(field_specs)} field modes"
-        )
-    for k, mode in enumerate(fm_raw):
-        omega = mode.get("omega")
-        if not _finite(omega) or omega <= 0:
-            problems.append(f"params.field_modes[{k}].omega must be a positive finite number")
-            omega = 1.0
-        overlap = mode.get("polarization_overlap", [1.0] * n_sites)
-        if isinstance(overlap, (int, float)):
-            overlap = [overlap] * n_sites
-        overlap = _as_list(overlap, f"params.field_modes[{k}].polarization_overlap", problems)
-        if len(overlap) != n_sites:
-            problems.append(
-                f"params.field_modes[{k}].polarization_overlap needs one entry "
-                f"per site ({n_sites})"
-            )
-        name = f"params.field_modes[{k}]"
-        f_modes.append(
-            FieldMode(
-                omega=float(omega),
-                wavevector=_real(mode.get("wavevector", 0.0), f"{name}.wavevector", problems),
-                amplitude=_real(mode.get("amplitude", 0.0), f"{name}.amplitude", problems),
-                polarization_overlap=tuple(
-                    _real(x, f"{name}.polarization_overlap[{v}]", problems)
-                    for v, x in enumerate(overlap)
-                ),
-            )
-        )
-
-    p_modes = []
-    pm_raw = _mappings(params_raw.get("phonon_modes"), "params.phonon_modes", problems)
-    if len(pm_raw) != len(phonon_specs):
-        problems.append(
-            f"params.phonon_modes has {len(pm_raw)} entries, "
-            f"space declares {len(phonon_specs)} phonon modes"
-        )
-    for q, mode in enumerate(pm_raw):
-        nu = mode.get("nu")
-        if not _finite(nu) or nu <= 0:
-            problems.append(f"params.phonon_modes[{q}].nu must be a positive finite number")
-            nu = 1.0
-        coupling = _real(mode.get("coupling", 0.0), f"params.phonon_modes[{q}].coupling", problems)
-        p_modes.append(PhononMode(nu=float(nu), coupling=coupling))
-
-    drives = []
-    for d, drv in enumerate(_mappings(params_raw.get("drives"), "params.drives", problems)):
-        amplitude = _complex(drv.get("amplitude", 0.0), f"params.drives[{d}].amplitude", problems)
-        frequency = _real(drv.get("frequency", 0.0), f"params.drives[{d}].frequency", problems)
-        sites = drv.get("sites")
-        if sites is not None:
-            if not isinstance(sites, list) or not all(_is_integer(s) for s in sites):
-                problems.append(
-                    f"params.drives[{d}].sites must be a list of site indices, got {sites!r}"
-                )
-                sites = []
-            sites = tuple(int(s) for s in sites)
-            for s in sites:
-                if not 0 <= s < n_sites:
-                    problems.append(f"params.drives[{d}] references missing site {s}")
-        drives.append(ClassicalDrive(amplitude, frequency, sites))
-
-    boundary = params_raw.get("boundary", "open")
-    coupling_mode = params_raw.get("coupling_mode", "static_phase_at_t0")
-    if coupling_mode not in COUPLING_MODES:
-        problems.append(f"params.coupling_mode must be one of {COUPLING_MODES}")
-        coupling_mode = "static_phase_at_t0"
-    dipole = params_raw.get("dipole", [1.0] * n_sites)
-    if isinstance(dipole, (int, float)):
-        dipole = [dipole] * n_sites
-    dipole = _as_list(dipole, "params.dipole", problems)
-    if len(dipole) != n_sites:
-        problems.append("params.dipole needs one entry per site")
-    dipole = [_real(p, f"params.dipole[{v}]", problems, 1.0) for v, p in enumerate(dipole)]
-    lattice_spacing = _real(
-        params_raw.get("lattice_spacing", 1.0), "params.lattice_spacing", problems, 1.0
-    )
-    positions = _as_list(params_raw.get("site_positions"), "params.site_positions", problems)
-    positions = [_real(x, f"params.site_positions[{v}]", problems) for v, x in enumerate(positions)]
-    exchange_j = params_raw.get("exchange_j", 0.0)
-    if not _finite(exchange_j):
-        problems.append(f"params.exchange_j must be a finite number, got {exchange_j!r}")
-        exchange_j = 0.0
-
-    params = None
-    try:
-        params = SystemParams(
-            site_energies=tuple((float(p[0]), float(p[1])) for p in energies),
-            exchange_j=float(exchange_j),
-            boundary=boundary,
-            field_modes=tuple(f_modes),
-            dipole=tuple(dipole),
-            lattice_spacing=lattice_spacing,
-            site_positions=tuple(positions) if positions else None,
-            coupling_mode=coupling_mode,
-            phonon_modes=tuple(p_modes),
-            drives=tuple(drives),
-        )
-    except (ValueError, TypeError, IndexError) as exc:
-        problems.append(str(exc))
-    if params is not None:
-        try:
-            problems.extend(params.validate_against(build_space(space_spec)))
-        except SpaceTooLargeError:
-            pass
-
-    # -- initial state ------------------------------------------------------------
-    initial = _section(raw, "initial", problems)
-    site_states = _mappings(initial.get("sites"), "initial.sites", problems)
-    if site_states and len(site_states) != n_sites:
-        problems.append(
-            f"initial.sites has {len(site_states)} entries for {n_sites} sites"
-        )
-    checked = {section: _mappings(initial.get(section), f"initial.{section}", problems) for section in mode_specs}
-    for section, states in checked.items():
-        if states and len(states) != len(mode_specs[section]):
-            problems.append(
-                f"initial.{section} has {len(states)} entries, space declares {len(mode_specs[section])}"
-            )
-    for i, st in enumerate(site_states):
-        kind = st.get("kind", "ground")
-        if kind not in ("ground", "excited", "angles"):
-            problems.append(f"initial.sites[{i}].kind must be ground/excited/angles")
-        for angle in ("theta", "phi"):
-            _real(st.get(angle, 0.0), f"initial.sites[{i}].{angle}", problems)
-    for section, specs in mode_specs.items():
-        for i, (kind, value) in enumerate(_mode_states(checked, section, len(specs))):
-            name = f"initial.{section}[{i}]"
-            if kind not in ("fock", "coherent"):
-                problems.append(f"{name}.kind must be fock/coherent/vacuum")
-            elif kind == "coherent":
-                _complex(value, f"{name}.{_MODE_AMPLITUDE[section]}", problems)
-            elif i < len(specs) and not (_is_integer(value) and 0 <= value <= specs[i].cutoff):
-                problems.append(
-                    f"{name}.n must be a Fock level from 0 to the cutoff {specs[i].cutoff}, got {value!r}"
-                )
-
-    # -- integration / output -------------------------------------------------------
-    integrate_raw = _section(raw, "integrate", problems)
-    integrate = {
-        "tol": _real(integrate_raw.get("tol", 1e-10), "integrate.tol", problems, 1e-10),
-        "t_end": _real(integrate_raw.get("t_end", 10.0), "integrate.t_end", problems, 10.0),
-        "n_out": integrate_raw.get("n_out", 201),
-        "keep_states": bool(integrate_raw.get("keep_states", False)),
-    }
-    for key in ("tol", "t_end"):
-        if not integrate[key] > 0:
-            problems.append(f"integrate.{key} must be positive and finite")
-    try:
-        integrate["n_out"] = int(integrate["n_out"])
-    except (TypeError, ValueError, OverflowError):
-        integrate["n_out"] = 0
-    if not 2 <= integrate["n_out"] <= N_OUT_MAX:
-        problems.append(f"integrate.n_out must be an integer between 2 and {N_OUT_MAX}")
-
-    output = dict(_section(raw, "output", problems))
-    output.setdefault("formats", ["csv", "json"])
-    for fmt in output["formats"]:
-        if fmt not in ("csv", "json"):
-            problems.append(f"output format {fmt!r} not supported (csv, json)")
-    output.setdefault("basename", "trajectory")
-
-    verify = dict(_section(raw, "verify", problems))
-    verify.setdefault("draws", 10)
-    verify.setdefault("eom_threshold", DEFAULT_EOM_THRESHOLD)
-    verify.setdefault("compact_threshold", DEFAULT_COMPACT_THRESHOLD)
-
-    sweep = raw.get("sweep")
-    runs_task = task
-    if task == "sweep":
-        if not isinstance(sweep, dict):
-            problems.append("sweep task requires a sweep section")
-        else:
-            if "path" not in sweep:
-                problems.append("sweep.path is required")
-            values = sweep.get("values")
-            if not values:
-                problems.append("sweep.values must be a non-empty list")
-            runs_task = sweep.get("task", "propagate")
-            if runs_task not in TASKS or runs_task == "sweep":
-                problems.append(f"sweep.task must be a non-sweep task, got {runs_task!r}")
-    if runs_task in MEAN_FIELD_TASKS:
-        problems.extend(_mean_field_problems(checked, space_spec))
-
-    if problems:
-        raise ConfigError(problems)
+    The normalized config (every default filled in) is built only from a config
+    without problems.
+    """
+    walk = _Walk(raw)
+    if walk.problems:
+        raise ConfigError(walk.problems)
+    tree = walk.tree
     return RunConfig(
         raw=raw,
-        task=task,
-        seed=seed,
-        space_spec=space_spec,
-        params=params,
-        integrate=integrate,
-        initial=initial,
-        output=output,
-        verify=verify,
-        sweep=sweep,
+        task=tree["task"],
+        seed=tree["seed"],
+        space_spec=_space_spec(tree["space"]),
+        params=_system_params(tree["params"]),
+        integrate=tree["integrate"],
+        initial=tree["initial"],
+        output=tree["output"],
+        verify=tree["verify"],
+        sweep=tree["sweep"],
     )
+
+
+def _space_spec(space: dict) -> SpaceSpec:
+    return SpaceSpec(
+        space["n_sites"],
+        tuple(ModeSpec(mode["cutoff"]) for mode in space["field_modes"]),
+        tuple(ModeSpec(mode["cutoff"]) for mode in space["phonon_modes"]),
+    )
+
+
+def _system_params(params: dict) -> SystemParams:
+    positions, energies = params["site_positions"], params["site_energies"]
+    return SystemParams(
+        site_energies=energies or tuple((-0.5 * w, 0.5 * w) for w in params["omegas"]),
+        exchange_j=params["exchange_j"],
+        boundary=params["boundary"],
+        field_modes=tuple(
+            FieldMode(m["omega"], m["wavevector"], m["amplitude"], tuple(m["polarization_overlap"]))
+            for m in params["field_modes"]
+        ),
+        dipole=tuple(params["dipole"]),
+        lattice_spacing=params["lattice_spacing"],
+        site_positions=None if positions is None else tuple(positions),
+        coupling_mode=params["coupling_mode"],
+        phonon_modes=tuple(PhononMode(m["nu"], m["coupling"]) for m in params["phonon_modes"]),
+        drives=tuple(
+            ClassicalDrive(d["amplitude"], d["frequency"], None if d["sites"] is None else tuple(d["sites"]))
+            for d in params["drives"]
+        ),
+    )
+
+
+# -- the config table ------------------------------------------------------------------
+
+_REQUIRED = object()  # default of a key the config must give
+_FAILED = object()  # left in the checked tree where a value failed its row
+
+
+class _Bad(Exception):
+    """A value that fails its row; the text follows the value's config path in the problem."""
+
+
+class _Skip(Exception):
+    """Raised by a constraint when a value it reads failed its own row: nothing more to report."""
+
+
+def _must(ok: bool, text: str, value):
+    if not ok:
+        raise _Bad(f"must be {text}, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """``float(value)`` when that is finite: YAML 1.1 loads ``1e-12`` as a string."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    _must(math.isfinite(number), "a finite number", value)
+    return number
+
+
+def _complex(value) -> complex:
+    """A number, a string such as ``"0.3-0.2j"``, or a pair ``[re, im]`` of numbers."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_real(value[0]), _real(value[1]))
+    try:
+        number = complex(value.replace(" ", "") if isinstance(value, str) else value)
+    except (TypeError, ValueError):
+        number = complex(math.nan)
+    _must(cmath.isfinite(number) and not isinstance(value, bool), "a finite complex number", value)
+    return number
+
+
+# A kind checks the type of a value and returns it normalized.
+_KINDS = {
+    "mapping": lambda v: _must(isinstance(v, dict), "a mapping", v),
+    "list": lambda v: _must(isinstance(v, list), "a list", v),
+    # a list, or one number that stands for every entry (see _per)
+    "numbers": lambda v: v if isinstance(v, (list, float)) else _real(v),
+    "str": lambda v: _must(isinstance(v, str), "a string", v),
+    "bool": lambda v: _must(isinstance(v, bool), "true or false", v),
+    "int": lambda v: int(_must(isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer", v)),
+    "real": _real,
+    "complex": _complex,
+}
+
+
+# A constraint takes a value of its kind and the walk, and returns the value
+# normalized or raises _Bad.
+
+
+def _rule(text: str, ok):
+    """Constraint that ``ok(value)`` holds; ``text`` says what the value must be."""
+    return lambda value, at: _must(ok(value), text, value)
+
+
+_POSITIVE = _rule("positive", lambda v: v > 0)
+
+
+def _per(value, at):
+    """One entry per site, or in a mode section (``params.field_modes``, ...) one per
+    mode that the space declares there.  One number stands for every entry; in the
+    ``initial`` section, so does an empty list for entries of defaults.
+    """
+    section = at.keys[-1]
+    if section in _MODE_AMPLITUDE:
+        n, counted = len(at.get(f"space.{section}")), section.replace("_", " ")
+    else:
+        n, counted = at.get("space.n_sites"), "sites"
+    if not isinstance(value, list):
+        value = [value] * n
+    elif at.keys[0] == "initial" and not value:
+        value = [{} for _ in range(n)]
+    if len(value) != n:
+        raise _Bad(f"has {len(value)} entries, space declares {n} {counted}")
+    return value
+
+
+def _boundary(value, at):
+    _must(value in BOUNDARIES, f"one of {BOUNDARIES}", value)
+    if value == "periodic" and at.get("space.n_sites") < 3:
+        raise _Bad("must be open below 3 sites, got 'periodic'")
+    return value
+
+
+def _site_index(site, at):
+    if not 0 <= site < at.get("space.n_sites"):
+        raise _Bad(f"references missing site {site}")
+    return site
+
+
+def _fock_level(n, at):
+    cutoff = at.get(f"space.{at.keys[1]}.{at.idx[0]}.cutoff")
+    return _must(0 <= n <= cutoff, f"a Fock level from 0 to the cutoff {cutoff}", n)
+
+
+def _sweep_path(path, at):
+    """A path to an entry of the config: each key but the last as written, the last
+    one written or defaulted.  Resolved in the raw config, so ``params.omegas.0`` is
+    refused where ``omegas`` is one number, and in the checked tree, where every
+    defaulted key is present, so a misspelt last key is refused.
+    """
+    try:
+        _set_by_path(copy.deepcopy(at.raw), path, None)
+        at.get(path)
+    except (LookupError, TypeError, ValueError):
+        raise _Bad(f"must name an entry of the config, got {path!r}") from None
+    return path
+
+
+def _exact_space_fits(space, at):
+    """The exact space of the run stays under the cap; a mean-field run builds none."""
+    if at.run_task() != "meanfield":
+        try:
+            _space_spec(space).check_dimension()
+        except SpaceTooLargeError as exc:
+            raise _Bad(f"fails for an exact run: {exc}") from None
+    return space
+
+
+def _no_mean_field_image(state: dict) -> str | None:
+    """Why a checked mode state has no c-number amplitude (a Fock state above the vacuum), if so."""
+    if state["kind"] == "fock" and state["n"] != 0:
+        return (f"is a Fock state (n = {state['n']}), which has no mean-field amplitude; "
+                "the meanfield and compare tasks need coherent or vacuum mode states")
+    return None
+
+
+def _mean_field_start(state, at):
+    if at.run_task() in MEAN_FIELD_TASKS and (text := _no_mean_field_image(state)):
+        raise _Bad(text)
+    return state
+
+
+# The config table, walked in order: (dotted path, kind, constraint, default).
+# "*" in a path stands for each entry of a list; a row with "{modes}" stands
+# for one row per bosonic section (field_modes, phonon_modes), "{amplitude}"
+# for the key of its coherent amplitude (alpha, beta).  A constraint is None,
+# a tuple of allowed values or a function (see above).  A key left out takes
+# the default; _REQUIRED makes that a problem and None leaves the key out.
+# Null stands for a section or list whose default is empty.  A row that reads
+# another key (a count, the cutoff of a mode, the task) comes after that key's
+# rows, and the last rows check what depends on the task that runs.
+_ROWS = (
+    ("task", "str", TASKS, "propagate"),
+    ("seed", "int", _rule("non-negative", lambda v: v >= 0), 0),
+    ("space", "mapping", None, {}),
+    ("space.n_sites", "int", _POSITIVE, 1),
+    ("space.{modes}", "list", None, []),
+    ("space.{modes}.*", "mapping", None, None),
+    ("space.{modes}.*.cutoff", "int", _POSITIVE, 1),
+    ("params", "mapping", None, {}),
+    ("params.site_energies", "list", _per, None),  # left out: read from omegas
+    ("params.site_energies.*", "list", _rule("[lower, upper]", lambda pair: len(pair) == 2), None),
+    ("params.site_energies.*.*", "real", None, None),
+    ("params.site_energies.*", "list", _rule("in rising order", lambda pair: pair[0] < pair[1]), None),
+    ("params.omegas", "numbers", _per, 1.0),
+    ("params.omegas.*", "real", _POSITIVE, None),
+    ("params.exchange_j", "real", None, 0.0),
+    ("params.boundary", "str", _boundary, "open"),
+    ("params.lattice_spacing", "real", None, 1.0),
+    ("params.site_positions", "list", _per, None),
+    ("params.site_positions.*", "real", None, None),
+    ("params.coupling_mode", "str", COUPLING_MODES, STATIC_PHASE),
+    ("params.dipole", "numbers", _per, 1.0),
+    ("params.dipole.*", "real", None, None),
+    ("params.{modes}", "list", _per, []),
+    ("params.{modes}.*", "mapping", None, None),
+    ("params.field_modes.*.omega", "real", _POSITIVE, _REQUIRED),
+    ("params.field_modes.*.wavevector", "real", None, 0.0),
+    ("params.field_modes.*.amplitude", "real", None, 0.0),
+    ("params.field_modes.*.polarization_overlap", "numbers", _per, 1.0),
+    ("params.field_modes.*.polarization_overlap.*", "real", None, None),
+    ("params.phonon_modes.*.nu", "real", _POSITIVE, _REQUIRED),
+    ("params.phonon_modes.*.coupling", "real", None, 0.0),
+    ("params.drives", "list", None, []),
+    ("params.drives.*", "mapping", None, None),
+    ("params.drives.*.amplitude", "complex", None, 0.0),
+    ("params.drives.*.frequency", "real", None, 0.0),
+    ("params.drives.*.sites", "list", None, None),  # left out: every site
+    ("params.drives.*.sites.*", "int", _site_index, None),
+    ("initial", "mapping", None, {}),
+    ("initial.sites", "list", _per, []),
+    ("initial.sites.*", "mapping", None, None),
+    ("initial.sites.*.kind", "str", ("ground", "excited", "angles"), "ground"),
+    ("initial.sites.*.theta", "real", None, 0.0),
+    ("initial.sites.*.phi", "real", None, 0.0),
+    ("initial.{modes}", "list", _per, []),
+    ("initial.{modes}.*", "mapping", None, None),
+    ("initial.{modes}.*.kind", "str", ("fock", "coherent", "vacuum"), "fock"),
+    ("initial.{modes}.*.n", "int", _fock_level, 0),
+    ("initial.{modes}.*.{amplitude}", "complex", None, 0.0),
+    ("integrate", "mapping", None, {}),
+    ("integrate.tol", "real", _POSITIVE, 1e-10),
+    ("integrate.t_end", "real", _POSITIVE, 10.0),
+    ("integrate.n_out", "int", _rule(f"between 2 and {N_OUT_MAX}", lambda v: 2 <= v <= N_OUT_MAX), 201),
+    ("integrate.keep_states", "bool", None, False),
+    ("output", "mapping", None, {}),
+    ("output.directory", "str", None, "out"),
+    ("output.formats", "list", None, ["csv", "json"]),
+    ("output.formats.*", "str", ("csv", "json"), None),
+    ("output.basename", "str", None, "trajectory"),
+    ("verify", "mapping", None, {}),
+    ("verify.draws", "int", _POSITIVE, 10),
+    ("verify.eom_threshold", "real", _POSITIVE, 1e-11),
+    ("verify.compact_threshold", "real", _POSITIVE, 1e-10),
+    ("sweep", "mapping", None, None),
+    ("sweep.path", "str", _sweep_path, _REQUIRED),
+    ("sweep.values", "list", _rule("non-empty", len), _REQUIRED),
+    ("sweep.task", "str", tuple(t for t in TASKS if t != "sweep"), "propagate"),
+    ("space", "mapping", _exact_space_fits, None),
+    ("initial.{modes}.*", "mapping", _mean_field_start, None),
+)
+_STEPS = tuple(
+    (path.format(modes=section, amplitude=amplitude).split("."), *rest)
+    for path, *rest in _ROWS
+    for section, amplitude in (_MODE_AMPLITUDE.items() if "{modes}" in path else [(None, None)])
+)
+
+
+def _places(tree: dict, keys: list[str]) -> list[tuple]:
+    """``(container, key, name, list indices)`` of every place a row's path reaches."""
+    places = [(tree, keys[0], keys[0], ())]
+    for key in keys[1:]:
+        deeper = []
+        for node, k, name, idx in places:
+            child = node[k] if isinstance(node, list) else node.get(k)
+            if key == "*" and isinstance(child, list):
+                deeper += [(child, i, f"{name}[{i}]", idx + (i,)) for i in range(len(child))]
+            elif key != "*" and isinstance(child, dict):
+                deeper.append((child, key, f"{name}.{key}", idx))
+        places = deeper
+    return places
+
+
+def _failed(value) -> bool:
+    """Whether an earlier row failed ``value`` or a value inside it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_failed(v) for v in value)
+    return value is _FAILED
+
+
+class _Walk:
+    """One pass of ``_ROWS`` over a copy of a raw config.
+
+    Each row normalizes its value in ``tree``, the copy, or records a problem
+    and leaves ``_FAILED`` there.  A row skips a value that holds an earlier
+    failure, so every fault is reported once, under its config path.  For the
+    constraints, ``keys`` is the path of the row being checked and ``idx`` the
+    list indices of the place.
+    """
+
+    def __init__(self, raw: dict):
+        self.raw, self.tree, self.problems = raw, copy.deepcopy(raw), []
+        for self.keys, kind, constraint, default in _STEPS:
+            for node, key, name, self.idx in _places(self.tree, self.keys):
+                problem = self._check(node, key, kind, constraint, default)
+                if problem:
+                    self.problems.append(f"{name} {problem}")
+                    node[key] = _FAILED
+
+    def _check(self, node, key, kind: str, constraint, default) -> str | None:
+        """Normalizes the value at one place; returns what is wrong with it, if anything."""
+        if isinstance(node, dict) and (key not in node or node[key] is None and default in ([], {})):
+            if default is _REQUIRED:
+                return "is required"
+            value = node[key] = copy.copy(default)
+            if value is None:
+                return None
+        else:
+            value = node[key]
+        if self.problems and _failed(value):
+            return None
+        try:
+            value = _KINDS[kind](value)
+            if isinstance(constraint, tuple):
+                _must(value in constraint, f"one of {constraint}", value)
+            elif constraint is not None:
+                value = constraint(value, self)
+        except _Skip:
+            return None
+        except _Bad as bad:
+            return str(bad)
+        node[key] = value
+        return None
+
+    def get(self, dotted: str):
+        """A value of the tree that passed its rows: ``_Skip`` where it or a value on
+        its path failed (or is null), ``LookupError`` where the tree has no such key."""
+        node = self.tree
+        try:
+            for key in dotted.split("."):
+                node = node[int(key) if isinstance(node, list) else key]
+        except TypeError:
+            raise _Skip from None
+        if node is _FAILED:
+            raise _Skip
+        return node
+
+    def run_task(self) -> str:
+        """The task a run of the config executes; for a sweep, the task of its points."""
+        task = self.get("task")
+        return self.get("sweep.task") if task == "sweep" else task
 
 
 # -- initial state assembly ----------------------------------------------------------
 
 
-def _mode_states(initial: dict, section: str, n_modes: int) -> list[tuple[str, object]]:
-    """(kind, value) of each mode's entry in an ``initial`` field or phonon section.
-
-    A missing section reads as vacuum for every mode, a missing kind as ``fock``
-    and ``vacuum`` as Fock level 0.  The value is the Fock level ``n`` (default 0)
-    or the coherent amplitude (``alpha`` for field, ``beta`` for phonon modes;
-    default 0) as written in the config; other kinds are passed on as given.
-    """
-    states = []
-    for st in initial.get(section) or [{}] * n_modes:
-        kind = st.get("kind", "fock")
-        if kind == "coherent":
-            states.append((kind, st.get(_MODE_AMPLITUDE[section], 0.0)))
-        elif kind == "vacuum":
-            states.append(("fock", 0))
-        else:
-            states.append((kind, st.get("n", 0)))
-    return states
-
-
-def _mean_field_problems(initial: dict, space_spec: SpaceSpec) -> list[str]:
-    """Mode entries that a mean-field run cannot start from: Fock states above the vacuum."""
-    counts = {"field_modes": len(space_spec.field_modes), "phonon_modes": len(space_spec.phonon_modes)}
-    return [
-        f"initial.{section}[{i}]: a Fock state (n = {value}) has no mean-field amplitude; "
-        f"the meanfield and compare tasks need coherent or vacuum mode states"
-        for section, n_modes in counts.items()
-        for i, (kind, value) in enumerate(_mode_states(initial, section, n_modes))
-        if kind == "fock" and value != 0
-    ]
-
-
 def initial_state(config: RunConfig, space: SpaceIndex) -> np.ndarray:
     """Exact product initial state from the config's ``initial`` section."""
-    locals_ = [
-        site_local_state(st.get("kind", "ground"), float(st.get("theta", 0.0)), float(st.get("phi", 0.0)))
-        for st in config.initial.get("sites") or [{"kind": "ground"}] * space.n_sites
-    ]
-    cutoffs = {
-        "field_modes": [space.field_cutoff(k) for k in range(space.n_field_modes)],
-        "phonon_modes": [space.phonon_cutoff(q) for q in range(space.n_phonon_modes)],
-    }
-    for section, cuts in cutoffs.items():
-        for (kind, value), cutoff in zip(_mode_states(config.initial, section, len(cuts)), cuts):
-            if kind == "coherent":
-                locals_.append(coherent_local(_parse_complex(value), cutoff))
+    locals_ = [site_local_state(st["kind"], st["theta"], st["phi"]) for st in config.initial["sites"]]
+    for section, amplitude in _MODE_AMPLITUDE.items():
+        for st, mode in zip(config.initial[section], getattr(config.space_spec, section)):
+            if st["kind"] == "coherent":
+                locals_.append(coherent_local(st[amplitude], mode.cutoff))
             else:
-                locals_.append(fock_local(int(value), cutoff))
+                locals_.append(fock_local(st["n"] if st["kind"] == "fock" else 0, mode.cutoff))
     return product_state(space, locals_)
 
 
@@ -511,30 +515,31 @@ def initial_mean_field(config: RunConfig) -> MeanFieldState:
     Raises ``ConfigError`` for a Fock mode state above the vacuum, which has no
     c-number amplitude.
     """
-    problems = _mean_field_problems(config.initial, config.space_spec)
+    problems = [
+        f"initial.{section}[{i}] {text}"
+        for section in _MODE_AMPLITUDE
+        for i, st in enumerate(config.initial[section])
+        if (text := _no_mean_field_image(st))
+    ]
     if problems:
         raise ConfigError(problems)
-    n = config.space_spec.n_sites
-    s_minus = np.zeros(n, dtype=complex)
-    s_z = np.zeros(n)
-    site_states = config.initial.get("sites") or [{"kind": "ground"}] * n
-    for l, st in enumerate(site_states):
-        kind = st.get("kind", "ground")
-        if kind == "ground":
+    sites = config.initial["sites"]
+    s_minus = np.zeros(len(sites), dtype=complex)
+    s_z = np.zeros(len(sites))
+    for l, st in enumerate(sites):
+        if st["kind"] == "ground":
             s_minus[l], s_z[l] = 0.0, -1.0
-        elif kind == "excited":
+        elif st["kind"] == "excited":
             s_minus[l], s_z[l] = 0.0, 1.0
         else:
-            s_minus[l], s_z[l] = bloch_state(
-                float(st.get("theta", 0.0)), float(st.get("phi", 0.0))
-            )
+            s_minus[l], s_z[l] = bloch_state(st["theta"], st["phi"])
 
-    def amplitudes(section: str, n_modes: int) -> np.ndarray:
-        states = _mode_states(config.initial, section, n_modes)
-        return np.array([_parse_complex(v) if kind == "coherent" else 0.0 for kind, v in states], dtype=complex)
+    def amplitudes(section: str) -> np.ndarray:
+        amplitude = _MODE_AMPLITUDE[section]
+        return np.array([st[amplitude] if st["kind"] == "coherent" else 0.0 for st in config.initial[section]], dtype=complex)
 
-    a = amplitudes("field_modes", len(config.space_spec.field_modes))
-    b = amplitudes("phonon_modes", len(config.space_spec.phonon_modes))
+    a = amplitudes("field_modes")
+    b = amplitudes("phonon_modes")
     return MeanFieldState(s_minus, s_z, a, b)
 
 
@@ -794,8 +799,7 @@ def _write_trajectory(config: RunConfig, traj, out_dir: Path, basename: str) -> 
     so that identical runs into different directories write identical reports."""
     files = []
     for fmt in config.output["formats"]:
-        suffix = {"csv": ".csv", "json": ".json"}[fmt]
-        path = export_trajectory(traj, fmt, out_dir / f"{basename}{suffix}")
+        path = export_trajectory(traj, fmt, out_dir / f"{basename}.{fmt}")
         files.append(path.relative_to(out_dir).as_posix())
     return files
 
@@ -915,19 +919,14 @@ def _run_sweep_point(args):
 
 def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool, workers: int):
     sweep = config.sweep
-    if not isinstance(sweep, dict) or "path" not in sweep or not sweep.get("values"):
-        raise ConfigError(["sweep task requires a sweep section with path and values"])
-    path, values = sweep["path"], sweep["values"]
-    subtask = sweep.get("task", "propagate")
+    if sweep is None:
+        raise ConfigError(["the sweep task needs a sweep section"])
     jobs = []
-    for i, value in enumerate(values):
+    for i, value in enumerate(sweep["values"]):
         raw = copy.deepcopy(config.raw)
-        raw["task"] = subtask
-        raw.pop("sweep", None)
-        try:
-            _set_by_path(raw, path, value)
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ConfigError([f"sweep.path {path!r} not resolvable: {exc}"]) from exc
+        raw["task"] = sweep["task"]
+        _set_by_path(raw, sweep["path"], value)  # a path config_from_dict resolved
+        raw.pop("sweep")
         jobs.append((raw, i, str(out_dir), verbose))
     results = {}
     if workers > 1:
@@ -939,9 +938,9 @@ def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bo
             index, rep = _run_sweep_point(job)
             results[index] = rep
     report.results["points"] = [
-        {"value": values[i], "report": results[i]} for i in sorted(results)
+        {"value": sweep["values"][i], "report": results[i]} for i in sorted(results)
     ]
-    report.results["path"] = path
+    report.results["path"] = sweep["path"]
 
 
 def run(
@@ -953,7 +952,7 @@ def run(
 ) -> RunReport:
     """Execute a validated config and write its report and trajectory files."""
     task = task_override or config.task
-    out_dir = Path(out_dir) if out_dir is not None else Path(config.output.get("directory", "out"))
+    out_dir = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(task=task, config_hash=config.config_hash, seed=config.seed)
     started = _time.perf_counter()

@@ -125,10 +125,11 @@ def test_trajectory_record_invariants():
         assert np.all(sz >= -1.0 - 1e-9) and np.all(sz <= 1.0 + 1e-9)
 
 
-def test_propagate_rejects_unnormalized_state(free_site):
+@pytest.mark.parametrize("psi0", [[1.0, 1.0], [np.nan, 0.0]], ids=["norm-sqrt2", "nan"])
+def test_propagate_rejects_unnormalized_state(free_site, psi0):
     space, params = free_site
     with pytest.raises(ValueError, match="not normalized"):
-        propagate(space, params, np.array([1.0, 1.0], dtype=complex), 1.0)
+        propagate(space, params, np.array(psi0, dtype=complex), 1.0)
 
 
 def test_propagate_flags_truncation_leakage():

@@ -500,10 +500,6 @@ def test_params_validation():
         SystemParams(site_energies=((0.5, -0.5),))
     with pytest.raises(ValueError, match="boundary"):
         SystemParams(site_energies=((-0.5, 0.5),), boundary="twisted")
-    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
-    params = uniform_params(2)
-    problems = params.validate_against(space)
-    assert any("field modes" in p for p in problems)
 
 
 def test_periodic_neighbors():

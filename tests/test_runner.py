@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
-from chainqed import cli
+from chainqed import cli, runner
 from chainqed.dynamics import Trajectory
 from chainqed.runner import (
     ConfigError,
@@ -174,7 +175,38 @@ MALFORMED = [
     ("params.site_positions", [0.0, -INF], "params.site_positions[1]"),
     ("params.drives", [{"amplitude": [0.1, NAN], "frequency": 1.0}], "params.drives[0].amplitude"),
     ("params.drives", [{"amplitude": 0.1, "frequency": INF}], "params.drives[0].frequency"),
+    ("params.omegas", None, "params.omegas"),
+    ("params.site_energies", None, "params.site_energies"),
+    ("params.site_energies", 5, "params.site_energies"),
+    ("output.formats", None, "output.formats"),
+    ("output.formats", 5, "output.formats"),
+    ("sweep", {"path": 5, "values": [0.1]}, "sweep.path"),
+    ("sweep", {"path": "params.omegas.x", "values": [0.1]}, "sweep.path"),
+    ("sweep", {"path": "params.exchange_j", "values": 3}, "sweep.values"),
+    ("sweep", {"path": "params.exchnage_j", "values": [0.1]}, "sweep.path"),
+    ("verify.draws", 0, "verify.draws"),
+    ("verify.draws", -3, "verify.draws"),
+    ("verify.draws", "many", "verify.draws"),
+    ("verify.eom_threshold", "x", "verify.eom_threshold"),
+    ("verify.compact_threshold", 0.0, "verify.compact_threshold"),
+    ("seed", True, "seed"),
+    ("space.n_sites", True, "space.n_sites"),
+    ("space.field_modes.0.cutoff", True, "space.field_modes[0].cutoff"),
+    ("params.exchange_j", True, "params.exchange_j"),
+    ("params.field_modes.0.omega", True, "params.field_modes[0].omega"),
+    ("integrate.n_out", 2.7, "integrate.n_out"),
+    ("integrate.keep_states", "no", "integrate.keep_states"),
 ]
+
+
+def _set(raw: dict, path: str, value) -> dict:
+    """``raw`` with ``value`` at a dotted path; missing sections are created."""
+    *parents, last = path.split(".")
+    node = raw
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[int(last) if isinstance(node, list) else last] = value
+    return raw
 
 
 @pytest.mark.parametrize("path,value,named", MALFORMED,
@@ -182,14 +214,69 @@ MALFORMED = [
 def test_malformed_values_end_in_config_error(path, value, named):
     raw = _valid_raw()
     raw["initial"] = {}
-    *parents, last = path.split(".")
-    node = raw
-    for key in parents:
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    node[int(last) if isinstance(node, list) else last] = value
     with pytest.raises(ConfigError) as err:
-        config_from_dict(raw)
+        config_from_dict(_set(raw, path, value))
     assert any(named in problem for problem in err.value.problems), err.value.problems
+
+
+ONE_FAULT = [
+    # (dotted path into the valid config, value with one fault, text naming it)
+    ("params.drives", [{"amplitude": 0.1, "sites": [3]}], "missing site 3"),
+    ("params.field_modes", [{"omega": 1.0}, {"omega": 2.0}], "space declares 1 field modes"),
+    ("params.dipole", [1.0], "params.dipole"),
+    ("params.field_modes.0.polarization_overlap", [1.0], "params.field_modes[0].polarization_overlap"),
+    ("params.site_energies", [[0.5, -0.5], [-0.5, 0.5]], "params.site_energies[0]"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", ONE_FAULT, ids=[c[0] for c in ONE_FAULT])
+def test_each_fault_reported_once(path, value, named):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_set(_valid_raw(), path, value))
+    assert len(err.value.problems) == 1 and named in err.value.problems[0], err.value.problems
+
+
+def test_yaml_exponent_numbers_accepted(tmp_path):
+    # YAML 1.1 loads an exponent without a dot (1e-12) as a string
+    raw = _valid_raw()
+    raw["integrate"].update(tol="1e-12", t_end="5e0")
+    raw["params"]["field_modes"][0].update(amplitude="5e-3", polarization_overlap="1e0")
+    raw["params"]["site_energies"] = [["-5e-1", "5e-1"], [-0.5, 0.5]]
+    raw["verify"] = {"eom_threshold": "1e-11"}
+    config = load_config(write_config(tmp_path, yaml.safe_dump(raw).replace("'", "")))
+    assert config.integrate["tol"] == 1e-12 and config.integrate["t_end"] == 5.0
+    assert config.params.field_modes[0].amplitude == 5e-3
+    assert config.params.field_modes[0].polarization_overlap == (1.0, 1.0)
+    assert config.params.site_energies[0] == (-0.5, 0.5)
+    assert config.verify["eom_threshold"] == 1e-11
+    with pytest.raises(ConfigError, match="params.exchange_j must be a finite number"):
+        config_from_dict(_set(_valid_raw(), "params.exchange_j", "1e400"))
+
+
+@pytest.mark.parametrize("path,omegas,ok", [
+    ("params.exchange_j", [1.0, 1.0], True),
+    ("params.lattice_spacing", [1.0, 1.0], True),  # left out, so defaulted
+    ("params.site_energies.0.1", [1.0, 1.0], False),  # left out: no entry 0
+    ("params.omegas.0", [1.0, 1.0], True),
+    ("params.omegas.0", 1.0, False),  # one number stands for every site, but has no entry 0
+    ("params.exchnage_j", [1.0, 1.0], False),
+])
+def test_sweep_path_names_an_entry_of_the_config(path, omegas, ok):
+    raw = _set(_valid_raw(), "params.omegas", omegas)
+    raw.update(task="sweep", sweep={"path": path, "values": [0.2]})
+    if ok:
+        assert config_from_dict(raw).sweep["path"] == path
+    else:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.problems == [f"sweep.path must name an entry of the config, got {path!r}"]
+
+
+def test_sweep_over_a_level_pair_entry():
+    raw = _valid_raw()
+    raw["params"]["site_energies"] = [[-0.5, 0.5], [-0.5, 0.5]]
+    raw.update(task="sweep", sweep={"path": "params.site_energies.0.1", "values": [0.6]})
+    assert config_from_dict(raw).sweep["path"] == "params.site_energies.0.1"
 
 
 def test_fock_levels_up_to_the_cutoff_accepted():
@@ -267,6 +354,13 @@ sweep:
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert _names_fock_field(exc.value.problems), exc.value.problems
+
+
+def test_sweep_task_without_sweep_section_exits_2(tmp_path, capsys):
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, COUPLED)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "needs a sweep section" in err and "Traceback" not in err
 
 
 def test_config_error_survives_pickling():
@@ -499,6 +593,49 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err.lower()
 
 
+def test_cli_mean_field_long_chain_has_no_exact_space_cap(tmp_path, capsys):
+    raw = {
+        "task": "meanfield",
+        "space": {"n_sites": 64},
+        "params": {"omegas": 1.0, "exchange_j": 0.05},
+        "initial": {"sites": [{"kind": "angles", "theta": 1.0}] * 64},
+        "integrate": {"t_end": 1.0, "n_out": 5},
+    }
+    path = write_config(tmp_path, yaml.safe_dump(raw))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "mf")]) == 0
+    assert (tmp_path / "mf" / "trajectory_meanfield.csv").exists()
+    capsys.readouterr()
+    # the exact propagation of the same chain needs a space of dimension 2^64
+    assert cli.main(["propagate", "--config", str(path), "--out", str(tmp_path / "exact")]) == 2
+    err = capsys.readouterr().err
+    assert "space too large" in err and "Traceback" not in err
+    with pytest.raises(ConfigError, match="space too large"):
+        config_from_dict(_set(raw, "task", "compare"))
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format (YAML)", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = load_config(write_config(tmp_path, block))
+    assert config.task == "compare" and config.sweep["task"] == "propagate"
+
+    def paths(node: dict, prefix: str = ""):
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            yield path
+            if isinstance(value, dict):
+                yield from paths(value, path)
+            elif isinstance(value, list) and value and path != "sweep.values":
+                yield f"{path}.*"
+                for entry in value:
+                    if isinstance(entry, dict):
+                        yield from paths(entry, f"{path}.*")
+
+    # every key the example shows is a row of the config table
+    rows = {".".join(keys) for keys, *_ in runner._STEPS}
+    assert sorted(set(paths(yaml.safe_load(block))) - rows) == []
+
+
 def test_cli_seed_override(tmp_path):
     config_path = write_config(tmp_path, COUPLED)
     code = cli.main(
@@ -509,3 +646,10 @@ def test_cli_seed_override(tmp_path):
     saved = json.loads((tmp_path / "v" / "report.json").read_text())
     assert saved["seed"] == 99
     assert saved["task"] == "verify_eom"
+
+
+def test_cli_seed_override_is_validated(tmp_path, capsys):
+    code = cli.main(["verify-eom", "--config", str(write_config(tmp_path, COUPLED)), "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
