@@ -219,9 +219,13 @@ def _frame_chunks(energies: np.ndarray, vecs: np.ndarray, elapsed: np.ndarray, a
     )
 
 
-def _dop853(rhs, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray, tol: float):
-    """One DOP853 solve onto the output grid: (times, states, right-hand-side calls)."""
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=times, rtol=tol, atol=tol * 1e-2)
+def _dop853(rhs, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray, tol: float, solve=None):
+    """One DOP853 solve onto the output grid: (times, states, right-hand-side calls).
+
+    ``solve`` is the ``solve_ivp`` that the calling module names (this module's
+    when left out), so wrapping one module's ``solve_ivp`` sees that module's solves.
+    """
+    sol = (solve or solve_ivp)(rhs, t_span, y0, method="DOP853", t_eval=times, rtol=tol, atol=tol * 1e-2)
     collect_solver()
     if not sol.success:
         raise PropagationError(f"propagation failed: {sol.message}")

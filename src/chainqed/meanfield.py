@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks, peak_widths
 
-from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, collect_solver
+from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, _dop853, collect_solver
 from .hamiltonian import CompiledModel, SystemParams
 
 
@@ -203,7 +203,6 @@ def mf_propagate(
     tol: float = 1e-10,
     n_out: int = 201,
     t_eval: np.ndarray | None = None,
-    method: str = "DOP853",
 ) -> Trajectory:
     """Integrate the closed equations; records mirror the exact trajectory.
 
@@ -219,15 +218,10 @@ def mf_propagate(
         raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
     if t_eval is None:
         t_eval = np.linspace(t_start, t_end, n_out)
-    sol = solve_ivp(closure.rhs, (t_start, t_end), mf.pack(), method=method, t_eval=t_eval,
-                    rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise PropagationError(f"mean-field propagation failed: {sol.message}")
-
-    sm, sz, a, b = closure.split(sol.y)
-    times, rhs_evaluations, sz = sol.t, int(sol.nfev), sz.copy()
-    del sol  # the solver's state block is not needed past this point
-    collect_solver()
+    times, y, rhs_evaluations = _dop853(closure.rhs, (t_start, t_end), mf.pack(), t_eval, tol, solve=solve_ivp)
+    sm, sz, a, b = closure.split(y)
+    sz = sz.copy()
+    del y  # the solver's state block is not needed past this point
     bloch, s_plus = MeanFieldState(sm, sz, a, b).bloch_lengths(), np.conj(sm)
     records: dict[str, np.ndarray] = {}
     for l in range(closure.n):
@@ -243,7 +237,7 @@ def mf_propagate(
         [closure.energy(times[c], sm[:, c], sz[:, c], a[:, c], b[:, c]) for c in chunks]
     )
     meta = {"bloch_drift": float(np.max(np.abs(bloch - bloch[:, :1]))), "tol": tol,
-            "method": method, "kind": "meanfield", "rhs_evaluations": rhs_evaluations}
+            "method": "DOP853", "kind": "meanfield", "rhs_evaluations": rhs_evaluations}
     return Trajectory(times=times, records=records, meta=meta)
 
 

@@ -6,12 +6,12 @@ overrides.  Every randomized check draws from a seeded generator and the
 seed is echoed in the report, so a config (including its seed) determines
 the outputs byte for byte -- trajectory files carry no timestamps.
 
-Trajectory files come in two flavours: a columnar text format (CSV with a
-fixed column order: time, per-site triples in site order, field modes,
-phonon modes, norm, energy, then any extra records) and a self-describing
-JSON format mirroring the Trajectory structure.  Both round-trip exactly
-through :func:`import_trajectory` (floats are written in shortest
-round-trip representation).
+A trajectory file is one table of columns (``_columns``): time, then the
+records in a fixed order (site triples, field modes, phonon modes, norm,
+energy, any other records), a complex record as a real and an imaginary
+column.  Two encodings write it: CSV, one row per time point, and JSON
+mirroring the Trajectory.  Both round-trip bit for bit through
+:func:`import_trajectory` (floats in shortest round-trip representation).
 """
 
 from __future__ import annotations
@@ -125,14 +125,16 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Check a raw config against ``_ROWS``; every problem found ends in one ``ConfigError``.
+    """Check a raw config against ``_ROWS``, and refuse every key no row names; every
+    problem found ends in one ``ConfigError``.
 
     The normalized config (every default filled in) is built only from a config
     without problems.
     """
     walk = _Walk(raw)
-    if walk.problems:
-        raise ConfigError(walk.problems)
+    problems = walk.problems + _unknown_keys(raw)
+    if problems:
+        raise ConfigError(problems)
     tree = walk.tree
     return RunConfig(
         raw=raw,
@@ -494,6 +496,26 @@ class _Walk:
         return self.get("sweep.task") if task == "sweep" else task
 
 
+_KNOWN_PATHS = {tuple(keys) for keys, *_ in _STEPS}
+_CONTAINER_PATHS = {tuple(keys) for keys, kind, *_ in _STEPS if kind in ("mapping", "list")}
+
+
+def _unknown_keys(node, path: tuple = (), name: str = "") -> list[str]:
+    """A problem for every mapping key of a raw config whose path no row names (a list
+    entry reads as ``*``).  Only values with a mapping or list row are entered, so
+    the entries of ``sweep.values`` are not read as keys."""
+    if isinstance(node, dict):
+        children = [(path + (str(key),), f"{name}.{key}" if name else str(key), value)
+                    for key, value in node.items()]
+        problems = [f"{at} is not a known key" for keys, at, _ in children if keys not in _KNOWN_PATHS]
+    else:
+        children, problems = [(path + ("*",), f"{name}[{i}]", value) for i, value in enumerate(node)], []
+    for keys, at, value in children:
+        if keys in _CONTAINER_PATHS and isinstance(value, (dict, list)):
+            problems += _unknown_keys(value, keys, at)
+    return problems
+
+
 # -- initial state assembly ----------------------------------------------------------
 
 
@@ -546,81 +568,68 @@ def initial_mean_field(config: RunConfig) -> MeanFieldState:
 # -- trajectory persistence --------------------------------------------------------------
 
 
+# Records of one site, field mode or phonon mode, written together in this
+# order for each index that the marker record (the first prefix) has.
+_RECORD_GROUPS = (
+    ("sigma_z_", ("sigma_minus_", "sigma_plus_", "sigma_z_")),
+    ("a_", ("a_", "n_", "top_field_")),
+    ("b_", ("b_", "nb_", "top_phonon_")),
+)
+
+
 def _column_order(records: dict) -> list[str]:
-    """Fixed column order: site triples, field modes, phonon modes, norm, energy."""
-    names = set(records)
-    ordered: list[str] = []
+    """Fixed record order: the groups of ``_RECORD_GROUPS`` by index, norm, energy, the rest by name."""
+    ordered = []
+    for marker, prefixes in _RECORD_GROUPS:
+        for i in sorted({int(n.rsplit("_", 1)[1]) for n in records if n.startswith(marker)}):
+            ordered += [f"{prefix}{i}" for prefix in prefixes if f"{prefix}{i}" in records]
+    ordered += [name for name in ("norm", "energy") if name in records]
+    return ordered + sorted(set(records) - set(ordered))
 
-    def take(name: str):
-        if name in names:
-            ordered.append(name)
-            names.remove(name)
 
-    site_ids = sorted(
-        int(n.rsplit("_", 1)[1]) for n in records if n.startswith("sigma_z_")
-    )
-    for l in site_ids:
-        take(f"sigma_minus_{l}")
-        take(f"sigma_plus_{l}")
-        take(f"sigma_z_{l}")
-    mode_ids = sorted(int(n.rsplit("_", 1)[1]) for n in records if n.startswith("a_"))
-    for k in mode_ids:
-        take(f"a_{k}")
-        take(f"n_{k}")
-        take(f"top_field_{k}")
-    phonon_ids = sorted(int(n.rsplit("_", 1)[1]) for n in records if n.startswith("b_"))
-    for q in phonon_ids:
-        take(f"b_{q}")
-        take(f"nb_{q}")
-        take(f"top_phonon_{q}")
-    take("norm")
-    take("energy")
-    ordered.extend(sorted(names))
-    return ordered
+def _columns(traj: dynamics.Trajectory) -> list[tuple[str, np.ndarray]]:
+    """The columns of a trajectory file: ``(name, block)`` for ``time`` and each
+    record in ``_column_order``.  A block holds one real row per file column:
+    one for a real record, the real and imaginary parts for a complex one."""
+    columns = [("time", np.array([traj.times], dtype=float))]
+    for name in _column_order(traj.records):
+        values = np.asarray(traj.records[name])
+        parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
+        columns.append((name, np.array(parts, dtype=float)))
+    return columns
+
+
+def _record(block: np.ndarray) -> np.ndarray:
+    """A record rebuilt from its block; the imaginary part is set, not added, so a -0.0 stays."""
+    if len(block) == 1:
+        return block[0]
+    values = block[0].astype(np.complex128)
+    values.imag = block[1]
+    return values
 
 
 def export_trajectory(traj: dynamics.Trajectory, fmt: str, path: str | Path) -> Path:
     """Write a trajectory to CSV or JSON (floats in round-trip precision)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    order = _column_order(traj.records)
+    columns = _columns(traj)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["time"]
-            for name in order:
-                if np.iscomplexobj(traj.records[name]):
-                    header += [f"{name}_re", f"{name}_im"]
-                else:
-                    header.append(name)
-            writer.writerow(header)
-            for i in range(len(traj.times)):
-                row = [repr(float(traj.times[i]))]
-                for name in order:
-                    val = traj.records[name][i]
-                    if np.iscomplexobj(traj.records[name]):
-                        row += [repr(float(val.real)), repr(float(val.imag))]
-                    else:
-                        row.append(repr(float(val)))
-                writer.writerow(row)
+            writer.writerow([name + part for name, block in columns
+                             for part in (("",) if len(block) == 1 else ("_re", "_im"))])
+            writer.writerows(np.vstack([block for _, block in columns]).T.tolist())
     elif fmt == "json":
+        (_, times), *records = columns
         payload = {
-            "times": [float(t) for t in traj.times],
-            "records": {},
+            "times": times[0].tolist(),
+            "records": {
+                name: {"dtype": "real", "values": block[0].tolist()} if len(block) == 1
+                else {"dtype": "complex", "values": block.T.tolist()}
+                for name, block in records
+            },
             "meta": _jsonable(traj.meta),
         }
-        for name in order:
-            arr = traj.records[name]
-            if np.iscomplexobj(arr):
-                payload["records"][name] = {
-                    "dtype": "complex",
-                    "values": [[float(v.real), float(v.imag)] for v in arr],
-                }
-            else:
-                payload["records"][name] = {
-                    "dtype": "real",
-                    "values": [float(v) for v in arr],
-                }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -632,42 +641,29 @@ def export_trajectory(traj: dynamics.Trajectory, fmt: str, path: str | Path) -> 
 def import_trajectory(path: str | Path) -> dynamics.Trajectory:
     """Read a trajectory written by :func:`export_trajectory`."""
     path = Path(path)
+    meta = {}
     if path.suffix == ".json":
         with open(path) as fh:
             payload = json.load(fh)
-        records = {}
-        for name, rec in payload["records"].items():
-            if rec["dtype"] == "complex":
-                records[name] = np.array(
-                    [complex(re, im) for re, im in rec["values"]], dtype=np.complex128
-                )
-            else:
-                records[name] = np.array(rec["values"], dtype=float)
-        return dynamics.Trajectory(
-            times=np.array(payload["times"], dtype=float),
-            records=records,
-            meta=payload.get("meta", {}),
-        )
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    times = np.array([float(r[0]) for r in rows])
-    records: dict[str, np.ndarray] = {}
-    col = 1
-    while col < len(header):
-        name = header[col]
-        if name.endswith("_re") and col + 1 < len(header) and header[col + 1] == name[:-3] + "_im":
-            base = name[:-3]
-            records[base] = np.array(
-                [complex(float(r[col]), float(r[col + 1])) for r in rows],
-                dtype=np.complex128,
-            )
-            col += 2
-        else:
-            records[name] = np.array([float(r[col]) for r in rows])
-            col += 1
-    return dynamics.Trajectory(times=times, records=records, meta={})
+        meta = payload.get("meta", {})
+        columns = [("time", np.array([payload["times"]], dtype=float))] + [
+            (name, np.array(rec["values"], dtype=float).reshape(-1, 2).T if rec["dtype"] == "complex"
+             else np.array([rec["values"]], dtype=float))
+            for name, rec in payload["records"].items()
+        ]
+    else:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        table = np.array(rows, dtype=float).reshape(len(rows), len(header)).T.copy()
+        columns, col = [], 0
+        while col < len(header):
+            name = header[col]
+            pair = name.endswith("_re") and header[col + 1 : col + 2] == [name[:-3] + "_im"]
+            columns.append((name[:-3] if pair else name, table[col : col + 1 + pair]))
+            col += 1 + pair
+    (_, times), *records = columns
+    records = {name: _record(block) for name, block in records}
+    return dynamics.Trajectory(times=times[0], records=records, meta=meta)
 
 
 def _jsonable(obj):
@@ -816,7 +812,7 @@ def _mean_field_run(config: RunConfig) -> dynamics.Trajectory:
                                   tol=integ["tol"], n_out=integ["n_out"])
 
 
-def _task_propagate(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
+def _task_propagate(config: RunConfig, out_dir: Path, report: RunReport, **_):
     traj = _exact_run(config, config.integrate["keep_states"])
     report.results["meta"] = traj.meta
     report.trajectory_files += _write_trajectory(config, traj, out_dir, config.output["basename"])
@@ -826,7 +822,7 @@ def _task_propagate(config: RunConfig, out_dir: Path, report: RunReport, verbose
     )
 
 
-def _task_meanfield(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
+def _task_meanfield(config: RunConfig, out_dir: Path, report: RunReport, **_):
     traj = _mean_field_run(config)
     report.results["meta"] = traj.meta
     report.trajectory_files += _write_trajectory(
@@ -834,7 +830,7 @@ def _task_meanfield(config: RunConfig, out_dir: Path, report: RunReport, verbose
     )
 
 
-def _task_compare(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
+def _task_compare(config: RunConfig, out_dir: Path, report: RunReport, **_):
     mf_traj = _mean_field_run(config)  # first: it refuses a state without a mean-field image
     exact = _exact_run(config)
     report.trajectory_files += _write_trajectory(
@@ -851,7 +847,7 @@ def _task_compare(config: RunConfig, out_dir: Path, report: RunReport, verbose: 
     report.results["meanfield_meta"] = mf_traj.meta
 
 
-def _task_verify_eom(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
+def _task_verify_eom(config: RunConfig, out_dir: Path, report: RunReport, **_):
     space = config.build_space()
     rng = np.random.default_rng(config.seed)
     threshold = config.verify["eom_threshold"]
@@ -868,7 +864,7 @@ def _task_verify_eom(config: RunConfig, out_dir: Path, report: RunReport, verbos
         report.checks.append(Check(f"eom_{name}", threshold, value, value <= threshold))
 
 
-def _task_verify_compact(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool):
+def _task_verify_compact(config: RunConfig, out_dir: Path, report: RunReport, **_):
     space = config.build_space()
     rng = np.random.default_rng(config.seed)
     threshold = config.verify["compact_threshold"]
@@ -943,6 +939,18 @@ def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bo
     report.results["path"] = sweep["path"]
 
 
+# The function that executes each task, called with the run's worker count and
+# verbosity; only a sweep reads them, for its points.
+_TASK_FUNCTIONS = {
+    "propagate": _task_propagate,
+    "meanfield": _task_meanfield,
+    "compare": _task_compare,
+    "verify_eom": _task_verify_eom,
+    "verify_compact": _task_verify_compact,
+    "sweep": _task_sweep,
+}
+
+
 def run(
     config: RunConfig,
     out_dir: str | Path | None = None,
@@ -952,24 +960,13 @@ def run(
 ) -> RunReport:
     """Execute a validated config and write its report and trajectory files."""
     task = task_override or config.task
+    if task not in _TASK_FUNCTIONS:
+        raise ConfigError([f"unknown task {task!r}"])
     out_dir = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(task=task, config_hash=config.config_hash, seed=config.seed)
     started = _time.perf_counter()
-    if task == "propagate":
-        _task_propagate(config, out_dir, report, verbose)
-    elif task == "meanfield":
-        _task_meanfield(config, out_dir, report, verbose)
-    elif task == "compare":
-        _task_compare(config, out_dir, report, verbose)
-    elif task == "verify_eom":
-        _task_verify_eom(config, out_dir, report, verbose)
-    elif task == "verify_compact":
-        _task_verify_compact(config, out_dir, report, verbose)
-    elif task == "sweep":
-        _task_sweep(config, out_dir, report, verbose, workers)
-    else:
-        raise ConfigError([f"unknown task {task!r}"])
+    _TASK_FUNCTIONS[task](config, out_dir, report, workers=workers, verbose=verbose)
     report.elapsed_seconds = _time.perf_counter() - started
     report.save(out_dir / "report.json")
     if verbose:

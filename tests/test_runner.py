@@ -236,6 +236,30 @@ def test_each_fault_reported_once(path, value, named):
     assert len(err.value.problems) == 1 and named in err.value.problems[0], err.value.problems
 
 
+UNKNOWN_KEYS = [
+    # (dotted path into the valid config, value holding a key no row names, that key's config path)
+    ("integrate.t_ned", 5, "integrate.t_ned"),
+    ("params.drives", [{"amplitude": 0.1, "freq": 1.0}], "params.drives[0].freq"),
+    ("initial.field_modes", [{"kind": "coherent", "beta": 0.5}], "initial.field_modes[0].beta"),
+    # the entries of sweep.values are values, not keys
+    ("sweep", {"path": "params.exchange_j", "values": [{"x": 1}], "points": 3}, "sweep.points"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", UNKNOWN_KEYS, ids=[c[2] for c in UNKNOWN_KEYS])
+def test_unknown_keys_refused(path, value, named):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_set(_valid_raw(), path, value))
+    assert err.value.problems == [f"{named} is not a known key"]
+
+
+def test_unknown_key_reported_with_other_faults(tmp_path):
+    text = MINIMAL.replace("t_end: 2.0", "t_ned: 5\n  tol: -1.0")
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, text))
+    assert err.value.problems == ["integrate.tol must be positive, got -1.0", "integrate.t_ned is not a known key"]
+
+
 def test_yaml_exponent_numbers_accepted(tmp_path):
     # YAML 1.1 loads an exponent without a dot (1e-12) as a string
     raw = _valid_raw()
@@ -415,14 +439,129 @@ def sample_trajectory(n=5):
     )
 
 
+def golden_trajectory():
+    """Three points with signed zeros, subnormals and NaN, records in no particular order."""
+    return Trajectory(
+        times=np.array([0.0, 0.1, 0.2]),
+        records={
+            "bloch_0": np.array([1.0, 1e-300, -0.0]),
+            "energy": np.array([-0.5, NAN, 2.5e-16]),
+            "a_0": np.array([complex(-0.0, 0.0), complex(5e-324, -0.0), complex(NAN, 1.0)]),
+            "sigma_z_0": np.array([-1.0, -0.0, 5e-324]),
+            "n_0": np.array([0.0, 1e-300, 1.0 / 3.0]),
+            "sigma_minus_0": np.array([complex(0.1, -0.2), complex(-0.0, 1e-300), complex(1.0, NAN)]),
+        },
+        meta={"tol": 1e-10, "kind": "golden"},
+    )
+
+
+GOLDEN_CSV = "\r\n".join([
+    "time,sigma_minus_0_re,sigma_minus_0_im,sigma_z_0,a_0_re,a_0_im,n_0,energy,bloch_0",
+    "0.0,0.1,-0.2,-1.0,-0.0,0.0,0.0,-0.5,1.0",
+    "0.1,-0.0,1e-300,-0.0,5e-324,-0.0,1e-300,nan,1e-300",
+    "0.2,1.0,nan,5e-324,nan,1.0,0.3333333333333333,2.5e-16,-0.0",
+    "",
+])
+
+GOLDEN_JSON = """\
+{
+ "times": [
+  0.0,
+  0.1,
+  0.2
+ ],
+ "records": {
+  "sigma_minus_0": {
+   "dtype": "complex",
+   "values": [
+    [
+     0.1,
+     -0.2
+    ],
+    [
+     -0.0,
+     1e-300
+    ],
+    [
+     1.0,
+     NaN
+    ]
+   ]
+  },
+  "sigma_z_0": {
+   "dtype": "real",
+   "values": [
+    -1.0,
+    -0.0,
+    5e-324
+   ]
+  },
+  "a_0": {
+   "dtype": "complex",
+   "values": [
+    [
+     -0.0,
+     0.0
+    ],
+    [
+     5e-324,
+     -0.0
+    ],
+    [
+     NaN,
+     1.0
+    ]
+   ]
+  },
+  "n_0": {
+   "dtype": "real",
+   "values": [
+    0.0,
+    1e-300,
+    0.3333333333333333
+   ]
+  },
+  "energy": {
+   "dtype": "real",
+   "values": [
+    -0.5,
+    NaN,
+    2.5e-16
+   ]
+  },
+  "bloch_0": {
+   "dtype": "real",
+   "values": [
+    1.0,
+    1e-300,
+    -0.0
+   ]
+  }
+ },
+ "meta": {
+  "tol": 1e-10,
+  "kind": "golden"
+ }
+}
+"""
+
+
+@pytest.mark.parametrize("fmt,expected", [("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)])
+def test_trajectory_files_match_golden_text(tmp_path, fmt, expected):
+    path = export_trajectory(golden_trajectory(), fmt, tmp_path / f"golden.{fmt}")
+    assert path.read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_round_trip_bitwise(tmp_path, fmt):
-    traj = sample_trajectory()
-    path = export_trajectory(traj, fmt, tmp_path / f"t.{fmt}")
-    back = import_trajectory(path)
-    assert np.array_equal(back.times, traj.times)
-    for name, arr in traj.records.items():
-        assert np.array_equal(back.records[name], arr), name
+    for traj in (sample_trajectory(), golden_trajectory()):
+        path = export_trajectory(traj, fmt, tmp_path / f"t.{fmt}")
+        back = import_trajectory(path)
+        assert np.array_equal(back.times.view(np.uint64), traj.times.view(np.uint64))
+        assert list(back.records) == runner._column_order(traj.records)
+        for name, arr in traj.records.items():
+            assert back.records[name].dtype == arr.dtype, name
+            assert np.array_equal(back.records[name].view(np.uint64), arr.view(np.uint64)), name
 
 
 def test_csv_column_order(tmp_path):
@@ -453,6 +592,16 @@ def test_empty_trajectory_header_only(tmp_path):
 
 
 # -- task execution ------------------------------------------------------------------
+
+
+def test_every_task_has_a_function():
+    assert tuple(runner._TASK_FUNCTIONS) == runner.TASKS
+
+
+def test_unknown_task_override_refused(tmp_path):
+    config = load_config(write_config(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match="unknown task 'simulate'"):
+        run(config, out_dir=tmp_path / "out", task_override="simulate")
 
 
 def test_propagate_task_writes_files_and_report(tmp_path):
@@ -616,24 +765,9 @@ def test_cli_mean_field_long_chain_has_no_exact_space_cap(tmp_path, capsys):
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Config format (YAML)", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    # loads, so every key the example shows is a row of the config table
     config = load_config(write_config(tmp_path, block))
     assert config.task == "compare" and config.sweep["task"] == "propagate"
-
-    def paths(node: dict, prefix: str = ""):
-        for key, value in node.items():
-            path = f"{prefix}.{key}" if prefix else key
-            yield path
-            if isinstance(value, dict):
-                yield from paths(value, path)
-            elif isinstance(value, list) and value and path != "sweep.values":
-                yield f"{path}.*"
-                for entry in value:
-                    if isinstance(entry, dict):
-                        yield from paths(entry, f"{path}.*")
-
-    # every key the example shows is a row of the config table
-    rows = {".".join(keys) for keys, *_ in runner._STEPS}
-    assert sorted(set(paths(yaml.safe_load(block))) - rows) == []
 
 
 def test_cli_seed_override(tmp_path):
