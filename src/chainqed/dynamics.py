@@ -5,16 +5,16 @@ Two independent routes to the same physics are kept side by side:
 * :func:`propagate` evolves the state under the total Hamiltonian with one
   of four backends, picked from the input.  A time-independent
   Hamiltonian of dimension at most ``SPECTRAL_MAX_DIM`` is propagated by
-  its dense eigendecomposition (``eigh``); a larger one, on a uniform
-  output grid, by the action of the sparse matrix exponential
-  (``expm_multiply``, scaled truncated Taylor series).  Both are exact to
-  roundoff, with no step error.  An explicitly time-dependent generator
-  of dimension at most ``INTERACTION_MAX_DIM`` is integrated by DOP853 in the
-  interaction picture of its static part, whose eigendecomposition
-  removes the fast carrier from the integrated amplitudes; a larger one,
-  and a large static one on a non-uniform grid, by plain DOP853 (adaptive
-  explicit Runge-Kutta).  ``Trajectory.meta["method"]`` names the backend
-  that ran and ``meta["backend_reason"]`` why,
+  its dense eigendecomposition (``eigh``); a larger one, on any output
+  grid, by a Chebyshev expansion of the propagator (Tal-Ezer & Kosloff,
+  J. Chem. Phys. 81, 3967, 1984), one per window of ``RECORD_CHUNK``
+  output times.  Both are exact to roundoff, with no step error.  An
+  explicitly time-dependent generator of dimension at most
+  ``INTERACTION_MAX_DIM`` is integrated by DOP853 in the interaction
+  picture of its static part, whose eigendecomposition removes the fast
+  carrier from the integrated amplitudes; a larger one by plain DOP853
+  (adaptive explicit Runge-Kutta).  ``Trajectory.meta["method"]`` names the
+  backend that ran and ``meta["backend_reason"]`` why,
 * the ``heisenberg_rhs_*`` builders assemble, term by term, the explicit
   operator right-hand sides of the site, field and phonon equations of
   motion, which must coincide with ``i [H, O]`` as matrices.
@@ -53,9 +53,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.fft import dct
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonian import (
     CompiledModel,
@@ -84,10 +85,15 @@ NORM_DRIFT_WARNING = 1e-6
 TOP_LEVEL_FLAG = 1e-6
 # Largest dimension propagated by dense eigendecomposition.  Dense ``eigh``
 # costs O(dim^3) time and O(dim^2) memory (2-vCPU x86, OpenBLAS, 2 threads:
-# 0.5 s / +11 MB at 512, 1.1 s / +37 MB at 1024, 2.65 s / +72 MB at 1456).
-# Above this size a static H on a uniform grid goes to sparse
-# ``expm_multiply`` (dim 1456, 401 points to t = 150: 1.2-1.5 s against
-# 2.0-2.7 s for DOP853 at tol 1e-10), and on a non-uniform grid to DOP853.
+# 0.15 s / +11 MB at 512, 1.1 s / +37 MB at 1024, 4.0 s / +72 MB at 1456).
+# Above this size a static H goes to the Chebyshev expansion, whose cost
+# grows with R t (R the half-width of the spectral interval) instead of
+# dim^3.  propagate, 401 points, one site and a field mode (best to median
+# of 5, same box): eigh at dim 512 0.16-0.18 s whatever the horizon;
+# Chebyshev at dim 514 (R = 129) 0.17-0.18 s to t = 15 and 1.18-1.23 s to
+# t = 150.  On model-large (dim 1456, R = 9.2, t = 150) it makes 2,095
+# sparse products where ``expm_multiply`` made 8,708 (traced propagate
+# 1.28 -> 0.32 s).
 SPECTRAL_MAX_DIM = 512
 # Largest time-dependent H integrated in the interaction picture of its static
 # part.  The frame cuts DOP853's right-hand-side calls up to 4.7x, but every
@@ -249,29 +255,88 @@ def _interaction_rhs(ham: TotalHamiltonian, energies: np.ndarray, vecs: np.ndarr
     return rhs
 
 
-def _is_uniform(times: np.ndarray) -> bool:
-    """No time further than a few ulps of linspace/arange (1e-14 of max(1, |t|)) from an equally spaced grid."""
-    grid = np.linspace(times[0], times[-1], times.size)
-    return bool(np.max(np.abs(times - grid)) <= 1e-14 * max(1.0, abs(times[0]), abs(times[-1])))
+def _spectral_interval(matrix) -> tuple[float, float]:
+    """Centre and half-width of the Gershgorin interval of a Hermitian CSR matrix, which holds its spectrum."""
+    diag = matrix.diagonal()
+    radius = np.asarray(abs(matrix - sparse.diags(diag)).sum(axis=1)).ravel()
+    lo, hi = np.min(diag.real - radius), np.max(diag.real + radius)
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
-def _exponential_states(h: Operator, psi0: np.ndarray, elapsed: np.ndarray) -> np.ndarray:
-    """States ``exp(-i H t) psi0`` at uniformly spaced elapsed times, one column each.
+def _chebyshev_order(x: float) -> int:
+    """Smallest k > x with (x/2)^k / k! < 2^-53: that bounds |J_j(x)| for every j >= k."""
+    k = math.floor(x) + 1
+    while x > 0 and k * math.log(x / 2) - math.lgamma(k + 1) >= -53 * math.log(2):
+        k += 1
+    return k
 
-    scipy takes the first point of an interval with the step parameters of
-    the interval's length (NaN for start 50, stop 52), so a late first point
-    gets a call of its own.
+
+def _chebyshev_coefficients(centre: float, half_width: float, tau: np.ndarray, order: int) -> np.ndarray:
+    """``(2 - delta_k0) (-i)^k J_k(R tau) exp(-i c tau)`` for k < order, one column per tau.
+
+    These are the Chebyshev coefficients of ``exp(-i (c + R y) tau)`` on
+    ``y`` in [-1, 1], taken by one type-II DCT of its samples at
+    ``2 order + 16`` Chebyshev points (Bessel functions one by one cost
+    about 4 us each).  One tau at a time, so that the samples of a long
+    window (order in the tens of thousands) are never held all at once.
     """
-    generator = -1j * h.matrix
-    if elapsed[0] > 0:
-        psi0 = expm_multiply(elapsed[0] * generator, psi0)
-    if elapsed.size == 1:
-        rows = psi0[None, :].copy()
-    else:
-        rows = expm_multiply(generator, psi0, start=0.0, stop=elapsed[-1] - elapsed[0], num=elapsed.size, endpoint=True)
-    if not np.isfinite(rows).all():
-        raise PropagationError("matrix exponential returned non-finite states")
-    return rows.T
+    n = 2 * order + 16
+    cos_theta = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    coeffs = np.empty((order, tau.size), dtype=np.complex128)
+    for j, x in enumerate(half_width * tau):
+        coeffs[:, j] = dct(np.exp(-1j * x * cos_theta), type=2)[:order]
+    coeffs[0] /= 2
+    coeffs *= np.exp(-1j * centre * tau) / n
+    return coeffs
+
+
+def _chebyshev_sum(doubled, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[k, j] T_k psi`` for every column j, with ``T_k`` the Chebyshev polynomials of ``doubled / 2``.
+
+    The recurrence ``T_{k+1} psi = doubled T_k psi - T_{k-1} psi`` keeps its
+    vectors in a ring of at most ``RECORD_CHUNK`` rows, contracted with their
+    coefficient rows by one matrix product whenever the ring is full.
+    """
+    order = len(coeffs)
+    ring = np.empty((min(order, RECORD_CHUNK), psi.size), dtype=np.complex128)
+    size = len(ring)
+    states = np.zeros((psi.size, coeffs.shape[1]), dtype=np.complex128)
+    for k in range(order):
+        row = k % size
+        if k == 0:
+            ring[row] = psi
+        elif k == 1:
+            np.multiply(doubled @ psi, 0.5, out=ring[row])
+        else:
+            np.subtract(doubled @ ring[(k - 1) % size], ring[(k - 2) % size], out=ring[row])
+        if row == size - 1 or k == order - 1:
+            states += ring[:row + 1].T @ coeffs[k - row:k + 1]
+    return states
+
+
+def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
+    """States ``exp(-i H tau) psi0`` at the elapsed times tau, in chunks of ``RECORD_CHUNK`` columns.
+
+    Each chunk is one window: ``H`` is mapped onto [-1, 1] by its Gershgorin
+    interval ``c +- R``, and ``exp(-i H tau)`` applied to the window's start
+    state (``psi0``, then the last state produced) is expanded in the
+    Chebyshev polynomials of the mapped matrix, to the order that ``R``
+    times the window's longest tau needs.  One recurrence serves every
+    time in the window.
+    """
+    matrix = h.matrix
+    centre, half_width = _spectral_interval(matrix)
+    # 2 (H - c) / R; a zero-width interval means H = c, and order 1 needs no product
+    doubled = (matrix - centre * sparse.identity(h.dim, format="csr")) * (2.0 / half_width) if half_width > 0 else None
+    psi, start = psi0, 0.0
+    for lo in range(0, elapsed.size, RECORD_CHUNK):
+        tau = elapsed[lo:lo + RECORD_CHUNK] - start
+        order = _chebyshev_order(half_width * tau[-1])
+        states = _chebyshev_sum(doubled, psi, _chebyshev_coefficients(centre, half_width, tau, order))
+        if not np.isfinite(states).all():
+            raise PropagationError("Chebyshev propagation returned non-finite states")
+        yield states
+        psi, start = states[:, -1].copy(), elapsed[lo + tau.size - 1]
 
 
 def _expect_columns(op: Operator, block: np.ndarray) -> np.ndarray:
@@ -321,21 +386,21 @@ def propagate(
 
     * static H, dimension at most ``SPECTRAL_MAX_DIM``: dense
       eigendecomposition (``meta["method"] == "eigh"``);
-    * static H above that size on a uniform output grid: one
-      ``expm_multiply`` call over the grid (``"expm_multiply"``);
+    * static H above that size, on any output grid: a Chebyshev expansion
+      of ``exp(-i H tau)`` per window of ``RECORD_CHUNK`` output times, with
+      tau counted from the last state of the window before
+      (``"chebyshev"``);
     * time-dependent H (literal coupling phases, classical drives) of
       dimension at most ``INTERACTION_MAX_DIM``: DOP853 in the interaction
       picture of ``ham.static = V E V^dag`` (``"interaction+DOP853"``).  It
       integrates ``phi = exp(i E (t - t0)) V^dag psi``, whose right-hand
       side makes one ``ham.apply`` call, and maps phi back to psi in chunks
       of ``RECORD_CHUNK`` output points;
-    * static H above ``SPECTRAL_MAX_DIM`` on a non-uniform ``t_eval``,
-      and time-dependent H above ``INTERACTION_MAX_DIM``: DOP853
-      (``"DOP853"``).
+    * time-dependent H above ``INTERACTION_MAX_DIM``: DOP853 (``"DOP853"``).
 
     Both DOP853 paths evaluate the generator at the integrator's internal
-    stage times, not frozen per step.  The two exponential paths are exact
-    to roundoff and make no right-hand-side evaluations
+    stage times, not frozen per step.  The two static paths are exact to
+    roundoff and make no right-hand-side evaluations
     (``meta["rhs_evaluations"] == 0``).
 
     Parameters
@@ -344,8 +409,7 @@ def propagate(
         Initial state; ``state.time`` (0 for a bare array) is the start time.
     tol:
         Local error tolerance of the DOP853 integrator, in either frame
-        (rtol; atol is two orders tighter).  Unused on both exponential
-        paths.
+        (rtol; atol is two orders tighter).  Unused on both static paths.
     t_eval:
         Explicit output grid, strictly increasing within ``[start, t_end]``;
         overrides ``n_out`` equally spaced points.
@@ -362,7 +426,8 @@ def propagate(
         Before any backend runs, when a matrix of the Hamiltonian or a
         compiled parameter behind its coefficients is non-finite; on
         integrator failure (step-size underflow and the like); on a
-        non-finite spectrum, or non-finite states from ``expm_multiply``.
+        non-finite spectrum, or non-finite states from the Chebyshev
+        expansion.
     """
     if isinstance(state, StateVector):
         psi0, t_start = state.amplitudes, state.time
@@ -397,18 +462,16 @@ def propagate(
             rhs = _interaction_rhs(ham, energies, vecs, t_start)
             times, amps, rhs_evaluations = _dop853(rhs, (t_start, t_end), phi0, times, tol)
         chunks = _frame_chunks(energies, vecs, times - t_start, amps)
-        if keep_states:
-            states = np.concatenate(list(chunks), axis=1)
-            chunks = _column_chunks(states)
-    elif ham.is_static and _is_uniform(times):
-        method, reason = "expm_multiply", f"static, dim > {limit}, uniform grid"
-        states = _exponential_states(ham.static, psi0, times - t_start)
-        chunks = _column_chunks(states)
+    elif ham.is_static:
+        method, reason = "chebyshev", f"{kind}, dim > {limit}"
+        chunks = _chebyshev_chunks(ham.static, psi0, times - t_start)
     else:
-        method = "DOP853"
-        reason = f"{kind}, dim > {limit}" + (", non-uniform t_eval" if ham.is_static else "")
+        method, reason = "DOP853", f"{kind}, dim > {limit}"
         times, states, rhs_evaluations = _dop853(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0,
                                                  times, tol)
+        chunks = _column_chunks(states)
+    if keep_states and states is None:
+        states = np.concatenate(list(chunks), axis=1)
         chunks = _column_chunks(states)
 
     records = _record(chunks, observable_operators(space, params, ham.cache), ham, times)

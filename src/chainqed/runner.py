@@ -937,6 +937,10 @@ def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bo
         {"value": sweep["values"][i], "report": results[i]} for i in sorted(results)
     ]
     report.results["path"] = sweep["path"]
+    # one check per point, measuring how many of the point's checks failed
+    for i in sorted(results):
+        failed = sum(not c["passed"] for c in results[i]["checks"])
+        report.checks.append(Check(f"point {i} ({sweep['path']} = {sweep['values'][i]})", 0, failed, failed == 0))
 
 
 # The function that executes each task, called with the run's worker count and

@@ -222,8 +222,8 @@ DRIVE = (ClassicalDrive(amplitude=0.01, frequency=1.0),)
     "cutoff,kwargs,t_eval,method,reason",
     [
         (SPECTRAL_MAX_DIM // 2 - 1, {}, None, "eigh", "static, dim <= 512"),  # dim == SPECTRAL_MAX_DIM
-        (SPECTRAL_MAX_DIM // 2, {}, None, "expm_multiply", "static, dim > 512, uniform grid"),  # dim 514
-        (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "DOP853", "static, dim > 512, non-uniform t_eval"),
+        (SPECTRAL_MAX_DIM // 2, {}, None, "chebyshev", "static, dim > 512"),  # dim 514
+        (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "chebyshev", "static, dim > 512"),
         (2, {}, NON_UNIFORM, "eigh", "static, dim <= 512"),
         (2, {"drives": DRIVE}, None, "interaction+DOP853", "time-dependent, dim <= 128"),
         (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+DOP853", "time-dependent, dim <= 128"),
@@ -239,7 +239,7 @@ def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, t_eval, method, re
     traj = propagate(space, params, psi0, 0.5, n_out=3, t_eval=t_eval)
     assert traj.meta["method"] == method
     assert traj.meta["backend_reason"] == reason
-    exponential_method = method in ("eigh", "expm_multiply")
+    exponential_method = method in ("eigh", "chebyshev")
     assert (traj.meta["rhs_evaluations"] == 0) == exponential_method
 
 
@@ -286,7 +286,7 @@ def test_exponential_path_matches_matrix_exponential(start, grid):
     elif grid.get("t_eval") == "single":
         grid = {"t_eval": np.array([t_end])}
     traj = propagate(space, params, StateVector(psi0, time=start), t_end, keep_states=True, **grid)
-    assert traj.meta["method"] == "expm_multiply"
+    assert traj.meta["method"] == "chebyshev"
     assert traj.meta["rhs_evaluations"] == 0
     assert traj.states.shape == (space.dim, traj.times.size)
     assert np.max(np.abs(traj.states - _expm_states(space, params, psi0, traj.times - start))) <= 1e-8
@@ -300,7 +300,7 @@ def test_exponential_path_matches_tight_dop853():
     ref = solve_ivp(lambda t, psi: -1j * (h @ psi), (0.0, 6.0), psi0, method="DOP853",
                     t_eval=t_eval, rtol=1e-12, atol=1e-14)
     traj = propagate(space, params, psi0, 6.0, n_out=13, keep_states=True)
-    assert traj.meta["method"] == "expm_multiply"
+    assert traj.meta["method"] == "chebyshev"
     assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
     # records come from the same states as on the other paths
     sz = np.einsum("ij,ij->j", ref.y.conj(), TotalHamiltonian(space, params).cache.sigma[0].z.matrix @ ref.y).real
@@ -316,16 +316,46 @@ def test_exponential_path_without_keep_states_records_the_same():
         assert np.array_equal(values, plain.records[name])
 
 
-def test_non_uniform_grid_above_the_limit_falls_back_to_dop853():
+def test_non_uniform_grid_above_the_limit_runs_chebyshev():
     space, params, psi0 = large_static_system()
     t_eval = np.array([0.0, 0.3, 1.0, 2.5, 3.0])
     traj = propagate(space, params, psi0, 3.0, t_eval=t_eval, tol=1e-12, keep_states=True)
-    assert traj.meta["method"] == "DOP853"
-    assert traj.meta["backend_reason"] == "static, dim > 512, non-uniform t_eval"
-    assert traj.meta["rhs_evaluations"] > 0
+    assert traj.meta["method"] == "chebyshev"
+    assert traj.meta["backend_reason"] == "static, dim > 512"
+    assert traj.meta["rhs_evaluations"] == 0
     energies, vecs = np.linalg.eigh(TotalHamiltonian(space, params).static.to_dense())
     exact = vecs @ (np.exp(-1j * np.outer(energies, t_eval)) * (vecs.conj().T @ psi0)[:, None])
     assert np.max(np.abs(traj.states - exact)) <= 1e-8
+
+
+def test_chebyshev_windows_match_eigh():
+    # three full windows; each window's order exceeds RECORD_CHUNK, so it flushes several blocks
+    space, params, psi0 = large_static_system()
+    h = TotalHamiltonian(space, params).static
+    n_out = 3 * dynamics.RECORD_CHUNK
+    _, half_width = dynamics._spectral_interval(h.matrix)
+    step = 2.0 / (n_out - 1)
+    assert dynamics._chebyshev_order(half_width * step * (dynamics.RECORD_CHUNK - 1)) > dynamics.RECORD_CHUNK
+    traj = propagate(space, params, psi0, 2.0, n_out=n_out, keep_states=True)
+    assert traj.meta["method"] == "chebyshev"
+    energies, vecs = np.linalg.eigh(h.to_dense())
+    exact = vecs @ (np.exp(-1j * np.outer(energies, traj.times)) * (vecs.conj().T @ psi0)[:, None])
+    assert np.max(np.abs(traj.states - exact)) <= 1e-10
+
+
+def test_chebyshev_zero_width_interval_is_a_phase():
+    # levels one ulp apart round to H = 30 exactly: the Gershgorin interval has zero width
+    n_sites = 10
+    space = build_space(SpaceSpec(n_sites))
+    params = SystemParams(site_energies=((3.0, np.nextafter(3.0, 4.0)),) * n_sites, exchange_j=0.0)
+    h = TotalHamiltonian(space, params).static.matrix
+    assert space.dim > SPECTRAL_MAX_DIM
+    assert dynamics._spectral_interval(h) == (30.0, 0.0)
+    rng = np.random.default_rng(1024)
+    psi0 = product_state(space, [site_local_state("angles", theta=t, phi=p) for t, p in rng.uniform(0, 3, (n_sites, 2))])
+    traj = propagate(space, params, psi0, 5.0, n_out=2 * dynamics.RECORD_CHUNK + 5, keep_states=True)
+    assert traj.meta["method"] == "chebyshev"
+    assert np.max(np.abs(traj.states - np.exp(-30j * traj.times) * psi0[:, None])) <= 1e-14
 
 
 def test_exponential_path_rejects_non_finite_hamiltonian():
@@ -340,8 +370,8 @@ def test_exponential_path_rejects_non_finite_hamiltonian():
 
 def test_exponential_path_rejects_non_finite_states(monkeypatch):
     space, params, psi0 = large_static_system()
-    # a Hermitian H has a unitary exponential; stand in for an overflow inside scipy
-    monkeypatch.setattr(dynamics, "expm_multiply", lambda a, b, **kw: np.full((kw["num"], b.size), np.nan))
+    # a Hermitian H has a unitary exponential; stand in for an overflow inside the expansion
+    monkeypatch.setattr(dynamics, "dct", lambda samples, **kw: np.full(samples.shape, np.nan + 0j))
     with pytest.raises(PropagationError, match="non-finite states"):
         propagate(space, params, psi0, 1.0)
 

@@ -650,6 +650,38 @@ verify:
     assert report.results["draws"] == 3
 
 
+SWEEP_VERIFY_EOM = """
+task: sweep
+seed: 11
+space:
+  n_sites: 2
+  field_modes: [{cutoff: 2}]
+params:
+  omegas: [1.0, 1.0]
+  field_modes: [{omega: 1.0}]
+verify:
+  draws: 1
+sweep:
+  path: params.exchange_j
+  values: [0.1, 0.2]
+  task: verify_eom
+"""
+
+
+@pytest.mark.parametrize("threshold,code", [(1.0e-30, 1), (1.0e-11, 0)], ids=["failing", "passing"])
+def test_cli_sweep_names_its_points_and_fails_with_them(tmp_path, capsys, threshold, code):
+    text = SWEEP_VERIFY_EOM.replace("draws: 1", f"draws: 1\n  eom_threshold: {threshold!r}")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    status = "FAIL" if code else "PASS"
+    for i, value in enumerate([0.1, 0.2]):
+        assert f"{status} point {i} (params.exchange_j = {value})" in captured.out
+    assert "Traceback" not in captured.err
+    saved = json.loads((out / "report.json").read_text())
+    assert [c["passed"] for c in saved["checks"]] == [not code] * 2
+
+
 def test_verify_compact_task_with_negative_control(tmp_path):
     text = """
 task: verify_compact
