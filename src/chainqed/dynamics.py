@@ -14,7 +14,10 @@ Two independent routes to the same physics are kept side by side:
   picture of its static part, whose eigendecomposition removes the fast
   carrier from the integrated amplitudes; a larger one by plain DOP853
   (adaptive explicit Runge-Kutta).  ``Trajectory.meta["method"]`` names the
-  backend that ran and ``meta["backend_reason"]`` why,
+  backend that ran and ``meta["backend_reason"]`` why.  The records
+  (``RECORD_NAMES``) are contractions of the state block at each
+  subsystem's tensor slot, with no embedded matrix; the embedded operators
+  of ``OperatorCache`` are their test oracle,
 * the ``heisenberg_rhs_*`` builders assemble, term by term, the explicit
   operator right-hand sides of the site, field and phonon equations of
   motion, which must coincide with ``i [H, O]`` as matrices.
@@ -108,6 +111,15 @@ SPECTRAL_MAX_DIM = 512
 INTERACTION_MAX_DIM = 128
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
+# Records of each subsystem kind, in file order; each name is the prefix
+# followed by the subsystem's label.  A site records its lowering
+# expectation, that one's conjugate and p_1 - p_0; a field or phonon mode its
+# lowering expectation, its mean occupation and its top-level population.
+RECORD_NAMES = {
+    "site": ("sigma_minus_", "sigma_plus_", "sigma_z_"),
+    "field": ("a_", "n_", "top_field_"),
+    "phonon": ("b_", "nb_", "top_phonon_"),
+}
 
 
 class PropagationError(RuntimeError):
@@ -138,9 +150,12 @@ class Trajectory:
 
     ``records`` maps observable names to arrays over the grid; complex
     entries keep their phase (e.g. ``sigma_minus_0``), Hermitian
-    observables are stored real.  ``meta`` carries norm drift, top-level
-    Fock populations and any warnings.  ``states`` optionally holds the
-    full state at every grid point (column per time).
+    observables are stored real.  An exact run records the names of
+    ``RECORD_NAMES`` for each subsystem, taken from the level populations
+    and the lowering sum at its tensor slot, then ``norm`` and ``energy``.
+    ``meta`` carries norm drift, top-level Fock populations and any
+    warnings.  ``states`` optionally holds the full state at every grid
+    point (column per time).
     """
 
     times: np.ndarray
@@ -157,29 +172,6 @@ class Trajectory:
                 f"no observable {name!r}; available: {sorted(self.records)}"
             )
         return self.records[name]
-
-
-def observable_operators(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> dict[str, Operator]:
-    """Named operators recorded along a trajectory."""
-    ops = operator_cache(space, cache)
-    table: dict[str, Operator] = {}
-    for l in range(space.n_sites):
-        table[f"sigma_minus_{l}"] = ops.sigma[l].minus
-        table[f"sigma_plus_{l}"] = ops.sigma[l].plus
-        table[f"sigma_z_{l}"] = ops.sigma[l].z
-    top = {kind: embed_modes(space, kind, top_level_projector_local, f"top_{kind}") for kind in ("field", "phonon")}
-    for k in range(space.n_field_modes):
-        table[f"a_{k}"] = ops.a[k]
-        table[f"n_{k}"] = ops.a_num[k]
-        table[f"top_field_{k}"] = top["field"][k]
-    for q in range(space.n_phonon_modes):
-        table[f"b_{q}"] = ops.b[q]
-        table[f"nb_{q}"] = ops.b_num[q]
-        table[f"top_phonon_{q}"] = top["phonon"][q]
-    return table
-
-
-_REAL_RECORDS = ("sigma_z_", "n_", "nb_", "top_field_", "top_phonon_")
 
 
 def collect_solver() -> None:
@@ -339,32 +331,47 @@ def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
         psi, start = states[:, -1].copy(), elapsed[lo + tau.size - 1]
 
 
-def _expect_columns(op: Operator, block: np.ndarray) -> np.ndarray:
-    """<psi|A|psi> for every column psi of the block."""
-    return np.einsum("ij,ij->j", block.conj(), op.matrix @ block)
+def _slot_records(space: SpaceIndex, block: np.ndarray, block_conj: np.ndarray):
+    """``(name, values)`` of the records of every subsystem, in ``RECORD_NAMES`` order.
+
+    The basis is row-major, first subsystem most significant, so a subsystem
+    of local dimension d is axis 1 of the block reshaped to (before, d,
+    after, columns).  Its level populations p_m and its lowering sum
+    ``sum_m sqrt(m) conj(psi_{m-1}) psi_m`` give all of its records.
+    """
+    populations = block.real ** 2
+    populations += block.imag ** 2
+    before = 1
+    for sub in space.subsystems:
+        shape = (before, sub.dim, -1, block.shape[1])
+        pops = np.einsum("idjc->dc", populations.reshape(shape))
+        pairs = np.einsum("idjc,idjc->dc", block_conj.reshape(shape)[:, :-1], block.reshape(shape)[:, 1:])
+        lower = np.sqrt(np.arange(1, sub.dim)) @ pairs
+        if sub.kind == "site":
+            values = (lower, lower.conj(), pops[1] - pops[0])
+        else:
+            values = (lower, np.arange(sub.dim) @ pops, pops[-1])
+        for prefix, value in zip(RECORD_NAMES[sub.kind], values):
+            yield f"{prefix}{sub.label}", value
+        before *= sub.dim
 
 
-def _record(chunks, table: dict[str, Operator], ham: TotalHamiltonian, times: np.ndarray) -> dict[str, np.ndarray]:
+def _record(chunks, space: SpaceIndex, ham: TotalHamiltonian, times: np.ndarray) -> dict[str, np.ndarray]:
     """Observables, norm and energy from consecutive column chunks of the state block."""
-    nt = times.size
-    records: dict[str, np.ndarray] = {name: np.empty(nt, dtype=np.complex128) for name in table}
-    records["norm"] = np.empty(nt)
-    records["energy"] = np.empty(nt)
+    parts: dict[str, list[np.ndarray]] = {}
     lo = 0
     for block in chunks:
         hi = lo + block.shape[1]
-        for name, op in table.items():
-            records[name][lo:hi] = _expect_columns(op, block)
-        records["norm"][lo:hi] = np.linalg.norm(block, axis=0)
+        block_conj = block.conj()
         if ham.is_static:
-            records["energy"][lo:hi] = _expect_columns(ham.static, block).real
+            energy = np.einsum("ij,ij->j", block_conj, ham.static.matrix @ block).real
         else:
-            records["energy"][lo:hi] = [ham.at(t).expect(psi).real for t, psi in zip(times[lo:hi], block.T)]
+            energy = np.array([ham.at(t).expect(psi).real for t, psi in zip(times[lo:hi], block.T)])
+        norm = np.linalg.norm(block, axis=0)
+        for name, values in (*_slot_records(space, block, block_conj), ("norm", norm), ("energy", energy)):
+            parts.setdefault(name, []).append(values)
         lo = hi
-    for name in list(records):
-        if name.startswith(_REAL_RECORDS):
-            records[name] = records[name].real
-    return records
+    return {name: np.concatenate(values) for name, values in parts.items()}
 
 
 def propagate(
@@ -421,7 +428,7 @@ def propagate(
     ------
     ValueError
         When the initial state is not normalized (a NaN amplitude included),
-        or ``t_end`` does not exceed its start time.
+        ``t_end`` does not exceed its start time, or the output grid is empty.
     PropagationError
         Before any backend runs, when a matrix of the Hamiltonian or a
         compiled parameter behind its coefficients is non-finite; on
@@ -443,6 +450,8 @@ def propagate(
     if not abs(norm0 - 1.0) <= 1e-10:  # also refuses a NaN amplitude
         raise ValueError(f"initial state is not normalized: |psi| = {norm0}")
     times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
+    if times.size == 0:
+        raise ValueError("the output grid holds no time")
 
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
     if not ham.is_finite():
@@ -474,14 +483,11 @@ def propagate(
         states = np.concatenate(list(chunks), axis=1)
         chunks = _column_chunks(states)
 
-    records = _record(chunks, observable_operators(space, params, ham.cache), ham, times)
+    records = _record(chunks, space, ham, times)
     norm_drift = float(np.max(np.abs(records["norm"] - 1.0)))
-    top_pops = [
-        float(np.max(records[name]))
-        for name in records
-        if name.startswith(("top_field_", "top_phonon_"))
-    ]
-    max_top = max(top_pops) if top_pops else 0.0
+    # the last record of a field or phonon mode is its top-level population
+    max_top = max((float(np.max(records[f"{RECORD_NAMES[sub.kind][-1]}{sub.label}"]))
+                   for sub in space.subsystems if sub.kind != "site"), default=0.0)
     warnings = []
     if norm_drift > NORM_DRIFT_WARNING:
         warnings.append(f"norm drift {norm_drift:.3e} exceeds {NORM_DRIFT_WARNING:.1e}")

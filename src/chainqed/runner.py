@@ -568,21 +568,14 @@ def initial_mean_field(config: RunConfig) -> MeanFieldState:
 # -- trajectory persistence --------------------------------------------------------------
 
 
-# Records of one site, field mode or phonon mode, written together in this
-# order for each index that the marker record (the first prefix) has.
-_RECORD_GROUPS = (
-    ("sigma_z_", ("sigma_minus_", "sigma_plus_", "sigma_z_")),
-    ("a_", ("a_", "n_", "top_field_")),
-    ("b_", ("b_", "nb_", "top_phonon_")),
-)
-
-
 def _column_order(records: dict) -> list[str]:
-    """Fixed record order: the groups of ``_RECORD_GROUPS`` by index, norm, energy, the rest by name."""
+    """Fixed record order: the records of ``dynamics.RECORD_NAMES``, each
+    subsystem's together by label, then norm, energy, the rest by name."""
     ordered = []
-    for marker, prefixes in _RECORD_GROUPS:
-        for i in sorted({int(n.rsplit("_", 1)[1]) for n in records if n.startswith(marker)}):
-            ordered += [f"{prefix}{i}" for prefix in prefixes if f"{prefix}{i}" in records]
+    for prefixes in dynamics.RECORD_NAMES.values():
+        labels = {int(name[len(p):]) for name in records for p in prefixes
+                  if name.startswith(p) and name[len(p):].isdecimal()}
+        ordered += [f"{p}{i}" for i in sorted(labels) for p in prefixes if f"{p}{i}" in records]
     ordered += [name for name in ("norm", "energy") if name in records]
     return ordered + sorted(set(records) - set(ordered))
 
@@ -926,7 +919,7 @@ def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bo
         jobs.append((raw, i, str(out_dir), verbose))
     results = {}
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             for index, rep in pool.map(_run_sweep_point, jobs):
                 results[index] = rep
     else:

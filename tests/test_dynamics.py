@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
@@ -49,9 +49,11 @@ from chainqed.hilbert import (
     build_space,
     coherent_local,
     commutator,
+    embed_modes,
     fock_local,
     product_state,
     site_local_state,
+    top_level_projector_local,
 )
 from chainqed.meanfield import MeanFieldState, mf_propagate, volterra_diagnostics
 from chainqed.runner import draw_params
@@ -119,10 +121,11 @@ def test_trajectory_record_invariants():
     for l in range(2):
         sm = traj.records[f"sigma_minus_{l}"]
         sp = traj.records[f"sigma_plus_{l}"]
-        assert_allclose(sp, np.conj(sm), atol=1e-12)
+        assert_array_equal(sp, np.conj(sm))
         sz = traj.records[f"sigma_z_{l}"]
-        assert np.all(np.abs(sz.imag) == 0.0)
         assert np.all(sz >= -1.0 - 1e-9) and np.all(sz <= 1.0 + 1e-9)
+    for name in ("sigma_z_0", "sigma_z_1", "n_0", "top_field_0"):
+        assert traj.records[name].dtype == np.float64, name
 
 
 @pytest.mark.parametrize("psi0", [[1.0, 1.0], [np.nan, 0.0]], ids=["norm-sqrt2", "nan"])
@@ -358,6 +361,57 @@ def test_chebyshev_zero_width_interval_is_a_phase():
     assert np.max(np.abs(traj.states - np.exp(-30j * traj.times) * psi0[:, None])) <= 1e-14
 
 
+def _mixed_system(field_cutoffs, phonon_cutoff, drives=()):
+    """Two sites, two field modes of different cutoffs and a phonon mode, each away from its ground level."""
+    space = build_space(SpaceSpec(2, tuple(ModeSpec(c) for c in field_cutoffs), (ModeSpec(phonon_cutoff),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.45, 0.55)),
+        exchange_j=0.07,
+        field_modes=(FieldMode(omega=1.0, amplitude=0.08, polarization_overlap=(1.0, 0.8)),
+                     FieldMode(omega=1.1, amplitude=0.06, polarization_overlap=(0.7, 1.0))),
+        phonon_modes=(PhononMode(nu=0.5, coupling=0.1),),
+        drives=drives,
+    )
+    psi0 = product_state(space, [site_local_state("angles", theta=0.7, phi=0.3),
+                                 site_local_state("angles", theta=2.0, phi=1.0),
+                                 *(coherent_local(0.6 + 0.2j, c) for c in field_cutoffs),
+                                 coherent_local(0.4j, phonon_cutoff)])
+    return space, params, psi0
+
+
+@pytest.mark.parametrize(
+    "field_cutoffs,phonon_cutoff,drives,method",
+    [
+        ((3, 2), 2, (), "eigh"),  # dim 144
+        ((7, 5), 2, (), "chebyshev"),  # dim 576 > SPECTRAL_MAX_DIM
+        ((2, 1), 1, DRIVE, "interaction+DOP853"),  # dim 48
+        ((3, 2), 2, DRIVE, "DOP853"),  # dim 144 > INTERACTION_MAX_DIM
+    ],
+    ids=["eigh", "chebyshev", "interaction", "DOP853"],
+)
+def test_records_match_embedded_operator_expectations(field_cutoffs, phonon_cutoff, drives, method):
+    space, params, psi0 = _mixed_system(field_cutoffs, phonon_cutoff, drives)
+    # two record chunks
+    traj = propagate(space, params, psi0, 3.0, n_out=dynamics.RECORD_CHUNK + 5, keep_states=True)
+    assert traj.meta["method"] == method
+    ops = OperatorCache(space)
+    top = {kind: embed_modes(space, kind, top_level_projector_local, "top") for kind in ("field", "phonon")}
+    oracle = {}
+    for l, sig in enumerate(ops.sigma):
+        oracle.update({f"sigma_minus_{l}": sig.minus, f"sigma_plus_{l}": sig.plus, f"sigma_z_{l}": sig.z})
+    for k, a in enumerate(ops.a):
+        oracle.update({f"a_{k}": a, f"n_{k}": ops.a_num[k], f"top_field_{k}": top["field"][k]})
+    for q, b in enumerate(ops.b):
+        oracle.update({f"b_{q}": b, f"nb_{q}": ops.b_num[q], f"top_phonon_{q}": top["phonon"][q]})
+    assert list(traj.records) == [*oracle, "norm", "energy"]
+    for name, op in oracle.items():
+        expected = np.array([op.expect(psi) for psi in traj.states.T])
+        assert np.max(np.abs(traj.records[name] - expected)) <= 1e-12, name
+        assert np.iscomplexobj(traj.records[name]) == name.startswith(("sigma_minus_", "sigma_plus_", "a_", "b_"))
+    tops = [np.max(traj.records[name]) for name in oracle if name.startswith("top_")]
+    assert min(tops) > 0.0 and traj.meta["max_top_level_population"] == max(tops)
+
+
 def test_exponential_path_rejects_non_finite_hamiltonian():
     space, _, psi0 = large_static_system()
     params = single_site_params(
@@ -419,6 +473,13 @@ def test_bad_output_grid_raises_like_solve_ivp(drives, t_eval):
     with pytest.raises(ValueError) as raised:
         propagate(space, params, psi0, 1.0, t_eval=np.array(t_eval))
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("grid", [{"n_out": 0}, {"t_eval": np.array([])}], ids=["n_out-0", "empty-t_eval"])
+def test_empty_output_grid_is_refused(free_site, grid):
+    space, params = free_site
+    with pytest.raises(ValueError, match="output grid holds no time"):
+        propagate(space, params, product_state(space, [site_local_state("ground")]), 1.0, **grid)
 
 
 def test_spectral_path_rejects_non_finite_hamiltonian():

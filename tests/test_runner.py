@@ -743,6 +743,38 @@ sweep:
         assert serial == parallel
 
 
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Stands in for the process pool: notes its worker count, maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    text = COUPLED.replace("task: propagate", "task: sweep") + """
+sweep:
+  path: params.field_modes.0.amplitude
+  values: [0.02, 0.05, 0.08]
+  task: propagate
+"""
+    config_path = write_config(tmp_path, text)
+    for workers in (512, 2):
+        report = run(load_config(config_path), out_dir=tmp_path / f"w{workers}", workers=workers)
+        assert len(report.results["points"]) == 3
+    assert pools == [3, 2]
+
+
 def test_draw_params_reproducible():
     space = config_from_dict(
         {"space": {"n_sites": 2, "field_modes": [{"cutoff": 2}]},
