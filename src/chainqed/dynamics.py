@@ -140,9 +140,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amplitudes / self.norm, self.time)
-
 
 @dataclass
 class Trajectory:
@@ -174,18 +171,13 @@ class Trajectory:
         return self.records[name]
 
 
-def collect_solver() -> None:
-    """Free the solver ``solve_ivp`` just returned from: scipy leaves it in a
-    reference cycle (its wrapped right-hand side closes over it), and a
-    young-generation collection frees it and its work arrays in microseconds."""
-    gc.collect(1)
-
-
 def _check_grid(t_eval, t_start: float, t_end: float) -> np.ndarray:
-    """The output grid, held to the contract ``solve_ivp`` enforces (same errors)."""
+    """The output grid, held to the contract ``solve_ivp`` enforces (same errors), and not empty."""
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1:
         raise ValueError("`t_eval` must be 1-dimensional.")
+    if t_eval.size == 0:
+        raise ValueError("the output grid holds no time")
     if np.any(t_eval < t_start) or np.any(t_eval > t_end):
         raise ValueError("Values in `t_eval` are not within `t_span`.")
     if np.any(np.diff(t_eval) <= 0):
@@ -217,14 +209,17 @@ def _frame_chunks(energies: np.ndarray, vecs: np.ndarray, elapsed: np.ndarray, a
     )
 
 
-def _dop853(rhs, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray, tol: float, solve=None):
-    """One DOP853 solve onto the output grid: (times, states, right-hand-side calls).
+def _dop853(rhs, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray | None, tol: float, solve=None):
+    """One DOP853 solve onto the output grid (every step when ``times`` is None):
+    (times, states, right-hand-side calls).
 
     ``solve`` is the ``solve_ivp`` that the calling module names (this module's
     when left out), so wrapping one module's ``solve_ivp`` sees that module's solves.
     """
     sol = (solve or solve_ivp)(rhs, t_span, y0, method="DOP853", t_eval=times, rtol=tol, atol=tol * 1e-2)
-    collect_solver()
+    # scipy leaves the solver in a reference cycle (its wrapped right-hand side closes
+    # over it); a young-generation collection frees it and its work arrays in microseconds
+    gc.collect(1)
     if not sol.success:
         raise PropagationError(f"propagation failed: {sol.message}")
     return sol.t, sol.y, int(sol.nfev)
@@ -450,8 +445,6 @@ def propagate(
     if not abs(norm0 - 1.0) <= 1e-10:  # also refuses a NaN amplitude
         raise ValueError(f"initial state is not normalized: |psi| = {norm0}")
     times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
-    if times.size == 0:
-        raise ValueError("the output grid holds no time")
 
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
     if not ham.is_finite():
@@ -552,7 +545,6 @@ def heisenberg_rhs_sigma(
     l: int,
     t: float = 0.0,
     *,
-    include_phonons: bool = True,
     cache: OperatorCache | None = None,
 ) -> OpVector:
     """Operator right-hand sides of the site equations of motion.
@@ -593,7 +585,7 @@ def heisenberg_rhs_sigma(
         rhs_minus = rhs_minus + (1j * j) * (anticommutator(sig.z, nb_minus) - anticommutator(sig.minus, nb_z))
         rhs_plus = rhs_plus + (1j * j) * (anticommutator(sig.plus, nb_z) - anticommutator(sig.z, nb_plus))
         rhs_z = rhs_z + (2j * j) * (anticommutator(sig.minus, nb_plus) - anticommutator(sig.plus, nb_minus))
-    if include_phonons and params.phonon_modes:
+    if params.phonon_modes:
         disp = phonon_displacement_operator(space, params, ops)
         rhs_minus = rhs_minus + (-2j) * (disp @ sig.minus)
         rhs_plus = rhs_plus + (2j) * (disp @ sig.plus)
@@ -817,7 +809,6 @@ def build_g_vector(
     l: int,
     t: float = 0.0,
     *,
-    include_phonons: bool = True,
     cache: OperatorCache | None = None,
 ) -> OpVector:
     """Effective-field operator vector G_l entering the compact form.
@@ -842,7 +833,7 @@ def build_g_vector(
         g_minus = g_minus - j_eff * ops.sigma[w].minus
         g_plus = g_plus - j_eff * ops.sigma[w].plus
         g_z = g_z - j_eff * ops.sigma[w].z
-    if include_phonons and params.phonon_modes:
+    if params.phonon_modes:
         g_z = g_z - 2.0 * phonon_displacement_operator(space, params, ops)
     return OpVector(g_minus, g_plus, g_z)
 
@@ -854,16 +845,12 @@ def compact_rhs(
     t: float = 0.0,
     *,
     metric: tuple[float, float, float] = COMPACT_METRIC,
-    include_phonons: bool = True,
     cache: OperatorCache | None = None,
 ) -> OpVector:
     """Site equations of motion in compact form: metric . (sigma_l x G_l)."""
     ops = operator_cache(space, cache)
     sig = sigma_vector(ops.sigma[l])
-    g_vec = build_g_vector(
-        space, params, l, t, include_phonons=include_phonons, cache=ops
-    )
-    return generalized_cross(sig, g_vec).scaled(metric)
+    return generalized_cross(sig, build_g_vector(space, params, l, t, cache=ops)).scaled(metric)
 
 
 def verify_compact_form(

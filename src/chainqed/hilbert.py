@@ -132,12 +132,6 @@ class SpaceIndex:
     def phonon_slot(self, mode: int) -> int:
         return self.slot("phonon", mode)
 
-    def field_cutoff(self, mode: int) -> int:
-        return self.subsystems[self.field_slot(mode)].dim - 1
-
-    def phonon_cutoff(self, mode: int) -> int:
-        return self.subsystems[self.phonon_slot(mode)].dim - 1
-
     def index_to_occupation(self, index: int) -> tuple[int, ...]:
         """Decompose a basis index into per-subsystem occupations."""
         if not 0 <= index < self.dim:

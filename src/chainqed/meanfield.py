@@ -23,8 +23,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks, peak_widths
 
-from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, _dop853, collect_solver
+from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, _check_grid, _dop853
 from .hamiltonian import CompiledModel, SystemParams
+
+# The Rabi oracle refuses drive strengths and detunings beyond this fraction of the
+# transition frequency, where the rotating-wave approximation stops holding.
+RWA_VALIDITY_RATIO = 0.1
+# Separation of the Lyapunov probe's perturbed state, restored after every interval.
+LYAPUNOV_SEPARATION = 1e-8
+# Spectral flatness below which a regime is periodic, and from which it is broadband.
+FLATNESS_PERIODIC = 0.05
+FLATNESS_BROADBAND = 0.25
 
 
 @dataclass
@@ -202,23 +211,22 @@ def mf_propagate(
     *,
     tol: float = 1e-10,
     n_out: int = 201,
-    t_eval: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the closed equations; records mirror the exact trajectory.
 
     ``norm`` records the root of the mean per-site Bloch length (the
     closure's analogue of state normalization) and ``bloch_l`` the per-site
-    invariant itself.  Raises ``PropagationError`` before integrating when a
-    compiled frequency, coupling or drive is non-finite, and when the
+    invariant itself.  Raises ``ValueError`` when ``t_end`` does not exceed
+    the start time or ``n_out`` is 0, ``PropagationError`` before integrating
+    when a compiled frequency, coupling or drive is non-finite, and when the
     integration fails.
     """
     closure = _run_closure(params, mf)
     t_start = mf.time
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
-    if t_eval is None:
-        t_eval = np.linspace(t_start, t_end, n_out)
-    times, y, rhs_evaluations = _dop853(closure.rhs, (t_start, t_end), mf.pack(), t_eval, tol, solve=solve_ivp)
+    times = _check_grid(np.linspace(t_start, t_end, n_out), t_start, t_end)
+    times, y, rhs_evaluations = _dop853(closure.rhs, (t_start, t_end), mf.pack(), times, tol, solve=solve_ivp)
     sm, sz, a, b = closure.split(y)
     sz = sz.copy()
     del y  # the solver's state block is not needed past this point
@@ -307,11 +315,11 @@ class RabiOracle:
         return u * np.exp(-1j * self.drive_frequency * t)
 
 
-def rabi_oracle(params: SystemParams, validity_ratio: float = 0.1) -> RabiOracle:
+def rabi_oracle(params: SystemParams) -> RabiOracle:
     """Build the analytic oracle for a single-site, single-drive system.
 
     Refuses configurations outside the rotating-wave validity window
-    (drive strength or detuning beyond ``validity_ratio`` of the
+    (drive strength or detuning beyond ``RWA_VALIDITY_RATIO`` of the
     transition frequency), or with quantized field modes present.
     """
     if params.n_sites != 1:
@@ -323,12 +331,12 @@ def rabi_oracle(params: SystemParams, validity_ratio: float = 0.1) -> RabiOracle
     drive = params.drives[0]
     omega0 = params.omegas[0]
     oracle = RabiOracle(omega0, drive.amplitude, drive.frequency)
-    if oracle.omega_rabi > validity_ratio * omega0:
+    if oracle.omega_rabi > RWA_VALIDITY_RATIO * omega0:
         raise ValueError(
             f"drive too strong for the rotating-wave window: "
-            f"Omega_R = {oracle.omega_rabi:.3g} > {validity_ratio} * {omega0:.3g}"
+            f"Omega_R = {oracle.omega_rabi:.3g} > {RWA_VALIDITY_RATIO} * {omega0:.3g}"
         )
-    if abs(oracle.detuning) > validity_ratio * omega0:
+    if abs(oracle.detuning) > RWA_VALIDITY_RATIO * omega0:
         raise ValueError(
             f"detuning {oracle.detuning:.3g} outside the rotating-wave window"
         )
@@ -485,26 +493,32 @@ def volterra_diagnostics(
     *,
     observables: tuple[str, ...] = ("sigma_z_0",),
     renorm_interval: float | None = None,
-    delta0: float = 1e-8,
     n_out: int = 1024,
     tol: float = 1e-10,
     seed: int = 0,
-    flatness_periodic: float = 0.05,
-    flatness_broadband: float = 0.25,
 ) -> VolterraReport:
     """Probe the closed flow for periodic / quasiperiodic / broadband regimes.
 
-    The largest Lyapunov exponent is estimated from two-trajectory
-    separation regrowth with renormalization every ``renorm_interval``
-    (default: one twentieth of the run); spectral flatness is computed
-    from the base trajectory.  Raises when the run is too short to fit at
-    least five renormalization intervals, and ``PropagationError`` before
+    The largest Lyapunov exponent is estimated from the regrowth of the
+    separation between a reference and a perturbed state, renormalized to
+    ``LYAPUNOV_SEPARATION`` every ``renorm_interval`` (default: one twentieth
+    of the run).  The two states are integrated as one stacked vector, so
+    the probe makes one DOP853 solve per interval on top of the base run;
+    spectral flatness is computed from the base trajectory and classified
+    against ``FLATNESS_PERIODIC`` and ``FLATNESS_BROADBAND``.  Raises
+    ``ValueError`` for a ``t_end`` that is non-finite or not past the start,
+    a non-positive or non-finite ``renorm_interval``, and a run too short to
+    fit at least five renormalization intervals; ``PropagationError`` before
     any integration when a compiled frequency, coupling or drive is
     non-finite.
     """
     t_span = t_end - mf0.time
+    if not (np.isfinite(t_span) and t_span > 0.0):
+        raise ValueError(f"t_end {t_end} must be finite and exceed start time {mf0.time}")
     if renorm_interval is None:
         renorm_interval = t_span / 20.0
+    elif not (np.isfinite(renorm_interval) and renorm_interval > 0.0):
+        raise ValueError(f"renorm_interval must be positive and finite, got {renorm_interval}")
     n_intervals = int(np.floor(t_span / renorm_interval))
     if n_intervals < 5:
         raise ValueError(
@@ -521,38 +535,34 @@ def volterra_diagnostics(
 
     rng = np.random.default_rng(seed)
     y_ref = mf0.pack()
-    direction = rng.normal(size=y_ref.size)
+    size = y_ref.size
+    direction = rng.normal(size=size)
     direction /= np.linalg.norm(direction)
-    y_pert = y_ref + delta0 * direction
+    pair = np.concatenate([y_ref, y_ref + LYAPUNOV_SEPARATION * direction])
 
-    logs = []
+    def pair_rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([rhs(t, y[:size]), rhs(t, y[size:])])
+
+    logs = np.empty(n_intervals)
     t0 = mf0.time
-    for _ in range(n_intervals):
+    for i in range(n_intervals):
         t1 = t0 + renorm_interval
-        sol_ref = solve_ivp(rhs, (t0, t1), y_ref, method="DOP853", rtol=tol, atol=tol * 1e-2)
-        sol_pert = solve_ivp(rhs, (t0, t1), y_pert, method="DOP853", rtol=tol, atol=tol * 1e-2)
-        collect_solver()
-        if not (sol_ref.success and sol_pert.success):
-            raise PropagationError("Lyapunov probe integration failed")
-        y_ref = sol_ref.y[:, -1]
-        y_end = sol_pert.y[:, -1]
-        dist = np.linalg.norm(y_end - y_ref)
-        if dist == 0.0:
-            dist = np.finfo(float).tiny
-        logs.append(np.log(dist / delta0) / renorm_interval)
-        # renormalize the separation back to delta0 along the grown direction
-        y_pert = y_ref + (y_end - y_ref) * (delta0 / dist)
+        y_end = _dop853(pair_rhs, (t0, t1), pair, None, tol, solve=solve_ivp)[1][:, -1]
+        y_ref, grown = y_end[:size], y_end[size:] - y_end[:size]
+        dist = max(float(np.linalg.norm(grown)), np.finfo(float).tiny)
+        logs[i] = np.log(dist / LYAPUNOV_SEPARATION) / renorm_interval
+        # renormalize the separation along the grown direction
+        pair = np.concatenate([y_ref, y_ref + grown * (LYAPUNOV_SEPARATION / dist)])
         t0 = t1
 
-    logs_arr = np.asarray(logs)
-    lyap = float(np.mean(logs_arr))
-    stderr = float(np.std(logs_arr) / np.sqrt(len(logs_arr)))
+    lyap = float(np.mean(logs))
+    stderr = float(np.std(logs) / np.sqrt(n_intervals))
 
     max_flatness = max(flatness.values())
     growth_significant = lyap > max(3.0 * stderr, 2.0 / t_span)
-    if growth_significant or max_flatness >= flatness_broadband:
+    if growth_significant or max_flatness >= FLATNESS_BROADBAND:
         classification = "broadband"
-    elif max_flatness < flatness_periodic:
+    elif max_flatness < FLATNESS_PERIODIC:
         classification = "periodic"
     else:
         classification = "quasiperiodic"

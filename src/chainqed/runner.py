@@ -746,7 +746,6 @@ def draw_params(
     *,
     coupling_mode: str = "static_phase_at_t0",
     boundary: str = "open",
-    with_exchange: bool = True,
 ) -> SystemParams:
     """Random physical parameters on a given space (verification draws)."""
     n = space.n_sites
@@ -770,7 +769,7 @@ def draw_params(
     )
     return SystemParams(
         site_energies=tuple(energies),
-        exchange_j=rng.uniform(-0.3, 0.3) if with_exchange else 0.0,
+        exchange_j=rng.uniform(-0.3, 0.3),
         boundary=boundary,
         field_modes=f_modes,
         dipole=tuple(rng.uniform(0.5, 1.5, size=n)),

@@ -430,7 +430,7 @@ def test_exponential_path_rejects_non_finite_states(monkeypatch):
         propagate(space, params, psi0, 1.0)
 
 
-@pytest.mark.parametrize("path,repeats", [("exact", 30), ("meanfield", 30), ("lyapunov", 1)])
+@pytest.mark.parametrize("path,repeats", [("exact", 30), ("meanfield", 30), ("lyapunov", 2)])
 def test_finished_runs_leave_no_dop853_solver_alive(monkeypatch, path, repeats):
     # scipy's solver sits in a reference cycle; the runs free it without a
     # full collection, so a loop of short runs does not pile up work arrays
@@ -454,7 +454,7 @@ def test_finished_runs_leave_no_dop853_solver_alive(monkeypatch, path, repeats):
     run = {
         "exact": lambda: propagate(space, params, psi0, 5.0, n_out=11),
         "meanfield": lambda: mf_propagate(mf0, params, 5.0, n_out=11),
-        # one probe: a base run plus two solves per renormalization interval
+        # one probe: a base run plus one stacked solve per renormalization interval
         "lyapunov": lambda: volterra_diagnostics(params, mf0, 20.0, n_out=64),
     }[path]
     for _ in range(repeats):
@@ -475,11 +475,16 @@ def test_bad_output_grid_raises_like_solve_ivp(drives, t_eval):
     assert str(raised.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("grid", [{"n_out": 0}, {"t_eval": np.array([])}], ids=["n_out-0", "empty-t_eval"])
-def test_empty_output_grid_is_refused(free_site, grid):
+@pytest.mark.parametrize("path,grid", [("exact", {"n_out": 0}), ("exact", {"t_eval": np.array([])}),
+                                       ("meanfield", {"n_out": 0})],
+                         ids=["n_out-0", "empty-t_eval", "meanfield-n_out-0"])
+def test_empty_output_grid_is_refused(free_site, path, grid):
     space, params = free_site
     with pytest.raises(ValueError, match="output grid holds no time"):
-        propagate(space, params, product_state(space, [site_local_state("ground")]), 1.0, **grid)
+        if path == "exact":
+            propagate(space, params, product_state(space, [site_local_state("ground")]), 1.0, **grid)
+        else:
+            mf_propagate(MeanFieldState([0.0], [-1.0], [], []), params, 1.0, **grid)
 
 
 def test_spectral_path_rejects_non_finite_hamiltonian():

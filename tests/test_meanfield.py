@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from chainqed import meanfield
 from chainqed.dynamics import Trajectory, propagate
@@ -595,6 +595,37 @@ def test_volterra_driven_chain_emits_classification():
     assert report.classification in ("periodic", "quasiperiodic", "broadband")
     assert report.intervals >= 5
     assert np.isfinite(report.lyapunov_stderr)
+    # the estimate of the two-solve probe (reference and perturbed state integrated apart)
+    assert report.lyapunov == pytest.approx(0.0277, abs=1e-3)
+    assert report.lyapunov_stderr == pytest.approx(0.0132, abs=1e-3)
+    assert report.classification == "periodic"
+
+
+def test_volterra_makes_one_solve_per_interval(monkeypatch):
+    # the base run, then one solve of the stacked reference/perturbed pair per interval
+    solvers = []
+    init = DOP853.__init__
+
+    def counted(self, *args, **kwargs):
+        solvers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DOP853, "__init__", counted)
+    report = volterra_diagnostics(single_site_params(), mf_single(), 20.0, n_out=64)
+    assert report.intervals == 20
+    assert len(solvers) == 1 + report.intervals
+
+
+@pytest.mark.parametrize("renorm_interval", [0.0, float("nan"), -1.0], ids=["zero", "nan", "negative"])
+def test_volterra_refuses_a_bad_renormalization_interval(renorm_interval):
+    with pytest.raises(ValueError, match="renorm_interval must be positive and finite"):
+        volterra_diagnostics(single_site_params(), mf_single(), 10.0, renorm_interval=renorm_interval)
+
+
+@pytest.mark.parametrize("t_end", [0.0, float("nan"), float("inf")], ids=["at-start", "nan", "inf"])
+def test_volterra_refuses_a_bad_end_time(t_end):
+    with pytest.raises(ValueError, match="must be finite and exceed start time"):
+        volterra_diagnostics(single_site_params(), mf_single(), t_end)
 
 
 def test_volterra_too_short_raises():
