@@ -69,7 +69,6 @@ from .hamiltonian import (
     build_hcp,
     coupling_q,
     drive_field,
-    operator_cache,
 )
 from .hilbert import (
     DimensionMismatchError,
@@ -505,19 +504,13 @@ def propagate(
 # -- operator right-hand sides ---------------------------------------------------
 
 
-def field_coupling_operator(
-    space: SpaceIndex,
-    params: SystemParams,
-    l: int,
-    t: float,
-    cache: OperatorCache | None = None,
-) -> Operator:
+def field_coupling_operator(space: SpaceIndex, params: SystemParams, l: int, t: float) -> Operator:
     """The site's local field operator B_l = sum_k (q_lk a_k + a_k^dag q_lk^*).
 
     Classical drives enter additively as multiples of the identity.
     """
-    ops = operator_cache(space, cache)
-    b = zero(space, f"B[{l}]")
+    ops = OperatorCache.for_space(space)
+    b = zero(space)
     for k in range(space.n_field_modes):
         q = coupling_q(params, l, k, t)
         b = b + q * ops.a[k] + np.conj(q) * ops.a_dag[k]
@@ -527,26 +520,17 @@ def field_coupling_operator(
     return b
 
 
-def phonon_displacement_operator(
-    space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None
-) -> Operator:
+def phonon_displacement_operator(space: SpaceIndex, params: SystemParams) -> Operator:
     """sum_q lambda_q (b_q^dag + b_q): the phonon field seen by every site."""
-    ops = operator_cache(space, cache)
-    disp = zero(space, "phonon_disp")
+    ops = OperatorCache.for_space(space)
+    disp = zero(space)
     for q, mode in enumerate(params.phonon_modes):
         if mode.coupling != 0.0:
             disp = disp + mode.coupling * (ops.b[q] + ops.b_dag[q])
     return disp
 
 
-def heisenberg_rhs_sigma(
-    space: SpaceIndex,
-    params: SystemParams,
-    l: int,
-    t: float = 0.0,
-    *,
-    cache: OperatorCache | None = None,
-) -> OpVector:
+def heisenberg_rhs_sigma(space: SpaceIndex, params: SystemParams, l: int, t: float = 0.0) -> OpVector:
     """Operator right-hand sides of the site equations of motion.
 
     Components (minus, plus, z), with J the nominal exchange coupling,
@@ -562,12 +546,12 @@ def heisenberg_rhs_sigma(
     Neighbour sums follow the boundary policy; every component equals
     ``i [H_total, .]`` exactly (tested).
     """
-    ops = operator_cache(space, cache)
+    ops = OperatorCache.for_space(space)
     if not 0 <= l < space.n_sites:
         raise IndexError(f"site {l} out of range")
     sig = ops.sigma[l]
     omega_l = params.omegas[l]
-    b_l = field_coupling_operator(space, params, l, t, ops)
+    b_l = field_coupling_operator(space, params, l, t)
     nb = params.neighbors(l)
     nb_minus = zero(space)
     nb_plus = zero(space)
@@ -586,7 +570,7 @@ def heisenberg_rhs_sigma(
         rhs_plus = rhs_plus + (1j * j) * (anticommutator(sig.plus, nb_z) - anticommutator(sig.z, nb_plus))
         rhs_z = rhs_z + (2j * j) * (anticommutator(sig.minus, nb_plus) - anticommutator(sig.plus, nb_minus))
     if params.phonon_modes:
-        disp = phonon_displacement_operator(space, params, ops)
+        disp = phonon_displacement_operator(space, params)
         rhs_minus = rhs_minus + (-2j) * (disp @ sig.minus)
         rhs_plus = rhs_plus + (2j) * (disp @ sig.plus)
     return OpVector(rhs_minus, rhs_plus, rhs_z)
@@ -597,14 +581,13 @@ def heisenberg_rhs_field(
     params: SystemParams,
     k: int,
     t: float = 0.0,
-    cache: OperatorCache | None = None,
 ) -> tuple[Operator, Operator]:
     """Right-hand sides for (a_k, a_k^dag).
 
     ``da/dt = -i w_k a - i sum_j (plus_j + minus_j) q_jk^*`` and the
     Hermitian conjugate.  Valid away from the Fock truncation boundary.
     """
-    ops = operator_cache(space, cache)
+    ops = OperatorCache.for_space(space)
     if not 0 <= k < space.n_field_modes:
         raise IndexError(f"field mode {k} out of range")
     omega_k = params.field_modes[k].omega
@@ -615,18 +598,13 @@ def heisenberg_rhs_field(
     return rhs_a, rhs_a.dag()
 
 
-def heisenberg_rhs_phonon(
-    space: SpaceIndex,
-    params: SystemParams,
-    q: int,
-    cache: OperatorCache | None = None,
-) -> tuple[Operator, Operator]:
+def heisenberg_rhs_phonon(space: SpaceIndex, params: SystemParams, q: int) -> tuple[Operator, Operator]:
     """Right-hand sides for (b_q, b_q^dag).
 
     ``db/dt = -i nu_q b - i lambda_q sum_j z_j`` and the conjugate; the
     source term is diagonal.  Valid away from the truncation boundary.
     """
-    ops = operator_cache(space, cache)
+    ops = OperatorCache.for_space(space)
     if not 0 <= q < space.n_phonon_modes:
         raise IndexError(f"phonon mode {q} out of range")
     mode = params.phonon_modes[q]
@@ -651,11 +629,11 @@ def heisenberg_commutator(
 
 def bulk_projector(space: SpaceIndex) -> Operator:
     """Projector excluding the top Fock level of every bosonic mode."""
-    proj = identity(space, "bulk")
+    proj = identity(space)
     for kind in ("field", "phonon"):
-        for top in embed_modes(space, kind, top_level_projector_local, f"top_{kind}"):
+        for top in embed_modes(space, kind, top_level_projector_local):
             proj = proj @ (identity(space) - top)
-    return proj.with_tag("bulk")
+    return proj
 
 
 def projected_residual(delta: Operator, projector: Operator) -> float:
@@ -663,19 +641,14 @@ def projected_residual(delta: Operator, projector: Operator) -> float:
     return (projector @ delta @ projector).max_abs()
 
 
-def verify_heisenberg_identities(
-    space: SpaceIndex,
-    params: SystemParams,
-    t: float = 0.0,
-    cache: OperatorCache | None = None,
-) -> dict[str, float]:
+def verify_heisenberg_identities(space: SpaceIndex, params: SystemParams, t: float = 0.0) -> dict[str, float]:
     """Residuals of every explicit right-hand side against i [H, O].
 
     Site-equation residuals are unprojected; field and phonon residuals are
     evaluated under the bulk projector (see module docstring).
     """
-    ops = operator_cache(space, cache)
-    ham = TotalHamiltonian(space, params, ops)
+    ops = OperatorCache.for_space(space)
+    ham = TotalHamiltonian(space, params)
     proj = bulk_projector(space)
     res: dict[str, float] = {}
     h_t = ham.at(t)
@@ -684,25 +657,23 @@ def verify_heisenberg_identities(
         return 1j * commutator(h_t, op)
 
     for l in range(space.n_sites):
-        rhs = heisenberg_rhs_sigma(space, params, l, t, cache=ops)
+        rhs = heisenberg_rhs_sigma(space, params, l, t)
         res[f"sigma_minus_{l}"] = (rhs.minus - oracle(ops.sigma[l].minus)).max_abs()
         res[f"sigma_plus_{l}"] = (rhs.plus - oracle(ops.sigma[l].plus)).max_abs()
         res[f"sigma_z_{l}"] = (rhs.z - oracle(ops.sigma[l].z)).max_abs()
     for k in range(space.n_field_modes):
-        rhs_a, rhs_adag = heisenberg_rhs_field(space, params, k, t, ops)
+        rhs_a, rhs_adag = heisenberg_rhs_field(space, params, k, t)
         res[f"a_{k}"] = projected_residual(rhs_a - oracle(ops.a[k]), proj)
         res[f"a_dag_{k}"] = projected_residual(rhs_adag - oracle(ops.a_dag[k]), proj)
     for q in range(space.n_phonon_modes):
-        rhs_b, rhs_bdag = heisenberg_rhs_phonon(space, params, q, ops)
+        rhs_b, rhs_bdag = heisenberg_rhs_phonon(space, params, q)
         res[f"b_{q}"] = projected_residual(rhs_b - oracle(ops.b[q]), proj)
         res[f"b_dag_{q}"] = projected_residual(rhs_bdag - oracle(ops.b_dag[q]), proj)
     if params.phonon_modes:
-        hcp = build_hcp(space, params, ops)
+        hcp = build_hcp(space, params)
         for l in range(space.n_sites):
             for component in ("minus", "plus"):
-                direct = sigma_phonon_correction(
-                    space, params, l, component=component, cache=ops
-                )
+                direct = sigma_phonon_correction(space, params, l, component=component)
                 sig_op = getattr(ops.sigma[l], component)
                 res[f"phonon_correction_{component}_{l}"] = (
                     direct - 1j * commutator(hcp, sig_op)
@@ -747,7 +718,6 @@ def sigma_phonon_correction(
     component: str = "minus",
     path: str = "direct",
     history: tuple[np.ndarray, np.ndarray] | None = None,
-    cache: OperatorCache | None = None,
 ) -> Operator:
     """Phonon contribution to the site transverse equations of motion.
 
@@ -774,12 +744,12 @@ def sigma_phonon_correction(
     """
     if component not in ("minus", "plus"):
         raise ValueError("component must be 'minus' or 'plus'")
-    ops = operator_cache(space, cache)
+    ops = OperatorCache.for_space(space)
     sig_op = getattr(ops.sigma[l], component)
     sign = -1.0 if component == "minus" else 1.0
 
     if path == "direct":
-        disp = phonon_displacement_operator(space, params, ops)
+        disp = phonon_displacement_operator(space, params)
         return (sign * 2j) * (disp @ sig_op)
     if path != "memory":
         raise ValueError("path must be 'direct' or 'memory'")
@@ -803,14 +773,7 @@ def sigma_phonon_correction(
 # -- compact vector form -----------------------------------------------------------
 
 
-def build_g_vector(
-    space: SpaceIndex,
-    params: SystemParams,
-    l: int,
-    t: float = 0.0,
-    *,
-    cache: OperatorCache | None = None,
-) -> OpVector:
+def build_g_vector(space: SpaceIndex, params: SystemParams, l: int, t: float = 0.0) -> OpVector:
     """Effective-field operator vector G_l entering the compact form.
 
     Components (with J_eff the effective exchange, i.e. twice the nominal
@@ -823,8 +786,8 @@ def build_g_vector(
     reproduces the transverse phonon corrections; it drops out of the
     inversion equation, which has no phonon contribution.
     """
-    ops = operator_cache(space, cache)
-    b_l = field_coupling_operator(space, params, l, t, ops)
+    ops = OperatorCache.for_space(space)
+    b_l = field_coupling_operator(space, params, l, t)
     j_eff = params.effective_exchange
     g_minus = -1.0 * b_l
     g_plus = -1.0 * b_l
@@ -834,7 +797,7 @@ def build_g_vector(
         g_plus = g_plus - j_eff * ops.sigma[w].plus
         g_z = g_z - j_eff * ops.sigma[w].z
     if params.phonon_modes:
-        g_z = g_z - 2.0 * phonon_displacement_operator(space, params, ops)
+        g_z = g_z - 2.0 * phonon_displacement_operator(space, params)
     return OpVector(g_minus, g_plus, g_z)
 
 
@@ -845,12 +808,10 @@ def compact_rhs(
     t: float = 0.0,
     *,
     metric: tuple[float, float, float] = COMPACT_METRIC,
-    cache: OperatorCache | None = None,
 ) -> OpVector:
     """Site equations of motion in compact form: metric . (sigma_l x G_l)."""
-    ops = operator_cache(space, cache)
-    sig = sigma_vector(ops.sigma[l])
-    return generalized_cross(sig, build_g_vector(space, params, l, t, cache=ops)).scaled(metric)
+    sig = sigma_vector(OperatorCache.for_space(space).sigma[l])
+    return generalized_cross(sig, build_g_vector(space, params, l, t)).scaled(metric)
 
 
 def verify_compact_form(
@@ -860,7 +821,6 @@ def verify_compact_form(
     t: float = 0.0,
     *,
     metric: tuple[float, float, float] = COMPACT_METRIC,
-    cache: OperatorCache | None = None,
 ) -> float:
     """Max componentwise residual between compact and explicit site RHS.
 
@@ -868,8 +828,8 @@ def verify_compact_form(
     check; substituting the identity metric breaks the inversion component
     whenever field coupling is present (negative control).
     """
-    explicit = heisenberg_rhs_sigma(space, params, l, t, cache=cache)
-    compact = compact_rhs(space, params, l, t, metric=metric, cache=cache)
+    explicit = heisenberg_rhs_sigma(space, params, l, t)
+    compact = compact_rhs(space, params, l, t, metric=metric)
     return (compact - explicit).max_abs()
 
 
@@ -891,25 +851,19 @@ class EhrenfestReport:
         return self.tolerance is None or self.max_deviation <= self.tolerance
 
 
-def _rhs_operator_for(
-    space: SpaceIndex,
-    params: SystemParams,
-    name: str,
-    t: float,
-    cache: OperatorCache,
-) -> Operator:
+def _rhs_operator_for(space: SpaceIndex, params: SystemParams, name: str, t: float) -> Operator:
     if name.startswith(("sigma_minus_", "sigma_plus_", "sigma_z_")):
         l = int(name.rsplit("_", 1)[1])
-        rhs = heisenberg_rhs_sigma(space, params, l, t, cache=cache)
+        rhs = heisenberg_rhs_sigma(space, params, l, t)
         if name.startswith("sigma_minus_"):
             return rhs.minus
         if name.startswith("sigma_plus_"):
             return rhs.plus
         return rhs.z
     if name.startswith("a_"):
-        return heisenberg_rhs_field(space, params, int(name[2:]), t, cache)[0]
+        return heisenberg_rhs_field(space, params, int(name[2:]), t)[0]
     if name.startswith("b_"):
-        return heisenberg_rhs_phonon(space, params, int(name[2:]), cache)[0]
+        return heisenberg_rhs_phonon(space, params, int(name[2:]))[0]
     raise KeyError(f"no equation of motion for observable {name!r}")
 
 
@@ -938,13 +892,12 @@ def ehrenfest_check(
     series = traj.observable(observable)
     fd = (series[2:] - series[:-2]) / (2.0 * h)
 
-    cache = operator_cache(space)
     static = CompiledModel(params).is_static
-    rhs_op = _rhs_operator_for(space, params, observable, traj.times[0], cache)
+    rhs_op = _rhs_operator_for(space, params, observable, traj.times[0])
     expectations = np.empty(len(traj) - 2, dtype=np.complex128)
     for i in range(1, len(traj) - 1):
         if not static:
-            rhs_op = _rhs_operator_for(space, params, observable, traj.times[i], cache)
+            rhs_op = _rhs_operator_for(space, params, observable, traj.times[i])
         expectations[i - 1] = rhs_op.expect(traj.states[:, i])
     deviations = np.abs(fd - expectations)
     return EhrenfestReport(

@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -249,62 +249,66 @@ class OperatorCache:
     Building the Kronecker embeddings dominates Hamiltonian construction;
     the cache makes repeated builds (time-dependent evaluation, equation
     oracles) cheap.  Its operators are shared, never modified in place.
+    Every builder reads the shared cache of its space (``for_space``), and a
+    new cache becomes that shared cache, so each space is built once.
     """
+
+    _shared: dict[SpaceIndex, "OperatorCache"] = {}  # least recently used first
 
     def __init__(self, space: SpaceIndex):
         self.space = space
-        self.unit = identity(space, "I")  # one identity for every site and mode
+        self.unit = identity(space)  # one identity for every site and mode
         self.sigma = [build_transition_set(space, v) for v in range(space.n_sites)]
-        self.sigma_x = [
-            embed_local(space, space.site_slot(v), SIGMA_X_LOCAL, f"sigma_x[{v}]")
-            for v in range(space.n_sites)
-        ]
-        self.a = embed_modes(space, "field", annihilation_local, "a")
+        self.sigma_x = [embed_local(space, space.site_slot(v), SIGMA_X_LOCAL) for v in range(space.n_sites)]
+        self.a = embed_modes(space, "field", annihilation_local)
         self.a_dag = [op.dag() for op in self.a]
-        self.a_num = embed_modes(space, "field", number_local, "n")
-        self.b = embed_modes(space, "phonon", annihilation_local, "b")
+        self.a_num = embed_modes(space, "field", number_local)
+        self.b = embed_modes(space, "phonon", annihilation_local)
         self.b_dag = [op.dag() for op in self.b]
-        self.b_num = embed_modes(space, "phonon", number_local, "nb")
+        self.b_num = embed_modes(space, "phonon", number_local)
+        self._share()
+
+    def _share(self):
+        """Make this the shared cache of its space, the most recently used one."""
+        shared = OperatorCache._shared
+        shared.pop(self.space, None)
+        shared[self.space] = self
+        if len(shared) > 2:  # a 16-site cache holds 77.5 MiB: keep few alive
+            del shared[next(iter(shared))]
 
     @classmethod
-    @lru_cache(maxsize=2)  # a 16-site cache holds 77.5 MiB: keep few alive
     def for_space(cls, space: SpaceIndex) -> "OperatorCache":
-        """The one cache shared by every caller on an equal ``space``."""
-        return cls(space)
-
-
-def operator_cache(space: SpaceIndex, cache: OperatorCache | None = None) -> OperatorCache:
-    """``cache`` when given, else the shared cache of ``space``."""
-    return cache if cache is not None else OperatorCache.for_space(space)
+        """The one cache shared by every caller on an equal ``space``, built on first use."""
+        cache = cls._shared.get(space) or cls(space)
+        cache._share()
+        return cache
 
 
 # -- Hamiltonian builders -------------------------------------------------------
 
 
-def build_h0(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
+def build_h0(space: SpaceIndex, params: SystemParams) -> Operator:
     """Bare chain Hamiltonian: per-site level energies, diagonal.
 
     Equals ``sum_v [ (omega_v / 2) sigma_z_v + (E_low + E_up)/2 * unit ]``.
     """
-    ops = operator_cache(space, cache)
-    h = zero(space, "H0")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     for v, (e_low, e_up) in enumerate(params.site_energies):
         omega_v = e_up - e_low
         shift = 0.5 * (e_low + e_up)
         h = h + 0.5 * omega_v * ops.sigma[v].z + shift * ops.unit
-    return h.with_tag("H0")
+    return h
 
 
-def build_exchange(
-    space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None
-) -> Operator:
+def build_exchange(space: SpaceIndex, params: SystemParams) -> Operator:
     """Isotropic nearest-neighbour exchange, Hermitian conjugate included.
 
     ``sum_bonds [ J (s+ s- + s- s+ + z z / 2) + H.c. ]`` -- the bracket is
     already Hermitian, so the conjugate doubles it (effective coupling 2J).
     """
-    ops = operator_cache(space, cache)
-    h = zero(space, "HJ")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     j = params.exchange_j
     if j == 0.0 or space.n_sites < 2:
         return h
@@ -312,36 +316,31 @@ def build_exchange(
         sv, sw = ops.sigma[v], ops.sigma[w]
         term = j * (sv.plus @ sw.minus + sv.minus @ sw.plus + 0.5 * (sv.z @ sw.z))
         h = h + term + term.dag()
-    return h.with_tag("HJ")
+    return h
 
 
-def build_hc(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
+def build_hc(space: SpaceIndex, params: SystemParams) -> Operator:
     """Chain Hamiltonian: bare levels plus exchange."""
-    return (build_h0(space, params, cache) + build_exchange(space, params, cache)).with_tag("HC")
+    return build_h0(space, params) + build_exchange(space, params)
 
 
-def build_hf(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
+def build_hf(space: SpaceIndex, params: SystemParams) -> Operator:
     """Free field Hamiltonian: sum_k omega_k (n_k + 1/2)."""
-    ops = operator_cache(space, cache)
-    h = zero(space, "HF")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     for k, mode in enumerate(params.field_modes):
         h = h + mode.omega * (ops.a_num[k] + 0.5 * ops.unit)
-    return h.with_tag("HF")
+    return h
 
 
-def build_hcf(
-    space: SpaceIndex,
-    params: SystemParams,
-    t: float = 0.0,
-    cache: OperatorCache | None = None,
-) -> Operator:
+def build_hcf(space: SpaceIndex, params: SystemParams, t: float = 0.0) -> Operator:
     """Site-field coupling at time t (non-RWA).
 
     ``sum_jk [ q_jk(t) sigma_x_j a_k + sigma_x_j a_k^dag q_jk(t)^* ]``,
     Hermitian at every t.
     """
-    ops = operator_cache(space, cache)
-    h = zero(space, "HCF")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     for k in range(len(params.field_modes)):
         for j in range(params.n_sites):
             q = coupling_q(params, j, k, t)
@@ -349,38 +348,33 @@ def build_hcf(
                 continue
             term = q * (ops.sigma_x[j] @ ops.a[k])
             h = h + term + term.dag()
-    return h.with_tag("HCF")
+    return h
 
 
-def build_hdrive(
-    space: SpaceIndex,
-    params: SystemParams,
-    t: float = 0.0,
-    cache: OperatorCache | None = None,
-) -> Operator:
+def build_hdrive(space: SpaceIndex, params: SystemParams, t: float = 0.0) -> Operator:
     """Classical drive term: sum_j drive_field(j, t) sigma_x_j."""
-    ops = operator_cache(space, cache)
-    h = zero(space, "Hdrive")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     for j in range(params.n_sites):
         amp = drive_field(params, j, t)
         if amp != 0.0:
             h = h + amp * ops.sigma_x[j]
-    return h.with_tag("Hdrive")
+    return h
 
 
-def build_hp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
+def build_hp(space: SpaceIndex, params: SystemParams) -> Operator:
     """Free phonon Hamiltonian: sum_q nu_q (n_q + 1/2)."""
-    ops = operator_cache(space, cache)
-    h = zero(space, "HP")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     for q, mode in enumerate(params.phonon_modes):
         h = h + mode.nu * (ops.b_num[q] + 0.5 * ops.unit)
-    return h.with_tag("HP")
+    return h
 
 
-def build_hcp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None) -> Operator:
+def build_hcp(space: SpaceIndex, params: SystemParams) -> Operator:
     """Site-phonon coupling: sum_jq lambda_q (b_q^dag + b_q) sigma_z_j."""
-    ops = operator_cache(space, cache)
-    h = zero(space, "HCP")
+    ops = OperatorCache.for_space(space)
+    h = zero(space)
     for q, mode in enumerate(params.phonon_modes):
         lam = mode.coupling
         if lam == 0.0:
@@ -388,7 +382,7 @@ def build_hcp(space: SpaceIndex, params: SystemParams, cache: OperatorCache | No
         b_plus_bdag = ops.b[q] + ops.b_dag[q]
         for j in range(params.n_sites):
             h = h + lam * (b_plus_bdag @ ops.sigma[j].z)
-    return h.with_tag("HCP")
+    return h
 
 
 def _weighted_sum(space: SpaceIndex, weights, ops: list[Operator]) -> Operator:
@@ -408,14 +402,14 @@ class TotalHamiltonian:
     """
 
     def __init__(self, space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None):
-        ops = operator_cache(space, cache)
+        ops = OperatorCache.for_space(space)
         model = CompiledModel(params)
         self.space, self.params, self.cache, self.model = space, params, ops, model
         self.static = (
-            build_hc(space, params, ops)
-            + build_hf(space, params, ops)
-            + build_hp(space, params, ops)
-            + build_hcp(space, params, ops)
+            build_hc(space, params)
+            + build_hf(space, params)
+            + build_hp(space, params)
+            + build_hcp(space, params)
         )
         blocks = [_weighted_sum(space, model.q0[:, k], ops.sigma_x) @ ops.a[k] for k in range(model.n_field)]
         self._terms: list[Operator] = []
@@ -466,7 +460,7 @@ class TotalHamiltonian:
             return self.static
         values, indices, indptr = self._union
         data = values @ np.concatenate(([1.0], self._coefficients(t)))
-        return Operator(sparse.csr_matrix((data, indices, indptr), shape=(self.space.dim,) * 2), self.static.tag)
+        return Operator(sparse.csr_matrix((data, indices, indptr), shape=(self.space.dim,) * 2))
 
     def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
         """H(t) |psi> without assembling the summed matrix."""

@@ -189,48 +189,44 @@ class Operator:
     share across workers.
     """
 
-    __slots__ = ("matrix", "dim", "tag")
+    __slots__ = ("matrix", "dim")
 
-    def __init__(self, matrix, tag: str = ""):
+    def __init__(self, matrix):
         mat = sparse.csr_matrix(matrix, dtype=np.complex128)
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got {mat.shape}")
         self.matrix = mat
         self.dim = mat.shape[0]
-        self.tag = tag
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Operator"):
         if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim} "
-                f"({self.tag!r} vs {other.tag!r})"
-            )
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.matrix + other.matrix, self.tag)
+        return Operator(self.matrix + other.matrix)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.matrix - other.matrix, self.tag)
+        return Operator(self.matrix - other.matrix)
 
     def __neg__(self) -> "Operator":
-        return Operator(-self.matrix, self.tag)
+        return Operator(-self.matrix)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.matrix * scalar, self.tag)
+        return Operator(self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.matrix @ other.matrix, self.tag)
+        return Operator(self.matrix @ other.matrix)
 
     def dag(self) -> "Operator":
         """Hermitian adjoint."""
-        return Operator(self.matrix.conjugate().transpose().tocsr(), self.tag)
+        return Operator(self.matrix.conjugate().transpose().tocsr())
 
     # -- queries ------------------------------------------------------------
 
@@ -260,19 +256,16 @@ class Operator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def with_tag(self, tag: str) -> "Operator":
-        return Operator(self.matrix, tag)
-
     def __repr__(self) -> str:
-        return f"Operator(dim={self.dim}, nnz={self.matrix.nnz}, tag={self.tag!r})"
+        return f"Operator(dim={self.dim}, nnz={self.matrix.nnz})"
 
 
-def identity(space: SpaceIndex, tag: str = "I") -> Operator:
-    return Operator(sparse.identity(space.dim, dtype=np.complex128, format="csr"), tag)
+def identity(space: SpaceIndex) -> Operator:
+    return Operator(sparse.identity(space.dim, dtype=np.complex128, format="csr"))
 
 
-def zero(space: SpaceIndex, tag: str = "0") -> Operator:
-    return Operator(sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128), tag)
+def zero(space: SpaceIndex) -> Operator:
+    return Operator(sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128))
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -285,7 +278,7 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
     return a @ b + b @ a
 
 
-def embed_local(space: SpaceIndex, subsystem: int, local, tag: str = "") -> Operator:
+def embed_local(space: SpaceIndex, subsystem: int, local) -> Operator:
     """Embed a local operator at one tensor slot: I x .. x local x .. x I.
 
     Parameters
@@ -311,12 +304,12 @@ def embed_local(space: SpaceIndex, subsystem: int, local, tag: str = "") -> Oper
         mat = sparse.kron(sparse.identity(dim_before, format="csr"), mat, format="csr")
     if dim_after > 1:
         mat = sparse.kron(mat, sparse.identity(dim_after, format="csr"), format="csr")
-    return Operator(mat, tag)
+    return Operator(mat)
 
 
-def embed_modes(space: SpaceIndex, kind: str, local, name: str) -> list[Operator]:
+def embed_modes(space: SpaceIndex, kind: str, local) -> list[Operator]:
     """``local(cutoff)`` embedded at every mode of one kind ('field' or 'phonon'), in mode order."""
-    return [embed_local(space, pos, local(sub.dim - 1), f"{name}[{sub.label}]")
+    return [embed_local(space, pos, local(sub.dim - 1))
             for pos, sub in enumerate(space.subsystems) if sub.kind == kind]
 
 

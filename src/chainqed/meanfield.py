@@ -230,6 +230,15 @@ def mf_propagate(
     sm, sz, a, b = closure.split(y)
     sz = sz.copy()
     del y  # the solver's state block is not needed past this point
+    records = _records(closure, times, sm, sz, a, b)
+    bloch = (records[f"bloch_{l}"] for l in range(closure.n))
+    meta = {"bloch_drift": max(float(np.max(np.abs(row - row[0]))) for row in bloch), "tol": tol,
+            "method": "DOP853", "kind": "meanfield", "rhs_evaluations": rhs_evaluations}
+    return Trajectory(times=times, records=records, meta=meta)
+
+
+def _records(closure: CompiledClosure, times, sm, sz, a, b) -> dict[str, np.ndarray]:
+    """The records of closure states (one column per time), named per site and mode."""
     bloch, s_plus = MeanFieldState(sm, sz, a, b).bloch_lengths(), np.conj(sm)
     records: dict[str, np.ndarray] = {}
     for l in range(closure.n):
@@ -244,9 +253,7 @@ def mf_propagate(
     records["energy"] = np.concatenate(
         [closure.energy(times[c], sm[:, c], sz[:, c], a[:, c], b[:, c]) for c in chunks]
     )
-    meta = {"bloch_drift": float(np.max(np.abs(bloch - bloch[:, :1]))), "tol": tol,
-            "method": "DOP853", "kind": "meanfield", "rhs_evaluations": rhs_evaluations}
-    return Trajectory(times=times, records=records, meta=meta)
+    return records
 
 
 # -- analytic Rabi oracle ---------------------------------------------------------
@@ -510,7 +517,8 @@ def volterra_diagnostics(
     a non-positive or non-finite ``renorm_interval``, and a run too short to
     fit at least five renormalization intervals; ``PropagationError`` before
     any integration when a compiled frequency, coupling or drive is
-    non-finite.
+    non-finite; ``ValueError`` before any integration, too, for an
+    observable that ``mf_propagate`` does not record.
     """
     t_span = t_end - mf0.time
     if not (np.isfinite(t_span) and t_span > 0.0):
@@ -526,7 +534,13 @@ def volterra_diagnostics(
             f"({n_intervals} renormalization intervals, need >= 5)"
         )
 
-    rhs = _run_closure(params, mf0).rhs
+    closure = _run_closure(params, mf0)
+    # the records of the start state alone name every record of the run
+    recorded = _records(closure, np.array([mf0.time]), *closure.split(mf0.pack()[:, None]))
+    unknown = [name for name in observables if name not in recorded]
+    if unknown:
+        raise ValueError(f"no record {unknown} in a mean-field run; available: {sorted(recorded)}")
+    rhs = closure.rhs
     base = mf_propagate(mf0, params, t_end, tol=tol, n_out=n_out)
     flatness = {
         name: spectral_flatness(spectrum(base, name, window="hann").power)

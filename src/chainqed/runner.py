@@ -73,7 +73,7 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"- {p}" for p in problems))
 
     def __reduce__(self):
-        # rebuilt from its problem list when a sweep worker sends it back
+        # rebuilt from its problem list when unpickled
         return ConfigError, (self.problems,)
 
 
@@ -229,7 +229,6 @@ _KINDS = {
     # a list, or one number that stands for every entry (see _per)
     "numbers": lambda v: v if isinstance(v, (list, float)) else _real(v),
     "str": lambda v: _must(isinstance(v, str), "a string", v),
-    "bool": lambda v: _must(isinstance(v, bool), "true or false", v),
     "int": lambda v: int(_must(isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer", v)),
     "real": _real,
     "complex": _complex,
@@ -385,7 +384,6 @@ _ROWS = (
     ("integrate.tol", "real", _POSITIVE, 1e-10),
     ("integrate.t_end", "real", _POSITIVE, 10.0),
     ("integrate.n_out", "int", _rule(f"between 2 and {N_OUT_MAX}", lambda v: 2 <= v <= N_OUT_MAX), 201),
-    ("integrate.keep_states", "bool", None, False),
     ("output", "mapping", None, {}),
     ("output.directory", "str", None, "out"),
     ("output.formats", "list", None, ["csv", "json"]),
@@ -792,10 +790,10 @@ def _write_trajectory(config: RunConfig, traj, out_dir: Path, basename: str) -> 
     return files
 
 
-def _exact_run(config: RunConfig, keep_states: bool = False) -> dynamics.Trajectory:
+def _exact_run(config: RunConfig) -> dynamics.Trajectory:
     space, integ = config.build_space(), config.integrate
     return dynamics.propagate(space, config.params, initial_state(config, space), integ["t_end"],
-                              tol=integ["tol"], n_out=integ["n_out"], keep_states=keep_states)
+                              tol=integ["tol"], n_out=integ["n_out"])
 
 
 def _mean_field_run(config: RunConfig) -> dynamics.Trajectory:
@@ -805,7 +803,7 @@ def _mean_field_run(config: RunConfig) -> dynamics.Trajectory:
 
 
 def _task_propagate(config: RunConfig, out_dir: Path, report: RunReport, **_):
-    traj = _exact_run(config, config.integrate["keep_states"])
+    traj = _exact_run(config)
     report.results["meta"] = traj.meta
     report.trajectory_files += _write_trajectory(config, traj, out_dir, config.output["basename"])
     report.checks.append(
@@ -898,11 +896,13 @@ def _set_by_path(raw: dict, dotted: str, value):
 
 
 def _run_sweep_point(args):
+    """(index, entry) of one point: its report, or the problem that stopped it."""
     raw, index, out_dir, verbose = args
-    config = config_from_dict(raw)
-    point_dir = Path(out_dir) / f"point_{index:03d}"
-    report = run(config, out_dir=point_dir, verbose=verbose)
-    return index, report.to_dict()
+    try:
+        report = run(config_from_dict(raw), out_dir=Path(out_dir) / f"point_{index:03d}", verbose=verbose)
+    except (ConfigError, dynamics.PropagationError) as exc:
+        return index, {"error": str(exc)}
+    return index, {"report": report.to_dict()}
 
 
 def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool, workers: int):
@@ -925,13 +925,12 @@ def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bo
         for job in jobs:
             index, rep = _run_sweep_point(job)
             results[index] = rep
-    report.results["points"] = [
-        {"value": sweep["values"][i], "report": results[i]} for i in sorted(results)
-    ]
+    report.results["points"] = [{"value": sweep["values"][i], **results[i]} for i in sorted(results)]
     report.results["path"] = sweep["path"]
-    # one check per point, measuring how many of the point's checks failed
+    # one check per point, measuring how many of the point's checks failed; a point stopped
+    # by a problem counts one
     for i in sorted(results):
-        failed = sum(not c["passed"] for c in results[i]["checks"])
+        failed = sum(not c["passed"] for c in results[i]["report"]["checks"]) if "report" in results[i] else 1
         report.checks.append(Check(f"point {i} ({sweep['path']} = {sweep['values'][i]})", 0, failed, failed == 0))
 
 

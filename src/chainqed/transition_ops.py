@@ -88,11 +88,11 @@ class TransitionSet:
 
     @property
     def unit(self) -> Operator:
-        return identity(self.space, f"sigma_e[{self.site}]")
+        return identity(self.space)
 
     @property
     def zero(self) -> Operator:
-        return zero(self.space, f"sigma_0[{self.site}]")
+        return zero(self.space)
 
     def extended(self) -> dict[str, Operator]:
         """The closed extended set keyed by name."""
@@ -113,9 +113,9 @@ def build_transition_set(space: SpaceIndex, site: int) -> TransitionSet:
     return TransitionSet(
         site=site,
         space=space,
-        minus=embed_local(space, slot, SIGMA_MINUS_LOCAL, f"sigma_minus[{site}]"),
-        plus=embed_local(space, slot, SIGMA_PLUS_LOCAL, f"sigma_plus[{site}]"),
-        z=embed_local(space, slot, SIGMA_Z_LOCAL, f"sigma_z[{site}]"),
+        minus=embed_local(space, slot, SIGMA_MINUS_LOCAL),
+        plus=embed_local(space, slot, SIGMA_PLUS_LOCAL),
+        z=embed_local(space, slot, SIGMA_Z_LOCAL),
     )
 
 

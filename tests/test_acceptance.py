@@ -430,13 +430,11 @@ def test_criterion_09_phonon_memory_kernel():
     rng = np.random.default_rng(INVARIANT_SEED)
     params = draw_params(space, rng)
     cache = OperatorCache(space)
-    hcp = build_hcp(space, params, cache)
+    hcp = build_hcp(space, params)
     direct_err = 0.0
     for l in range(2):
         for component in ("minus", "plus"):
-            direct = sigma_phonon_correction(
-                space, params, l, component=component, cache=cache
-            )
+            direct = sigma_phonon_correction(space, params, l, component=component)
             sig = getattr(cache.sigma[l], component)
             direct_err = max(
                 direct_err, (direct - 1j * commutator(hcp, sig)).max_abs()

@@ -395,7 +395,7 @@ def test_records_match_embedded_operator_expectations(field_cutoffs, phonon_cuto
     traj = propagate(space, params, psi0, 3.0, n_out=dynamics.RECORD_CHUNK + 5, keep_states=True)
     assert traj.meta["method"] == method
     ops = OperatorCache(space)
-    top = {kind: embed_modes(space, kind, top_level_projector_local, "top") for kind in ("field", "phonon")}
+    top = {kind: embed_modes(space, kind, top_level_projector_local) for kind in ("field", "phonon")}
     oracle = {}
     for l, sig in enumerate(ops.sigma):
         oracle.update({f"sigma_minus_{l}": sig.minus, f"sigma_plus_{l}": sig.plus, f"sigma_z_{l}": sig.z})
@@ -547,10 +547,9 @@ def literal_phonon_system():
 
 def _term_sum_parts(space, params):
     """The per-term builders' sum, independent of TotalHamiltonian: (fixed matrix, H_CF(t) + H_drive(t))."""
-    ops = OperatorCache(space)
-    fixed = (build_hc(space, params, ops) + build_hf(space, params, ops) + build_hp(space, params, ops)
-             + build_hcp(space, params, ops)).matrix
-    return fixed, lambda t: build_hcf(space, params, t, ops) + build_hdrive(space, params, t, ops)
+    fixed = (build_hc(space, params) + build_hf(space, params) + build_hp(space, params)
+             + build_hcp(space, params)).matrix
+    return fixed, lambda t: build_hcf(space, params, t) + build_hdrive(space, params, t)
 
 
 @pytest.mark.parametrize(
@@ -634,7 +633,7 @@ def test_mean_field_path_refuses_a_non_finite_model(model, probe):
 def test_free_precession_rhs(free_site):
     space, params = free_site
     cache = OperatorCache(space)
-    rhs = heisenberg_rhs_sigma(space, params, 0, cache=cache)
+    rhs = heisenberg_rhs_sigma(space, params, 0)
     assert (rhs.minus - (-1j) * cache.sigma[0].minus).max_abs() <= 1e-15
     assert (rhs.plus - 1j * cache.sigma[0].plus).max_abs() <= 1e-15
     assert rhs.z.max_abs() == 0.0
@@ -666,7 +665,7 @@ def test_field_rhs_free_oscillator():
         field_modes=(FieldMode(omega=0.9, amplitude=0.0),), dipole=(0.0,)
     )
     cache = OperatorCache(space)
-    rhs_a, rhs_adag = heisenberg_rhs_field(space, params, 0, cache=cache)
+    rhs_a, rhs_adag = heisenberg_rhs_field(space, params, 0)
     assert (rhs_a - (-0.9j) * cache.a[0]).max_abs() <= 1e-15
     assert (rhs_adag - rhs_a.dag()).max_abs() == 0.0
 
@@ -689,7 +688,7 @@ def test_phonon_rhs_and_diagonal_source():
         phonon_modes=(PhononMode(nu=0.6, coupling=0.2),),
     )
     cache = OperatorCache(space)
-    rhs_b, _ = heisenberg_rhs_phonon(space, params, 0, cache)
+    rhs_b, _ = heisenberg_rhs_phonon(space, params, 0)
     source = rhs_b - (-0.6j) * cache.b[0]
     dense = source.to_dense()
     assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0  # diagonal
@@ -697,7 +696,7 @@ def test_phonon_rhs_and_diagonal_source():
         site_energies=params.site_energies,
         phonon_modes=(PhononMode(nu=0.6, coupling=0.0),),
     )
-    rhs_free, _ = heisenberg_rhs_phonon(space, params_free, 0, cache)
+    rhs_free, _ = heisenberg_rhs_phonon(space, params_free, 0)
     assert (rhs_free - (-0.6j) * cache.b[0]).max_abs() <= 1e-15
 
 
@@ -734,9 +733,9 @@ def test_phonon_correction_zero_without_coupling():
 def test_phonon_correction_direct_matches_commutator(phonon_system, component):
     space, params = phonon_system
     cache = OperatorCache(space)
-    hcp = build_hcp(space, params, cache)
+    hcp = build_hcp(space, params)
     for l in range(2):
-        direct = sigma_phonon_correction(space, params, l, component=component, cache=cache)
+        direct = sigma_phonon_correction(space, params, l, component=component)
         sig = getattr(cache.sigma[l], component)
         oracle = 1j * commutator(hcp, sig)
         assert (direct - oracle).max_abs() <= 1e-12
@@ -774,7 +773,7 @@ def test_memory_path_structure(phonon_system):
     t = 3.0
     corr = sigma_phonon_correction(
         space, params, 0, t, component="minus", path="memory",
-        history=history, cache=cache,
+        history=history,
     )
     lam, nu = params.phonon_modes[0].coupling, params.phonon_modes[0].nu
     free = (
@@ -805,8 +804,8 @@ def test_g_vector_single_mode_no_exchange():
         field_modes=(FieldMode(omega=1.0, amplitude=0.3, polarization_overlap=(1.0,)),),
     )
     cache = OperatorCache(space)
-    g = build_g_vector(space, params, 0, cache=cache)
-    b = field_coupling_operator(space, params, 0, 0.0, cache)
+    g = build_g_vector(space, params, 0)
+    b = field_coupling_operator(space, params, 0, 0.0)
     assert (g.minus - (-1.0) * b).max_abs() <= 1e-15
     assert (g.plus - (-1.0) * b).max_abs() <= 1e-15
     assert g.z.is_hermitian()
@@ -870,7 +869,7 @@ def test_compact_rhs_matches_commutator_directly():
     rng = np.random.default_rng(42)
     params = draw_params(space, rng)
     cache = OperatorCache(space)
-    rhs = compact_rhs(space, params, 0, cache=cache)
+    rhs = compact_rhs(space, params, 0)
     for comp, op in (("minus", cache.sigma[0].minus),
                      ("plus", cache.sigma[0].plus),
                      ("z", cache.sigma[0].z)):
@@ -900,7 +899,7 @@ def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(monkeypatc
         init(self, space)
 
     monkeypatch.setattr(OperatorCache, "__init__", counted)
-    OperatorCache.for_space.cache_clear()
+    monkeypatch.setattr(OperatorCache, "_shared", {})
     space = build_space(SpaceSpec(3, (ModeSpec(2),), (ModeSpec(2),)))
     rng = np.random.default_rng(28)
     before = None
@@ -921,6 +920,26 @@ def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(monkeypatc
     assert len(after) == 1 + 3 * 4 + 6  # unit; minus, plus, z, sigma_x per site; a, a_dag, n, b, b_dag, nb
     for old, new in zip(before, after):
         assert all(np.array_equal(x, y) for x, y in zip(old[1:], new[1:])), old[0]
+
+
+def test_a_caller_built_cache_serves_the_hamiltonian_and_both_oracles(monkeypatch):
+    builds = []
+    init = OperatorCache.__init__
+
+    def counted(self, space):
+        builds.append(space)
+        init(self, space)
+
+    monkeypatch.setattr(OperatorCache, "__init__", counted)
+    monkeypatch.setattr(OperatorCache, "_shared", {})
+    space = build_space(SpaceSpec(2, (ModeSpec(3),), (ModeSpec(1),)))
+    params = draw_params(space, np.random.default_rng(13))
+    cache = OperatorCache(space)
+    ham = TotalHamiltonian(space, params, cache)
+    assert max(verify_heisenberg_identities(space, params).values()) <= 1e-11
+    assert verify_compact_form(space, params, 0) <= 1e-10
+    assert ham.cache is cache and OperatorCache.for_space(space) is cache
+    assert len(builds) == 1
 
 
 # -- Ehrenfest consistency ------------------------------------------------------------------

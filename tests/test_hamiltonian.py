@@ -21,7 +21,6 @@ from chainqed.hamiltonian import (
     build_hf,
     build_hp,
     coupling_q,
-    operator_cache,
 )
 from chainqed.dynamics import propagate
 from chainqed.hilbert import ModeSpec, Operator, SpaceSpec, build_space, commutator, identity
@@ -242,7 +241,7 @@ def test_hf_commutes_with_number():
         site_energies=((-0.5, 0.5),), field_modes=(FieldMode(omega=1.1),)
     )
     cache = OperatorCache(space)
-    assert commutator(build_hf(space, params, cache), cache.a_num[0]).max_abs() == 0.0
+    assert commutator(build_hf(space, params), cache.a_num[0]).max_abs() == 0.0
 
 
 def test_hp_hcp_basics():
@@ -257,7 +256,7 @@ def test_hp_hcp_basics():
         phonon_modes=(PhononMode(nu=0.4, coupling=0.15),),
     )
     cache = OperatorCache(space)
-    hcp = build_hcp(space, params, cache)
+    hcp = build_hcp(space, params)
     assert hcp.is_hermitian()
     for j in range(2):
         assert commutator(hcp, cache.sigma[j].z).max_abs() == 0.0
@@ -280,16 +279,15 @@ def test_hp_ground_energy():
 # -- total Hamiltonian -----------------------------------------------------------------
 
 
-def term_sum(space, params, t, cache=None):
+def term_sum(space, params, t):
     """Reference H(t): the sum of the independent per-term builders."""
-    ops = cache if cache is not None else OperatorCache(space)
     return (
-        build_hc(space, params, ops)
-        + build_hf(space, params, ops)
-        + build_hcf(space, params, t, ops)
-        + build_hp(space, params, ops)
-        + build_hcp(space, params, ops)
-        + build_hdrive(space, params, t, ops)
+        build_hc(space, params)
+        + build_hf(space, params)
+        + build_hcf(space, params, t)
+        + build_hp(space, params)
+        + build_hcp(space, params)
+        + build_hdrive(space, params, t)
     )
 
 
@@ -377,7 +375,7 @@ def test_total_hamiltonian_precompiled_matches_builder():
             assert ham.is_static == (coupling_mode == STATIC_PHASE and case == "undriven")
             psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
             for t in (0.0, 0.83, 4.2):
-                h_ref = term_sum(space, params, t, ham.cache)
+                h_ref = term_sum(space, params, t)
                 assert (ham.at(t) - h_ref).max_abs() <= 1e-13, (coupling_mode, case, t)
                 assert_allclose(ham.apply(t, psi), h_ref.to_dense() @ psi, atol=1e-12)
 
@@ -395,7 +393,7 @@ def test_at_reads_one_pattern_and_matches_term_sum():
         for t in (0.0, *rng.uniform(0, 30, size=4)):
             h = ham.at(t)
             assert h.matrix.nnz in nnz
-            assert (h - term_sum(space, params, t, ham.cache)).max_abs() <= 1e-14, (coupling_mode, t)
+            assert (h - term_sum(space, params, t)).max_abs() <= 1e-14, (coupling_mode, t)
 
 
 def test_at_of_a_static_hamiltonian_is_the_static_operator():
@@ -435,12 +433,11 @@ def test_propagation_with_a_site_listed_twice_matches_term_sum():
     times = np.linspace(0.0, 12.0, 7)
     traj = propagate(space, params, psi0, times[-1], t_eval=times, tol=1e-11, keep_states=True)
     assert traj.meta["method"] == "interaction+DOP853"
-    ops = OperatorCache(space)
     # the term sum with its time-independent builders assembled once (static phase: H_CF is fixed)
     assert params.coupling_mode == STATIC_PHASE
-    fixed = (build_hc(space, params, ops) + build_hf(space, params, ops) + build_hcf(space, params, 0.0, ops)
-             + build_hp(space, params, ops) + build_hcp(space, params, ops)).matrix
-    ref = solve_ivp(lambda t, psi: -1j * (fixed @ psi + build_hdrive(space, params, t, ops).matrix @ psi),
+    fixed = (build_hc(space, params) + build_hf(space, params) + build_hcf(space, params, 0.0)
+             + build_hp(space, params) + build_hcp(space, params)).matrix
+    ref = solve_ivp(lambda t, psi: -1j * (fixed @ psi + build_hdrive(space, params, t).matrix @ psi),
                     (0.0, times[-1]), psi0, method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
 
@@ -471,9 +468,8 @@ def test_equal_spaces_share_one_cache():
     first, second = build_space(spec), build_space(spec)
     assert first is not second and first == second
     assert OperatorCache.for_space(first) is OperatorCache.for_space(second)
-    assert operator_cache(second) is OperatorCache.for_space(first)
-    own = OperatorCache(first)
-    assert operator_cache(first, own) is own
+    own = OperatorCache(first)  # a cache built by a caller becomes the shared one
+    assert OperatorCache.for_space(second) is own
 
 
 def test_shared_caches_stay_bounded(monkeypatch):
@@ -485,10 +481,10 @@ def test_shared_caches_stay_bounded(monkeypatch):
         init(self, space)
 
     monkeypatch.setattr(OperatorCache, "__init__", counted)
-    OperatorCache.for_space.cache_clear()
+    monkeypatch.setattr(OperatorCache, "_shared", {})
     spaces = [build_space(SpaceSpec(n)) for n in (1, 2, 3)]
     caches = [OperatorCache.for_space(space) for space in spaces]
-    assert OperatorCache.for_space.cache_info().currsize == 2
+    assert len(OperatorCache._shared) == 2
     assert OperatorCache.for_space(spaces[2]) is caches[2]
     assert OperatorCache.for_space(spaces[1]) is caches[1]
     assert OperatorCache.for_space(spaces[0]) is not caches[0]  # the oldest was evicted

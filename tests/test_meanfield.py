@@ -577,6 +577,15 @@ def test_volterra_field_only_classified_periodic():
     assert report.classification == "periodic"
 
 
+def test_volterra_refuses_an_unrecorded_observable_before_integrating(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integrated before checking the observables")
+
+    monkeypatch.setattr(meanfield, "solve_ivp", no_solve)
+    with pytest.raises(ValueError, match=r"no record \['sigma_z_1'\].*available: .*'sigma_z_0'"):
+        volterra_diagnostics(single_site_params(omega=1.0), mf_single(), 300.0, observables=("sigma_z_1",))
+
+
 def test_volterra_driven_chain_emits_classification():
     # exploratory: a strongly driven exchange chain; the pipeline must
     # return a classification with confidence numbers, whatever the regime

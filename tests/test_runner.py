@@ -195,7 +195,6 @@ MALFORMED = [
     ("params.exchange_j", True, "params.exchange_j"),
     ("params.field_modes.0.omega", True, "params.field_modes[0].omega"),
     ("integrate.n_out", 2.7, "integrate.n_out"),
-    ("integrate.keep_states", "no", "integrate.keep_states"),
 ]
 
 
@@ -239,6 +238,7 @@ def test_each_fault_reported_once(path, value, named):
 UNKNOWN_KEYS = [
     # (dotted path into the valid config, value holding a key no row names, that key's config path)
     ("integrate.t_ned", 5, "integrate.t_ned"),
+    ("integrate.keep_states", "no", "integrate.keep_states"),
     ("params.drives", [{"amplitude": 0.1, "freq": 1.0}], "params.drives[0].freq"),
     ("initial.field_modes", [{"kind": "coherent", "beta": 0.5}], "initial.field_modes[0].beta"),
     # the entries of sweep.values are values, not keys
@@ -361,7 +361,7 @@ def test_cli_fock_field_state_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cli_sweep_point_with_fock_field_state_exits_2(tmp_path, capsys, workers):
+def test_cli_sweep_point_with_fock_field_state_fails_that_point(tmp_path, capsys, workers):
     text = FOCK_FIELD.replace("task: propagate", "task: sweep").replace("n: 1}", "n: 0}") + """
 sweep:
   path: initial.field_modes.0.n
@@ -370,9 +370,13 @@ sweep:
 """
     path = write_config(tmp_path, text)
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--workers", str(workers)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "initial.field_modes[0]" in err and "Traceback" not in err
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "PASS point 0 (initial.field_modes.0.n = 0)" in captured.out
+    assert "FAIL point 1 (initial.field_modes.0.n = 1)" in captured.out
+    assert "Traceback" not in captured.err
+    points = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["points"]
+    assert "initial.field_modes[0]" in points[1]["error"]
     # a sweep whose subtask is mean-field is refused at validation
     path.write_text(text.replace("n: 0}", "n: 1}"))
     with pytest.raises(ConfigError) as exc:
@@ -743,12 +747,12 @@ sweep:
         assert serial == parallel
 
 
-def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces the sweep's process pool by one that maps in this process; returns the worker counts asked for."""
     pools = []
 
     class SerialPool:
-        """Stands in for the process pool: notes its worker count, maps in this process."""
-
         def __init__(self, max_workers):
             pools.append(max_workers)
 
@@ -762,6 +766,10 @@ def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, serial_pool):
     text = COUPLED.replace("task: propagate", "task: sweep") + """
 sweep:
   path: params.field_modes.0.amplitude
@@ -772,7 +780,47 @@ sweep:
     for workers in (512, 2):
         report = run(load_config(config_path), out_dir=tmp_path / f"w{workers}", workers=workers)
         assert len(report.results["points"]) == 3
-    assert pools == [3, 2]
+    assert serial_pool == [3, 2]
+
+
+SWEEP_SITES = """
+task: sweep
+space: {n_sites: 1}
+params: {omegas: 1.0}
+integrate: {t_end: 2.0, n_out: 11}
+sweep: {path: space.n_sites, values: [1, 0, 2, 3], task: propagate}
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reports_every_point_when_some_fail(tmp_path, capsys, monkeypatch, serial_pool, workers):
+    propagate = runner.dynamics.propagate
+
+    def failing_at_three_sites(space, *args, **kwargs):
+        if space.n_sites == 3:
+            raise runner.dynamics.PropagationError("propagation failed: step size underflow")
+        return propagate(space, *args, **kwargs)
+
+    monkeypatch.setattr(runner.dynamics, "propagate", failing_at_three_sites)
+    path, out = write_config(tmp_path, SWEEP_SITES), tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 1
+    captured = capsys.readouterr()
+    for i, (value, status) in enumerate([(1, "PASS"), (0, "FAIL"), (2, "PASS"), (3, "FAIL")]):
+        assert f"{status} point {i} (space.n_sites = {value})" in captured.out
+    assert "Traceback" not in captured.err
+    points = json.loads((out / "report.json").read_text())["results"]["points"]
+    assert [p["value"] for p in points] == [1, 0, 2, 3]
+    assert "space.n_sites must be positive" in points[1]["error"]
+    assert points[3]["error"] == "propagation failed: step size underflow"
+    assert [p["report"]["task"] for p in (points[0], points[2])] == ["propagate"] * 2
+    assert serial_pool == ([2] if workers > 1 else [])
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("not a problem of the point")
+
+    monkeypatch.setattr(runner.dynamics, "propagate", broken)
+    with pytest.raises(ZeroDivisionError):  # any other exception still ends the sweep
+        run(load_config(path), out_dir=tmp_path / "again", workers=workers)
 
 
 def test_draw_params_reproducible():
