@@ -214,7 +214,6 @@ class CompiledModel:
         self.bond_v, self.bond_w = bonds.T
         self.nu = np.array([m.nu for m in params.phonon_modes], dtype=float)
         self.lam = np.array([m.coupling for m in params.phonon_modes], dtype=float)
-        self.phonon_coupled = bool(np.any(self.lam))
         sites = np.arange(n)
         table = np.array(
             [np.ones(n) if d.sites is None else np.isin(sites, d.sites) for d in params.drives], dtype=float

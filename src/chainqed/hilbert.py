@@ -192,11 +192,13 @@ class Operator:
     __slots__ = ("matrix", "dim")
 
     def __init__(self, matrix):
-        mat = sparse.csr_matrix(matrix, dtype=np.complex128)
-        if mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got {mat.shape}")
-        self.matrix = mat
-        self.dim = mat.shape[0]
+        # an arithmetic result is already complex CSR: wrapping it again would re-check it
+        if not (isinstance(matrix, sparse.csr_matrix) and matrix.dtype == np.complex128):
+            matrix = sparse.csr_matrix(matrix, dtype=np.complex128)
+        if matrix.shape[0] != matrix.shape[1]:
+            raise DimensionMismatchError(f"operator must be square, got {matrix.shape}")
+        self.matrix = matrix
+        self.dim = matrix.shape[0]
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -85,6 +85,14 @@ def bloch_state(theta: float = 0.0, phi: float = 0.0) -> tuple[complex, float]:
     return 0.5 * np.sin(theta) * np.exp(1j * phi), -float(np.cos(theta))
 
 
+_ONE = np.ones(1)
+
+
+def _no_factors(t) -> np.ndarray:
+    """No time factors (a model without the literal coupling or without drives)."""
+    return _ONE[:0]
+
+
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + i im in one new array (no complex temporary)."""
     z = re.astype(np.complex128)
@@ -97,20 +105,91 @@ class CompiledClosure(CompiledModel):
 
     The compiled model (``hamiltonian.CompiledModel``) holds the couplings and drives that
     ``TotalHamiltonian`` reads too; this class adds the packing of the state vector, the
-    neighbour-sum indices, the right-hand side and the energy.  These are array operations
-    without a per-site loop; exchange sums run over the bond index arrays (no n x n
-    adjacency) and terms whose coefficients are all zero are skipped.  State arrays are
-    indexed site (or mode) first: one state, or a block with one column per time.
+    right-hand side and the energy.  State arrays are indexed site (or mode) first: one
+    state, or a block with one column per time.
+
+    The right-hand side is a quadratic polynomial in the packed state whose time
+    dependence enters only through the mode phases and the drive values, so it is
+    compiled once into a table of terms.  Term ``(o, i, j, m, c)`` adds
+    ``c * x[m] * x[i] * x[j]`` to ``dy[o]``, where ``x = [y, f(t)]`` and the time factors
+    are ``f(t) = [1, Re/Im of each phase(t) (literal coupling only), drive_values(t)]``:
+    ``i`` and ``j`` index ``y1 = [y, 1]`` and ``m`` indexes ``f(t)``.  Terms with a zero
+    coefficient are left out, and the terms whose ``m`` is the leading 1 come first, so
+    only the rest gather a time factor.  A right-hand side is then one concatenation,
+    the gathers and products over the table and one ``bincount``, whatever terms the
+    model holds.
     """
 
     def __init__(self, params: SystemParams):
         super().__init__(params)
-        # doubled: the site field is Re(2 q a), the mode source Re(s-) . 2 q*
-        self._q2, self._q2_conj = 2.0 * self.q0, 2.0 * self.q0.conj()
-        # neighbour sums of (Re s-, Im s-, s_z) as one bincount over 3n bins
-        rows = self.n * np.arange(3)[:, None]
-        self._nb_src = (np.concatenate([self.bond_w, self.bond_v]) + rows).ravel()
-        self._nb_dst = (np.concatenate([self.bond_v, self.bond_w]) + rows).ravel()
+        # doubled: the site field is Re(2 q a)
+        self._q2 = 2.0 * self.q0
+        self._size = 3 * self.n + 2 * self.n_field + 2 * self.n_phonon
+        self._o, self._i, self._j, m, self._c = self._term_table()
+        self._timed = int(np.count_nonzero(m == self._size))  # first term with a time factor
+        self._m = m[self._timed :]
+        # the parts of f(t) after its 1, chosen once: phases only under the literal coupling
+        self._phase_part = self._phase_re_im if self.literal else _no_factors
+        self._drive_part = self.drive_values if self.driven else _no_factors
+
+    def _term_table(self):
+        """(o, i, j, m, c) of the nonzero terms of the closed equations (``close_rhs``)."""
+        n, nf, nph = self.n, self.n_field, self.n_phonon
+        x, u, z = np.arange(n), np.arange(n, 2 * n), np.arange(2 * n, 3 * n)  # Re s-, Im s-, s_z
+        a_re, a_im = np.arange(3 * n, 3 * n + nf), np.arange(3 * n + nf, 3 * n + 2 * nf)
+        b_re = np.arange(3 * n + 2 * nf, 3 * n + 2 * nf + nph)
+        b_im = b_re + nph
+        one = self._size  # x[one] == y1[one] == f(t)[0] == 1
+        # the mode phase p_k = f[re_k] + i f[im_k] under the literal coupling, else p = 1
+        k = np.arange(nf)
+        re, im, live = (one + 1 + 2 * k, one + 2 + 2 * k, 1.0) if self.literal else (one, one, 0.0)
+        drive = one + 1 + 2 * nf * self.literal + np.arange(self.drive_table.shape[0])
+        q_re, q_im = self._q2.real, self._q2.imag
+        blocks = []
+
+        def add(o, i, j, c, m=one):
+            blocks.append([np.ravel(v) for v in np.broadcast_arrays(o, i, j, m, c)])
+
+        # precession: ds-/dt = -i omega s-
+        add(x, u, one, self.omega)
+        add(u, x, one, -self.omega)
+        # site field B = Re(2 q a p) + drives: ds-/dt += i s_z B, ds_z/dt -= 4 Im(s-) B
+        field = [(a_re, re, q_re), (a_re, im, -q_im * live), (a_im, im, -q_re * live),
+                 (a_im, re, -q_im), (one, drive, self.drive_table.T)]
+        for j, m, c in field:
+            add(u[:, None], z[:, None], j, c, m)
+            add(z[:, None], u[:, None], j, -4.0 * c, m)
+        # exchange over both directions of every bond: l gets S = s of its neighbour w
+        l, w = np.concatenate([self.bond_v, self.bond_w]), np.concatenate([self.bond_w, self.bond_v])
+        jj = 2.0 * self.exchange_j
+        add(x[l], z[l], u[w], -jj)  # ds-/dt += 2iJ (s_z S- - s- S_z)
+        add(x[l], u[l], z[w], jj)
+        add(u[l], z[l], x[w], jj)
+        add(u[l], x[l], z[w], -jj)
+        add(z[l], u[l], x[w], -4.0 * jj)  # ds_z/dt -= 8J Im(s- conj(S-))
+        add(z[l], x[l], u[w], 4.0 * jj)
+        # phonon shift: ds-/dt -= 4i (lambda . Re b) s-
+        add(x[:, None], u[:, None], b_re, 4.0 * self.lam)
+        add(u[:, None], x[:, None], b_re, -4.0 * self.lam)
+        # modes: da/dt = -i w a - i Re(s-) . 2 q* conj(p), db/dt = -i (nu b + lambda sum s_z)
+        add(a_re, a_im, one, self.w_field)
+        add(a_im, a_re, one, -self.w_field)
+        add(a_re, x[:, None], one, -q_im, re)
+        add(a_re, x[:, None], one, -q_re * live, im)
+        add(a_im, x[:, None], one, -q_re, re)
+        add(a_im, x[:, None], one, q_im * live, im)
+        add(b_re, b_im, one, self.nu)
+        add(b_im, b_re, one, -self.nu)
+        add(b_im, z[:, None], one, -self.lam)
+        o, i, j, m, c = (np.concatenate(parts) for parts in zip(*blocks))
+        # nonzero terms, those without a time factor first
+        keep = np.flatnonzero(c != 0)
+        keep = keep[np.argsort(m[keep] != one, kind="stable")]
+        return o[keep], i[keep], j[keep], m[keep], c[keep]
+
+    def _phase_re_im(self, t):
+        """Re and Im of each mode phase at time t, interleaved."""
+        return self.phase(t).view(float)
 
     def check(self, mf: MeanFieldState) -> CompiledClosure:
         """This closure, after refusing a state whose sizes differ from the parameters."""
@@ -136,28 +215,11 @@ class CompiledClosure(CompiledModel):
         return field
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Time derivative of the packed state (the equations of ``close_rhs``)."""
-        n, j = self.n, self.exchange_j
-        sm, sz, a, b = self.split(y)
-        phase = self.phase(t) if self.literal else None
-        ds_minus, ds_z = -1j * self.omega * sm, np.zeros(n)
-        if self.coupled or self.driven:
-            field = self.site_field(t, a * phase if self.literal else a)
-            ds_minus += 1j * sz * field
-            ds_z -= 4.0 * sm.imag * field
-        if j != 0.0:
-            nb = np.bincount(self._nb_dst, weights=y.take(self._nb_src), minlength=3 * n)
-            nb_minus, nb_z = nb[:n] + 1j * nb[n : 2 * n], nb[2 * n :]
-            ds_minus += 2j * j * (sz * nb_minus - sm * nb_z)
-            ds_z -= 8.0 * j * (sm * np.conj(nb_minus)).imag
-        if self.phonon_coupled:
-            ds_minus += -4j * (self.lam @ b.real) * sm
-        da = -1j * self.w_field * a
-        if self.coupled:
-            source = sm.real @ self._q2_conj
-            da -= 1j * (source * np.conj(phase) if self.literal else source)
-        db = -1j * (self.nu * b + self.lam * sz.sum()) if self.n_phonon else b
-        return _pack(ds_minus, ds_z, da, db)
+        """Time derivative of the packed state (the equations of ``close_rhs``), a new array."""
+        x = np.concatenate((y, _ONE, self._phase_part(t), self._drive_part(t)))
+        weights = self._c * x.take(self._i) * x.take(self._j)
+        weights[self._timed :] *= x.take(self._m)
+        return np.bincount(self._o, weights=weights, minlength=self._size)
 
     def energy(self, t, sm, sz, a, b):
         """Mean-field Hamiltonian function of one state, or per column of a block."""

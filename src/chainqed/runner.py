@@ -612,21 +612,38 @@ def export_trajectory(traj: dynamics.Trajectory, fmt: str, path: str | Path) -> 
             writer.writerows(np.vstack([block for _, block in columns]).T.tolist())
     elif fmt == "json":
         (_, times), *records = columns
-        payload = {
-            "times": times[0].tolist(),
-            "records": {
-                name: {"dtype": "real", "values": block[0].tolist()} if len(block) == 1
-                else {"dtype": "complex", "values": block.T.tolist()}
-                for name, block in records
-            },
-            "meta": _jsonable(traj.meta),
-        }
+        meta = json.dumps(_jsonable(traj.meta), indent=1).replace("\n", "\n ")
+        # the layout of json.dump(..., indent=1), written one record at a time
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{{\n "times": {_json_values(times, 1)},\n "records": {{')
+            for k, (name, block) in enumerate(records):
+                dtype = "real" if len(block) == 1 else "complex"
+                fh.write(f'{"," if k else ""}\n  {json.dumps(name)}: {{\n   "dtype": "{dtype}",\n'
+                         f'   "values": {_json_values(block, 3)}\n  }}')
+            fh.write(("\n }" if records else "}") + f',\n "meta": {meta}\n}}\n')
     else:
         raise ValueError(f"unknown trajectory format {fmt!r}")
     return path
+
+
+def _json_values(block: np.ndarray, level: int) -> str:
+    """A record block as ``json.dump(..., indent=1)`` writes its values at nesting ``level``:
+    a list of floats for one row, a list of ``[re, im]`` pairs for two.
+
+    The C encoder that ``json`` uses without ``indent`` is not available with it, so the
+    text is joined here from ``float.__repr__``, which is what ``json`` writes for a
+    finite float; ``nan`` and ``inf`` become ``NaN`` and ``Infinity`` as in ``json``.
+    """
+    if block.shape[1] == 0:
+        return "[]"
+    items = map(float.__repr__, block.T.ravel().tolist())  # re, im alternate for two rows
+    pad, close = "\n" + " " * (level + 1), "\n" + " " * level + "]"
+    if len(block) == 2:
+        inner = "\n" + " " * (level + 2)
+        # zip over one iterator pairs consecutive items: (re, im) of each point
+        items = (f"[{inner}{re},{inner}{im}{pad}]" for re, im in zip(items, items))
+    text = ("," + pad).join(items).replace("nan", "NaN").replace("inf", "Infinity")
+    return "[" + pad + text + close
 
 
 def import_trajectory(path: str | Path) -> dynamics.Trajectory:
@@ -680,10 +697,12 @@ class Check:
     tolerance: float
     measured: float
     passed: bool
+    reason: str = ""  # why the check could not run as asked; summary line only
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name}: measured {self.measured:.3e} vs tolerance {self.tolerance:.1e}"
+        line = f"{status} {self.name}: measured {self.measured:.3e} vs tolerance {self.tolerance:.1e}"
+        return f"{line} -- {' '.join(self.reason.split())}" if self.reason else line
 
 
 @dataclass
@@ -928,10 +947,11 @@ def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bo
     report.results["points"] = [{"value": sweep["values"][i], **results[i]} for i in sorted(results)]
     report.results["path"] = sweep["path"]
     # one check per point, measuring how many of the point's checks failed; a point stopped
-    # by a problem counts one
+    # by a problem counts one, and its summary line gives the problem
     for i in sorted(results):
         failed = sum(not c["passed"] for c in results[i]["report"]["checks"]) if "report" in results[i] else 1
-        report.checks.append(Check(f"point {i} ({sweep['path']} = {sweep['values'][i]})", 0, failed, failed == 0))
+        report.checks.append(Check(f"point {i} ({sweep['path']} = {sweep['values'][i]})", 0, failed, failed == 0,
+                                   results[i].get("error", "")))
 
 
 # The function that executes each task, called with the run's worker count and

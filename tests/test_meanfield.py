@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 
 from chainqed import meanfield
-from chainqed.dynamics import Trajectory, propagate
+from chainqed.dynamics import PropagationError, Trajectory, propagate
 from chainqed.hamiltonian import (
     ClassicalDrive,
     FieldMode,
@@ -259,11 +259,41 @@ AGREEMENT_CASES = list(
 @pytest.mark.parametrize("boundary,n,coupling_mode,drives,phonons", AGREEMENT_CASES)
 def test_compiled_closure_matches_site_equations(boundary, n, coupling_mode, drives, phonons):
     params, mf = _random_system(n, boundary, coupling_mode, drives, phonons, seed=n)
-    for t in (0.0, 0.37, 5.2):
+    # late times too, where the literal phase and the drives have turned many times
+    for t in (0.0, 0.37, 5.2, 250.0, 1000.0):
         got, want = close_rhs(mf, params, t).pack(), _oracle_rhs(mf, params, t).pack()
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         energy = _oracle_energy(mf, params, t)
         assert abs(mean_field_energy(mf, params, t) - energy) <= 1e-14 * max(1.0, abs(energy))
+
+
+def test_compiled_rhs_returns_a_new_array_on_every_call():
+    # scipy's DOP853 keeps the returned derivative between calls
+    params, mf = _random_system(3, "periodic", "literal_time_dependent", "subset", True, seed=5)
+    closure = meanfield.CompiledClosure(params)
+    y = mf.pack()
+    first, second = closure.rhs(0.0, y), closure.rhs(0.0, y)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, y) and not np.shares_memory(second, y)
+
+
+@pytest.mark.parametrize("coupling_mode", ["static_phase_at_t0", "literal_time_dependent"])
+def test_closure_with_a_nan_coupling_is_refused_before_integrating(monkeypatch, coupling_mode):
+    params = single_site_params(
+        coupling_mode=coupling_mode,
+        field_modes=(FieldMode(omega=1.0, amplitude=float("nan"), polarization_overlap=(1.0,)),),
+    )
+    mf0 = MeanFieldState([0.0], [-1.0], [0.0], [])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(meanfield, "solve_ivp", no_solve)
+    with pytest.raises(PropagationError, match="non-finite"):
+        mf_propagate(mf0, params, 1.0)
+    with pytest.raises(PropagationError, match="non-finite"):
+        volterra_diagnostics(params, mf0, 10.0, n_out=64)
 
 
 def test_mf_propagate_records_match_oracle_integration():

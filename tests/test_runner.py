@@ -384,6 +384,23 @@ sweep:
     assert _names_fock_field(exc.value.problems), exc.value.problems
 
 
+def test_cli_sweep_prints_why_a_point_was_refused(tmp_path, capsys):
+    text = """
+task: sweep
+space: {n_sites: 1}
+integrate: {t_end: 1.0, n_out: 5}
+sweep: {path: space.n_sites, values: [1, 0], task: propagate}
+"""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL point 1 (space.n_sites = 0)")]
+    assert len(failed) == 1
+    assert "space.n_sites must be positive, got 0" in failed[0]
+    point = json.loads((out / "report.json").read_text())["results"]["points"][1]
+    assert "space.n_sites must be positive, got 0" in point["error"]
+
+
 def test_sweep_task_without_sweep_section_exits_2(tmp_path, capsys):
     code = cli.main(["sweep", "--config", str(write_config(tmp_path, COUPLED)), "--out", str(tmp_path / "out")])
     assert code == 2
@@ -566,6 +583,47 @@ def test_round_trip_bitwise(tmp_path, fmt):
         for name, arr in traj.records.items():
             assert back.records[name].dtype == arr.dtype, name
             assert np.array_equal(back.records[name].view(np.uint64), arr.view(np.uint64)), name
+
+
+def _json_dump_text(traj) -> str:
+    """The trajectory file as ``json.dump(..., indent=1)`` writes the same payload."""
+    (_, times), *records = runner._columns(traj)
+    payload = {
+        "times": times[0].tolist(),
+        "records": {
+            name: {"dtype": "real", "values": block[0].tolist()} if len(block) == 1
+            else {"dtype": "complex", "values": block.T.tolist()}
+            for name, block in records
+        },
+        "meta": runner._jsonable(traj.meta),
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+JSON_DUMP_CASES = {
+    "non-finite": Trajectory(
+        times=np.array([0.0, 0.5, 1.0]),
+        records={
+            "sigma_z_0": np.array([NAN, INF, -INF]),
+            "a_0": np.array([complex(-0.0, INF), complex(-INF, NAN), complex(0.0, -0.0)]),
+            "energy": np.array([-0.0, 1e300, -2.5e-16]),
+        },
+        # meta text that holds "nan" and "inf" stays as written
+        meta={"backend_reason": "info: nan or inf", "drift": NAN, "bound": -INF, "steps": [1, 2]},
+    ),
+    "empty": Trajectory(
+        times=np.array([]),
+        records={"sigma_minus_0": np.array([], dtype=complex), "sigma_z_0": np.array([])},
+    ),
+    "no-records": Trajectory(times=np.array([0.0]), records={}, meta={"empty": {}}),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_DUMP_CASES))
+def test_json_file_matches_json_dump(tmp_path, case):
+    traj = JSON_DUMP_CASES[case]
+    path = export_trajectory(traj, "json", tmp_path / "t.json")
+    assert path.read_text() == _json_dump_text(traj)
 
 
 def test_csv_column_order(tmp_path):
