@@ -106,10 +106,12 @@ class SystemParams:
         object.__setattr__(self, "field_modes", tuple(self.field_modes))
         object.__setattr__(self, "phonon_modes", tuple(self.phonon_modes))
         object.__setattr__(self, "drives", tuple(self.drives))
-        if not self.dipole:
-            object.__setattr__(self, "dipole", (1.0,) * self.n_sites)
-        else:
-            object.__setattr__(self, "dipole", tuple(self.dipole))
+        n = self.n_sites
+        object.__setattr__(self, "dipole", tuple(self.dipole) or (1.0,) * n)
+        if len(self.dipole) != n:
+            raise ValueError(f"dipole has {len(self.dipole)} entries for {n} sites")
+        if self.site_positions is not None and len(self.site_positions) != n:
+            raise ValueError(f"site_positions has {len(self.site_positions)} entries for {n} sites")
         for v, (e_low, e_up) in enumerate(self.site_energies):
             if not e_up > e_low:
                 raise ValueError(
@@ -123,6 +125,11 @@ class SystemParams:
         for mode in self.field_modes:
             if mode.omega <= 0:
                 raise ValueError("field mode frequencies must be positive")
+            if len(mode.polarization_overlap) not in (0, n):
+                raise ValueError(f"polarization_overlap has {len(mode.polarization_overlap)} entries for {n} sites")
+        for drive in self.drives:
+            if drive.sites is not None and not all(0 <= v < n for v in drive.sites):
+                raise ValueError(f"drive sites {drive.sites} outside the {n} sites")
         for mode in self.phonon_modes:
             if mode.nu <= 0:
                 raise ValueError("phonon mode frequencies must be positive")
@@ -193,10 +200,13 @@ def drive_field(params: SystemParams, j: int, t: float) -> float:
 class CompiledModel:
     """Arrays of one ``SystemParams``, read by ``TotalHamiltonian`` and the mean-field closure.
 
-    ``q0[j, k]`` is ``coupling_q(j, k, 0)``; with the literal coupling it picks up the mode
-    phase ``phase(t)``.  ``drive_table[d, j]`` is 1 where drive d acts on site j (a site
-    listed twice counts once) and ``drive_values(t)`` holds each drive's value; drives
-    with zero amplitude or no site are left out.  Exchange bonds are index arrays.
+    ``q0[j, k]`` is ``coupling_q(j, k, 0)``.  Time enters only through the phasor table:
+    ``phasors(t) = phasor_amp * exp(phasor_rate t)``, with ``phasor_rate = -i freq``, holds
+    first the ``n_phase`` mode phases of the literal coupling (amplitude 1; none otherwise),
+    which ``q0`` picks up, then one phasor per drive, whose value is twice the real part.  ``drive_table[d, j]``
+    is 1 where drive d acts on site j (a site listed twice counts once); drives with zero
+    amplitude or no site are left out.  A model without phasors is static.  Exchange
+    bonds are index arrays.
     """
 
     def __init__(self, params: SystemParams):
@@ -207,8 +217,8 @@ class CompiledModel:
         self.q0 = np.array([[coupling_q(params, j, k, 0.0) for k in range(nf)] for j in range(n)],
                            dtype=np.complex128).reshape(n, nf)
         self.w_field = np.array([m.omega for m in params.field_modes], dtype=float)
-        self.coupled = bool(np.any(self.q0))
-        self.literal = self.coupled and params.coupling_mode == LITERAL_TIME_DEPENDENT
+        literal = params.coupling_mode == LITERAL_TIME_DEPENDENT and bool(np.any(self.q0))
+        self.n_phase = nf if literal else 0
         bonds = np.array(params.bonds(), dtype=np.intp).reshape(-1, 2)
         self.exchange_j = params.exchange_j if bonds.size else 0.0
         self.bond_v, self.bond_w = bonds.T
@@ -220,23 +230,19 @@ class CompiledModel:
         ).reshape(-1, n)
         amp = np.array([d.amplitude for d in params.drives], dtype=np.complex128)
         live = (amp != 0) & table.any(axis=1)
-        self.drive_table, self.drive_amp = table[live], amp[live]
-        self.drive_freq = np.array([d.frequency for d in params.drives], dtype=float)[live]
-        self.driven = bool(live.any())
-        # H(t) depends on time only through a literal coupling phase or a drive
-        self.is_static = not (self.literal or self.driven)
+        self.drive_table = table[live]
+        self.phasor_amp = np.concatenate((np.ones(self.n_phase, dtype=np.complex128), amp[live]))
+        freq = np.array([d.frequency for d in params.drives], dtype=float)[live]
+        self.phasor_rate = -1j * np.concatenate((self.w_field[: self.n_phase], freq))
+        self.is_static = not self.phasor_rate.size
 
     def is_finite(self) -> bool:
         """Whether every compiled number (frequencies, couplings, drives, level shift) is finite."""
         return all(np.isfinite(v).all() for v in vars(self).values() if isinstance(v, (np.ndarray, float)))
 
-    def phase(self, t):
-        """exp(-i w_k t) per field mode; one column per time for a time grid."""
-        return np.exp(np.multiply.outer(t, -1j * self.w_field)).T
-
-    def drive_values(self, t):
-        """2 Re(A_d exp(-i w_d t)) per drive; one row per time for a time grid."""
-        return 2.0 * (self.drive_amp * np.exp(np.multiply.outer(t, -1j * self.drive_freq))).real
+    def phasors(self, t):
+        """amp * exp(-i freq t) per row of the phasor table; one column per time for a time grid."""
+        return (self.phasor_amp * np.exp(np.multiply.outer(t, self.phasor_rate))).T
 
 
 # -- cached per-space elementary operators ------------------------------------
@@ -394,10 +400,10 @@ class TotalHamiltonian:
     """The total Hamiltonian HC + HF + HCF(t) + HP + HCP + drives, built from a ``CompiledModel``.
 
     Time-independent terms are summed once into ``static``.  Each time-dependent
-    term is one operator with a scalar coefficient: the per-mode coupling block
-    ``sum_j q_jk(0) sigma_x_j a_k`` and its adjoint with the mode phase and its
-    conjugate (literal coupling), and ``sum_j sigma_x_j`` over a drive's sites with
-    the drive value.
+    term is one operator with a scalar coefficient read from the model's phasors: the
+    per-mode coupling block ``sum_j q_jk(0) sigma_x_j a_k`` and its adjoint with the
+    mode phase and its conjugate (literal coupling), and ``sum_j sigma_x_j`` over a
+    drive's sites with twice the real part of the drive's phasor.
     """
 
     def __init__(self, space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None):
@@ -412,7 +418,7 @@ class TotalHamiltonian:
         )
         blocks = [_weighted_sum(space, model.q0[:, k], ops.sigma_x) @ ops.a[k] for k in range(model.n_field)]
         self._terms: list[Operator] = []
-        if model.literal:
+        if model.n_phase:
             self._terms += blocks + [block.dag() for block in blocks]
         else:
             for block in blocks:
@@ -428,8 +434,8 @@ class TotalHamiltonian:
 
     def _coefficients(self, t: float) -> np.ndarray:
         """Coefficients of the time-dependent terms at time t, in the order of ``_terms``."""
-        phase = self.model.phase(t) if self.model.literal else np.empty(0)
-        return np.concatenate((phase, phase.conj(), self.model.drive_values(t)))
+        p, m = self.model.phasors(t), self.model.n_phase
+        return np.concatenate((p[:m], p[:m].conj(), 2.0 * p[m:].real))
 
     def is_finite(self) -> bool:
         """Whether every matrix entry and every compiled number behind the coefficients is finite."""

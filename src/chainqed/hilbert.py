@@ -69,12 +69,12 @@ class SpaceSpec:
             dim *= mode.cutoff + 1
         return dim
 
-    def check_dimension(self, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> int:
-        """The dimension; ``SpaceTooLargeError`` if it exceeds ``dimension_cap``."""
+    def check_dimension(self) -> int:
+        """The dimension; ``SpaceTooLargeError`` if it exceeds ``DEFAULT_DIMENSION_CAP``."""
         dim = self.dimension
-        if dim > dimension_cap:
+        if dim > DEFAULT_DIMENSION_CAP:
             raise SpaceTooLargeError(
-                f"space too large: dimension {dim} exceeds cap {dimension_cap}"
+                f"space too large: dimension {dim} exceeds cap {DEFAULT_DIMENSION_CAP}"
             )
         return dim
 
@@ -156,15 +156,15 @@ class SpaceIndex:
         return index
 
 
-def build_space(spec: SpaceSpec, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> SpaceIndex:
+def build_space(spec: SpaceSpec) -> SpaceIndex:
     """Construct the indexed composite space for a :class:`SpaceSpec`.
 
     Raises
     ------
     SpaceTooLargeError
-        If the total dimension exceeds ``dimension_cap``.
+        If the total dimension exceeds ``DEFAULT_DIMENSION_CAP``.
     """
-    dim = spec.check_dimension(dimension_cap)
+    dim = spec.check_dimension()
     subsystems = [Subsystem("site", i, 2) for i in range(spec.n_sites)]
     subsystems += [
         Subsystem("field", k, m.cutoff + 1) for k, m in enumerate(spec.field_modes)

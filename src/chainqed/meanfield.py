@@ -89,7 +89,7 @@ _ONE = np.ones(1)
 
 
 def _no_factors(t) -> np.ndarray:
-    """No time factors (a model without the literal coupling or without drives)."""
+    """No time factors (a static model)."""
     return _ONE[:0]
 
 
@@ -109,15 +109,15 @@ class CompiledClosure(CompiledModel):
     state, or a block with one column per time.
 
     The right-hand side is a quadratic polynomial in the packed state whose time
-    dependence enters only through the mode phases and the drive values, so it is
-    compiled once into a table of terms.  Term ``(o, i, j, m, c)`` adds
-    ``c * x[m] * x[i] * x[j]`` to ``dy[o]``, where ``x = [y, f(t)]`` and the time factors
-    are ``f(t) = [1, Re/Im of each phase(t) (literal coupling only), drive_values(t)]``:
-    ``i`` and ``j`` index ``y1 = [y, 1]`` and ``m`` indexes ``f(t)``.  Terms with a zero
-    coefficient are left out, and the terms whose ``m`` is the leading 1 come first, so
-    only the rest gather a time factor.  A right-hand side is then one concatenation,
+    dependence enters only through the model's phasors, so it is compiled once into a
+    table of terms.  Term ``(o, i, j, m, c)`` adds ``c * x[m] * x[i] * x[j]`` to ``dy[o]``,
+    where ``x = [y, f(t)]`` and the time factors are ``f(t) = [1, Re/Im of each row of
+    phasors(t)]``: ``i`` and ``j`` index ``y1 = [y, 1]`` and ``m`` indexes ``f(t)``.  A
+    drive's terms read the Re slot of its phasor at twice their coefficient.  Terms with a
+    zero coefficient are left out, and the terms whose ``m`` is the leading 1 come first,
+    so only the rest gather a time factor.  A right-hand side is then one concatenation,
     the gathers and products over the table and one ``bincount``, whatever terms the
-    model holds.
+    model holds; a static model evaluates no phasor.
     """
 
     def __init__(self, params: SystemParams):
@@ -128,9 +128,8 @@ class CompiledClosure(CompiledModel):
         self._o, self._i, self._j, m, self._c = self._term_table()
         self._timed = int(np.count_nonzero(m == self._size))  # first term with a time factor
         self._m = m[self._timed :]
-        # the parts of f(t) after its 1, chosen once: phases only under the literal coupling
-        self._phase_part = self._phase_re_im if self.literal else _no_factors
-        self._drive_part = self.drive_values if self.driven else _no_factors
+        # f(t) after its 1, chosen once: a static model has none
+        self._factors = _no_factors if self.is_static else self._re_im
 
     def _term_table(self):
         """(o, i, j, m, c) of the nonzero terms of the closed equations (``close_rhs``)."""
@@ -142,8 +141,8 @@ class CompiledClosure(CompiledModel):
         one = self._size  # x[one] == y1[one] == f(t)[0] == 1
         # the mode phase p_k = f[re_k] + i f[im_k] under the literal coupling, else p = 1
         k = np.arange(nf)
-        re, im, live = (one + 1 + 2 * k, one + 2 + 2 * k, 1.0) if self.literal else (one, one, 0.0)
-        drive = one + 1 + 2 * nf * self.literal + np.arange(self.drive_table.shape[0])
+        re, im, live = (one + 1 + 2 * k, one + 2 + 2 * k, 1.0) if self.n_phase else (one, one, 0.0)
+        drive = one + 1 + 2 * (self.n_phase + np.arange(self.drive_table.shape[0]))  # Re slots
         q_re, q_im = self._q2.real, self._q2.imag
         blocks = []
 
@@ -155,7 +154,7 @@ class CompiledClosure(CompiledModel):
         add(u, x, one, -self.omega)
         # site field B = Re(2 q a p) + drives: ds-/dt += i s_z B, ds_z/dt -= 4 Im(s-) B
         field = [(a_re, re, q_re), (a_re, im, -q_im * live), (a_im, im, -q_re * live),
-                 (a_im, re, -q_im), (one, drive, self.drive_table.T)]
+                 (a_im, re, -q_im), (one, drive, 2.0 * self.drive_table.T)]
         for j, m, c in field:
             add(u[:, None], z[:, None], j, c, m)
             add(z[:, None], u[:, None], j, -4.0 * c, m)
@@ -187,9 +186,9 @@ class CompiledClosure(CompiledModel):
         keep = keep[np.argsort(m[keep] != one, kind="stable")]
         return o[keep], i[keep], j[keep], m[keep], c[keep]
 
-    def _phase_re_im(self, t):
-        """Re and Im of each mode phase at time t, interleaved."""
-        return self.phase(t).view(float)
+    def _re_im(self, t):
+        """Re and Im of each phasor at time t, interleaved."""
+        return self.phasors(t).view(float)
 
     def check(self, mf: MeanFieldState) -> CompiledClosure:
         """This closure, after refusing a state whose sizes differ from the parameters."""
@@ -207,16 +206,15 @@ class CompiledClosure(CompiledModel):
                 _complex(y[3 * n : 3 * n + nf], y[3 * n + nf : base]),
                 _complex(y[base : base + nph], y[base + nph : base + 2 * nph]))
 
-    def site_field(self, t, a_t):
-        """Real field on every site: mode image plus drives (``a_t`` is a * phase(t) if literal)."""
-        field = (self._q2 @ a_t).real if self.coupled else 0.0
-        if self.driven:
-            field = field + (self.drive_values(t) @ self.drive_table).T
-        return field
+    def site_field(self, p, a):
+        """Real field on every site at phasors ``p`` (``phasors(t)``): mode image plus drives."""
+        m = self.n_phase
+        a_t = a * p[:m] if m else a
+        return (self._q2 @ a_t).real + self.drive_table.T @ (2.0 * p[m:].real)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Time derivative of the packed state (the equations of ``close_rhs``), a new array."""
-        x = np.concatenate((y, _ONE, self._phase_part(t), self._drive_part(t)))
+        x = np.concatenate((y, _ONE, self._factors(t)))
         weights = self._c * x.take(self._i) * x.take(self._j)
         weights[self._timed :] *= x.take(self._m)
         return np.bincount(self._o, weights=weights, minlength=self._size)
@@ -229,9 +227,7 @@ class CompiledClosure(CompiledModel):
             bond = 2.0 * (np.conj(sm[v]) * sm[w]).real + 0.5 * sz[v] * sz[w]
             e = e + 2.0 * self.exchange_j * np.sum(bond, axis=0)
         e = e + self.w_field @ (np.abs(a) ** 2 + 0.5) + self.nu @ (np.abs(b) ** 2 + 0.5)
-        if self.coupled or self.driven:
-            field = self.site_field(t, a * self.phase(t) if self.literal else a)
-            e = e + np.sum(field * 2.0 * sm.real, axis=0)
+        e = e + np.sum(self.site_field(self.phasors(t), a) * 2.0 * sm.real, axis=0)
         return e + 2.0 * (self.lam @ b.real) * np.sum(sz, axis=0)
 
 

@@ -61,6 +61,23 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_I = np.eye(2, dtype=complex)
 
+# Local matrices of the extended set (minus, plus, z, unit, zero), and their
+# images under the isomorphism to the extended Pauli algebra.
+LOCAL_IMAGES = {
+    "minus": SIGMA_MINUS_LOCAL,
+    "plus": SIGMA_PLUS_LOCAL,
+    "z": SIGMA_Z_LOCAL,
+    "unit": SIGMA_E_LOCAL,
+    "zero": np.zeros((2, 2), dtype=complex),
+}
+PAULI_IMAGES = {
+    "minus": 0.5 * (PAULI_X - 1j * PAULI_Y),
+    "plus": 0.5 * (PAULI_X + 1j * PAULI_Y),
+    "z": PAULI_Z,
+    "unit": PAULI_I,
+    "zero": np.zeros((2, 2), dtype=complex),
+}
+
 # State labels for the basic transition operators |j><m|.
 _LABELS = ("a", "b")
 
@@ -200,13 +217,6 @@ def check_algebra_closure(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRepor
     # Commutation, anticommutation and conjugation closure of the extended
     # set (unit and zero included, so [unit, X] = 0 is exercised too).
     ext = ts.extended()
-    local_images = {
-        "minus": SIGMA_MINUS_LOCAL,
-        "plus": SIGMA_PLUS_LOCAL,
-        "z": SIGMA_Z_LOCAL,
-        "unit": SIGMA_E_LOCAL,
-        "zero": np.zeros((2, 2), dtype=complex),
-    }
 
     def reconstruct(target: np.ndarray) -> Operator:
         coeffs = _expand_in_basis(target)
@@ -222,14 +232,14 @@ def check_algebra_closure(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRepor
             for sign, bracket, label in ((-1.0, commutator, "commutator"),
                                          (+1.0, anticommutator, "anticommutator")):
                 target = (
-                    local_images[na] @ local_images[nb]
-                    + sign * local_images[nb] @ local_images[na]
+                    LOCAL_IMAGES[na] @ LOCAL_IMAGES[nb]
+                    + sign * LOCAL_IMAGES[nb] @ LOCAL_IMAGES[na]
                 )
                 res = (bracket(op_a, op_b) - reconstruct(target)).max_abs()
                 max_res = max(max_res, res)
                 if res > tol:
                     failures.append(f"{label} ({na},{nb}) not in span ({res:.3e})")
-        res = (op_a.dag() - reconstruct(local_images[na].conj().T)).max_abs()
+        res = (op_a.dag() - reconstruct(LOCAL_IMAGES[na].conj().T)).max_abs()
         max_res = max(max_res, res)
         if res > tol:
             failures.append(f"adjoint of {na} not in span ({res:.3e})")
@@ -239,14 +249,7 @@ def check_algebra_closure(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRepor
 
 def pauli_image(name: str) -> np.ndarray:
     """Image of a transition operator under the Pauli-algebra isomorphism."""
-    images = {
-        "minus": 0.5 * (PAULI_X - 1j * PAULI_Y),
-        "plus": 0.5 * (PAULI_X + 1j * PAULI_Y),
-        "z": PAULI_Z,
-        "unit": PAULI_I,
-        "zero": np.zeros((2, 2), dtype=complex),
-    }
-    return images[name]
+    return PAULI_IMAGES[name]
 
 
 def check_pauli_isomorphism(ts: TransitionSet, tol: float = 1e-13) -> AlgebraReport:
@@ -256,17 +259,8 @@ def check_pauli_isomorphism(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRep
     are expanded in the transition basis and in the Pauli-image basis; the
     structure constants must coincide.
     """
-    names = ("minus", "plus", "z", "unit", "zero")
-    local = {
-        "minus": SIGMA_MINUS_LOCAL,
-        "plus": SIGMA_PLUS_LOCAL,
-        "z": SIGMA_Z_LOCAL,
-        "unit": SIGMA_E_LOCAL,
-        "zero": np.zeros((2, 2), dtype=complex),
-    }
-    pauli_basis = np.stack(
-        [pauli_image("minus"), pauli_image("plus"), pauli_image("z"), pauli_image("unit")]
-    ).reshape(4, 4)
+    local, pauli = LOCAL_IMAGES, PAULI_IMAGES
+    pauli_basis = np.stack([pauli["minus"], pauli["plus"], pauli["z"], pauli["unit"]]).reshape(4, 4)
 
     def pauli_coeffs(mat: np.ndarray) -> np.ndarray:
         coeffs, _, _, _ = np.linalg.lstsq(pauli_basis.T, mat.reshape(4), rcond=None)
@@ -274,11 +268,11 @@ def check_pauli_isomorphism(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRep
 
     failures: list[str] = []
     max_res = 0.0
-    for na in names:
-        for nb in names:
+    for na in local:
+        for nb in local:
             for sign, kind in ((-1.0, "comm"), (+1.0, "anti")):
                 ours = local[na] @ local[nb] + sign * local[nb] @ local[na]
-                theirs = pauli_image(na) @ pauli_image(nb) + sign * pauli_image(nb) @ pauli_image(na)
+                theirs = pauli[na] @ pauli[nb] + sign * pauli[nb] @ pauli[na]
                 res = float(
                     np.max(np.abs(_expand_in_basis(ours) - pauli_coeffs(theirs)))
                 )
@@ -293,7 +287,7 @@ def check_pauli_isomorphism(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRep
     max_res = max(max_res, res)
     if res > tol:
         failures.append(f"z^2 != unit ({res:.3e})")
-    res = float(np.max(np.abs(pauli_image("minus") + pauli_image("plus") - PAULI_X)))
+    res = float(np.max(np.abs(pauli["minus"] + pauli["plus"] - PAULI_X)))
     max_res = max(max_res, res)
     if res > tol:
         failures.append(f"minus+plus does not map to Pauli X ({res:.3e})")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from chainqed.hamiltonian import (
     LITERAL_TIME_DEPENDENT,
     STATIC_PHASE,
     ClassicalDrive,
+    CompiledModel,
     FieldMode,
     OperatorCache,
     PhononMode,
@@ -21,6 +24,7 @@ from chainqed.hamiltonian import (
     build_hf,
     build_hp,
     coupling_q,
+    drive_field,
 )
 from chainqed.dynamics import propagate
 from chainqed.hilbert import ModeSpec, Operator, SpaceSpec, build_space, commutator, identity
@@ -387,7 +391,7 @@ def test_at_reads_one_pattern_and_matches_term_sum():
     for coupling_mode in COUPLING_CASES:
         space, params = _driven_chain(coupling_mode, drives)
         ham = TotalHamiltonian(space, params)
-        assert ham.model.drive_values(0.0)[0] == 0.0
+        assert ham._coefficients(0.0)[-2] == 0.0
         nnz = {ham.at(t).matrix.nnz for t in (0.0, 1.0)}
         assert len(nnz) == 1
         for t in (0.0, *rng.uniform(0, 30, size=4)):
@@ -402,6 +406,41 @@ def test_at_of_a_static_hamiltonian_is_the_static_operator():
     assert ham.is_static
     assert ham.at(0.0) is ham.static
     assert ham.at(4.7) is ham.static
+
+
+def _phasor_params():
+    return SystemParams(
+        site_energies=((-0.5, 0.5),) * 3,
+        field_modes=(FieldMode(1.2, wavevector=0.9, amplitude=0.2, polarization_overlap=(1.0, 0.0, -0.6)),
+                     FieldMode(0.7, amplitude=0.1)),
+        coupling_mode=LITERAL_TIME_DEPENDENT,
+        # the zero-amplitude drive is left out of the table
+        drives=(ClassicalDrive(0.03 - 0.01j, 0.9, (1, 1)), ClassicalDrive(0.0, 2.0), ClassicalDrive(0.02j, 1.3)),
+    )
+
+
+def test_phasors_on_a_grid_are_the_scalar_calls_column_by_column():
+    model = CompiledModel(_phasor_params())
+    times = np.random.default_rng(41).uniform(0, 30, size=9)
+    grid = model.phasors(times)
+    assert grid.shape == (4, times.size)
+    for i, t in enumerate(times):
+        assert np.array_equal(grid[:, i], model.phasors(t))
+
+
+def test_phasors_are_the_mode_phases_and_the_drive_values():
+    params = _phasor_params()
+    model = CompiledModel(params)
+    assert model.n_phase == 2 and not model.is_static
+    for t in np.random.default_rng(43).uniform(0, 30, size=6):
+        p = model.phasors(t)
+        for j in range(params.n_sites):
+            for k in range(model.n_field):
+                if model.q0[j, k] != 0:
+                    assert abs(p[k] - coupling_q(params, j, k, t) / model.q0[j, k]) <= 1e-13
+            assert abs(model.drive_table[:, j] @ (2.0 * p[2:].real) - drive_field(params, j, t)) <= 1e-13
+    static = CompiledModel(replace(params, coupling_mode=STATIC_PHASE, drives=()))
+    assert static.is_static and static.phasors(1.0).size == 0
 
 
 def _duplicate_drive_system():
@@ -496,6 +535,24 @@ def test_params_validation():
         SystemParams(site_energies=((0.5, -0.5),))
     with pytest.raises(ValueError, match="boundary"):
         SystemParams(site_energies=((-0.5, 0.5),), boundary="twisted")
+
+
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("dipole", {"dipole": (1.0,)}, {"dipole": (1.0, 0.9, 0.8)}),
+        ("site_positions", {"site_positions": (0.0, 1.0)}, {"site_positions": (0.0, 1.0, 2.5)}),
+        ("polarization_overlap",
+         {"field_modes": (FieldMode(1.0, amplitude=0.1, polarization_overlap=(1.0,)),)},
+         {"field_modes": (FieldMode(1.0, amplitude=0.1, polarization_overlap=(1.0, 0.5, 0.2)),)}),
+        ("drive sites", {"drives": (ClassicalDrive(0.1, 1.0, (0, 5)),)}, {"drives": (ClassicalDrive(0.1, 1.0, (0, 2)),)}),
+    ],
+    ids=["dipole", "site_positions", "polarization_overlap", "drive_sites"],
+)
+def test_params_refuse_per_site_data_that_misses_the_chain(field, bad, good):
+    uniform_params(3, **good)
+    with pytest.raises(ValueError, match=field):
+        uniform_params(3, **bad)
 
 
 def test_periodic_neighbors():

@@ -41,9 +41,10 @@ def test_space_dimensions(spec, expected_dim):
 
 
 def test_space_cap_enforced():
-    spec = SpaceSpec(4, (ModeSpec(255),))
+    # 2^4 * 2^17 = 2^21 > 2^20: the check raises before anything is allocated
+    spec = SpaceSpec(4, (ModeSpec(2**17 - 1),))
     with pytest.raises(SpaceTooLargeError, match="space too large"):
-        build_space(spec, dimension_cap=1000)
+        build_space(spec)
 
 
 def test_invalid_spec_rejected():

@@ -278,6 +278,21 @@ def test_compiled_rhs_returns_a_new_array_on_every_call():
     assert not np.shares_memory(first, y) and not np.shares_memory(second, y)
 
 
+def test_a_static_closure_evaluates_no_phasor(monkeypatch):
+    params, mf = _random_system(3, "periodic", "static_phase_at_t0", "none", True, seed=7)
+    y = mf.pack()
+    want = meanfield.CompiledClosure(params).rhs(0.4, y)
+
+    def no_phasors(self, t):
+        raise AssertionError("phasors evaluated")
+
+    monkeypatch.setattr(meanfield.CompiledClosure, "phasors", no_phasors)
+    assert np.array_equal(meanfield.CompiledClosure(params).rhs(0.4, y), want)
+    driven, _ = _random_system(3, "periodic", "static_phase_at_t0", "all", True, seed=7)
+    with pytest.raises(AssertionError, match="phasors evaluated"):
+        meanfield.CompiledClosure(driven).rhs(0.4, y)
+
+
 @pytest.mark.parametrize("coupling_mode", ["static_phase_at_t0", "literal_time_dependent"])
 def test_closure_with_a_nan_coupling_is_refused_before_integrating(monkeypatch, coupling_mode):
     params = single_site_params(
