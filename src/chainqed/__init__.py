@@ -37,6 +37,7 @@ from .hilbert import (
     coherent_local,
     commutator,
     embed_local,
+    embed_terms,
     fock_local,
     product_state,
     site_local_state,

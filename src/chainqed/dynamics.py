@@ -7,12 +7,13 @@ Two independent routes to the same physics are kept side by side:
   Hamiltonian of dimension at most ``SPECTRAL_MAX_DIM`` is propagated by
   its dense eigendecomposition (``eigh``); a larger one, on any output
   grid, by a Chebyshev expansion of the propagator (Tal-Ezer & Kosloff,
-  J. Chem. Phys. 81, 3967, 1984), one per window of ``RECORD_CHUNK``
-  output times.  Both are exact to roundoff, with no step error.  An
-  explicitly time-dependent generator of dimension at most
-  ``INTERACTION_MAX_DIM`` is integrated by DOP853 in the interaction
-  picture of its static part, whose eigendecomposition removes the fast
-  carrier from the integrated amplitudes; a larger one by plain DOP853
+  J. Chem. Phys. 81, 3967, 1984), one per window of output times (at
+  most ``RECORD_CHUNK``, fewer where ``RECORD_BYTES`` binds).  Both are
+  exact to roundoff, with no step error.  An explicitly time-dependent
+  generator of dimension at most ``INTERACTION_MAX_DIM`` is integrated by
+  DOP853 in the interaction picture of its static part, whose
+  eigendecomposition removes the fast carrier from the integrated
+  amplitudes; a larger one by plain DOP853
   (adaptive explicit Runge-Kutta).  ``Trajectory.meta["method"]`` names the
   backend that ran and ``meta["backend_reason"]`` why.  The records
   (``RECORD_NAMES``) are contractions of the state block at each
@@ -110,6 +111,14 @@ SPECTRAL_MAX_DIM = 512
 INTERACTION_MAX_DIM = 128
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
+# Bytes of one block of states on the exact path: each Chebyshev window, its
+# ring of polynomial vectors, each frame chunk and each block of slot records
+# holds ``_record_columns(dim)`` columns, RECORD_CHUNK or fewer where dim forces
+# it (at dim <= 32,768 every chunk keeps 64 columns).  Static 18-site spin chain
+# (dim 262,144), 65 points to t = 20, Chebyshev: 64 columns add 753 MB to the
+# peak RSS of propagate, 8 columns (this budget) 117 MB, in the same 8.9 s;
+# windows of 16-64 columns ran equally fast at 14 and 16 sites.
+RECORD_BYTES = 2**25
 # Records of each subsystem kind, in file order; each name is the prefix
 # followed by the subsystem's label.  A site records its lowering
 # expectation, that one's conjugate and p_1 - p_0; a field or phonon mode its
@@ -184,8 +193,14 @@ def _check_grid(t_eval, t_start: float, t_end: float) -> np.ndarray:
     return t_eval
 
 
+def _record_columns(dim: int) -> int:
+    """State columns held at once at this dimension: RECORD_CHUNK, fewer where RECORD_BYTES binds."""
+    return max(1, min(RECORD_CHUNK, RECORD_BYTES // (16 * dim)))
+
+
 def _column_chunks(states: np.ndarray):
-    return (states[:, lo:lo + RECORD_CHUNK] for lo in range(0, states.shape[1], RECORD_CHUNK))
+    step = _record_columns(states.shape[0])
+    return (states[:, lo:lo + step] for lo in range(0, states.shape[1], step))
 
 
 def _eigensystem(h: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +217,10 @@ def _frame_chunks(energies: np.ndarray, vecs: np.ndarray, elapsed: np.ndarray, a
     ``amps`` has one column per time: eigenbasis amplitudes in the frame that
     rotates with the energies ``E`` (a broadcast column when they are constant).
     """
+    step = _record_columns(len(vecs))
     return (
-        vecs @ (np.exp(-1j * np.outer(energies, elapsed[lo:lo + RECORD_CHUNK])) * amps[:, lo:lo + RECORD_CHUNK])
-        for lo in range(0, elapsed.size, RECORD_CHUNK)
+        vecs @ (np.exp(-1j * np.outer(energies, elapsed[lo:lo + step])) * amps[:, lo:lo + step])
+        for lo in range(0, elapsed.size, step)
     )
 
 
@@ -280,11 +296,11 @@ def _chebyshev_sum(doubled, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``sum_k coeffs[k, j] T_k psi`` for every column j, with ``T_k`` the Chebyshev polynomials of ``doubled / 2``.
 
     The recurrence ``T_{k+1} psi = doubled T_k psi - T_{k-1} psi`` keeps its
-    vectors in a ring of at most ``RECORD_CHUNK`` rows, contracted with their
+    vectors in a ring of at most ``_record_columns`` rows, contracted with their
     coefficient rows by one matrix product whenever the ring is full.
     """
     order = len(coeffs)
-    ring = np.empty((min(order, RECORD_CHUNK), psi.size), dtype=np.complex128)
+    ring = np.empty((min(order, _record_columns(psi.size)), psi.size), dtype=np.complex128)
     size = len(ring)
     states = np.zeros((psi.size, coeffs.shape[1]), dtype=np.complex128)
     for k in range(order):
@@ -301,7 +317,7 @@ def _chebyshev_sum(doubled, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
-    """States ``exp(-i H tau) psi0`` at the elapsed times tau, in chunks of ``RECORD_CHUNK`` columns.
+    """States ``exp(-i H tau) psi0`` at the elapsed times tau, in chunks of ``_record_columns`` columns.
 
     Each chunk is one window: ``H`` is mapped onto [-1, 1] by its Gershgorin
     interval ``c +- R``, and ``exp(-i H tau)`` applied to the window's start
@@ -314,9 +330,9 @@ def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
     centre, half_width = _spectral_interval(matrix)
     # 2 (H - c) / R; a zero-width interval means H = c, and order 1 needs no product
     doubled = (matrix - centre * sparse.identity(h.dim, format="csr")) * (2.0 / half_width) if half_width > 0 else None
-    psi, start = psi0, 0.0
-    for lo in range(0, elapsed.size, RECORD_CHUNK):
-        tau = elapsed[lo:lo + RECORD_CHUNK] - start
+    psi, start, step = psi0, 0.0, _record_columns(h.dim)
+    for lo in range(0, elapsed.size, step):
+        tau = elapsed[lo:lo + step] - start
         order = _chebyshev_order(half_width * tau[-1])
         states = _chebyshev_sum(doubled, psi, _chebyshev_coefficients(centre, half_width, tau, order))
         if not np.isfinite(states).all():
@@ -388,7 +404,7 @@ def propagate(
     * static H, dimension at most ``SPECTRAL_MAX_DIM``: dense
       eigendecomposition (``meta["method"] == "eigh"``);
     * static H above that size, on any output grid: a Chebyshev expansion
-      of ``exp(-i H tau)`` per window of ``RECORD_CHUNK`` output times, with
+      of ``exp(-i H tau)`` per window of ``_record_columns`` output times, with
       tau counted from the last state of the window before
       (``"chebyshev"``);
     * time-dependent H (literal coupling phases, classical drives) of
@@ -396,7 +412,7 @@ def propagate(
       picture of ``ham.static = V E V^dag`` (``"interaction+DOP853"``).  It
       integrates ``phi = exp(i E (t - t0)) V^dag psi``, whose right-hand
       side makes one ``ham.apply`` call, and maps phi back to psi in chunks
-      of ``RECORD_CHUNK`` output points;
+      of ``_record_columns`` output points;
     * time-dependent H above ``INTERACTION_MAX_DIM``: DOP853 (``"DOP853"``).
 
     Both DOP853 paths evaluate the generator at the integrator's internal

@@ -33,12 +33,16 @@ from .hilbert import (
     annihilation_local,
     embed_local,
     embed_modes,
+    embed_terms,
     identity,
     number_local,
     zero,
 )
 from .transition_ops import (
+    SIGMA_MINUS_LOCAL,
+    SIGMA_PLUS_LOCAL,
     SIGMA_X_LOCAL,
+    SIGMA_Z_LOCAL,
     build_transition_set,
 )
 
@@ -251,11 +255,12 @@ class CompiledModel:
 class OperatorCache:
     """Embedded elementary operators for one (space, params-independent) layout.
 
-    Building the Kronecker embeddings dominates Hamiltonian construction;
-    the cache makes repeated builds (time-dependent evaluation, equation
-    oracles) cheap.  Its operators are shared, never modified in place.
-    Every builder reads the shared cache of its space (``for_space``), and a
-    new cache becomes that shared cache, so each space is built once.
+    The cache serves only the per-term builders and the equation-of-motion
+    oracles, the independent references that ``TotalHamiltonian`` (built
+    without it) is tested against.  Its operators are shared, never modified
+    in place.  Every builder and oracle reads the shared cache of its space
+    (``for_space``), and a new cache becomes that shared cache, so each space
+    is built once.
     """
 
     _shared: dict[SpaceIndex, "OperatorCache"] = {}  # least recently used first
@@ -390,10 +395,9 @@ def build_hcp(space: SpaceIndex, params: SystemParams) -> Operator:
     return h
 
 
-def _weighted_sum(space: SpaceIndex, weights, ops: list[Operator]) -> Operator:
-    """sum_i weights[i] ops[i] over the nonzero weights (a weight of 1 adds the operator itself)."""
-    terms = [op if w == 1 else op * w for w, op in zip(weights, ops) if w != 0]
-    return sum(terms[1:], terms[0]) if terms else zero(space)
+def _adjoint(terms: list) -> list:
+    """The terms of the adjoint of a sum of local products (``embed_terms`` layout)."""
+    return [(np.conj(c), {slot: m.conj().T for slot, m in factors.items()}) for c, factors in terms]
 
 
 class TotalHamiltonian:
@@ -404,26 +408,53 @@ class TotalHamiltonian:
     per-mode coupling block ``sum_j q_jk(0) sigma_x_j a_k`` and its adjoint with the
     mode phase and its conjugate (literal coupling), and ``sum_j sigma_x_j`` over a
     drive's sites with twice the real part of the drive's phasor.
+
+    Each of these operators is one ``embed_terms`` sum of local factors; no
+    embedded operator is built on the way.  The diagonal terms of ``static`` are
+    folded in the order and the groups in which the builders add them (per site
+    ``sigma_z`` and then its level shift, ``z z`` per bond, field modes, phonon
+    modes), so its diagonal rounds as theirs does.  ``cache`` is not read; it
+    stays so that callers that pass one keep working.
     """
 
     def __init__(self, space: SpaceIndex, params: SystemParams, cache: OperatorCache | None = None):
-        ops = OperatorCache.for_space(space)
         model = CompiledModel(params)
-        self.space, self.params, self.cache, self.model = space, params, ops, model
-        self.static = (
-            build_hc(space, params)
-            + build_hf(space, params)
-            + build_hp(space, params)
-            + build_hcp(space, params)
-        )
-        blocks = [_weighted_sum(space, model.q0[:, k], ops.sigma_x) @ ops.a[k] for k in range(model.n_field)]
-        self._terms: list[Operator] = []
+        self.space, self.params, self.model = space, params, model
+        site = [space.site_slot(v) for v in range(model.n)]
+        field = [space.field_slot(k) for k in range(model.n_field)]
+        phonon = [space.phonon_slot(q) for q in range(model.n_phonon)]
+
+        def ladder(slot: int) -> np.ndarray:
+            return annihilation_local(space.subsystems[slot].dim - 1)
+
+        def quanta(slot: int) -> np.ndarray:  # n + 1/2
+            return np.diag(np.arange(space.subsystems[slot].dim) + 0.5)
+
+        j = model.exchange_j if model.n > 1 else 0.0
+        bonds = list(zip(model.bond_v, model.bond_w)) if j else []
+        levels = [term for v, (e_low, e_up) in enumerate(params.site_energies)
+                  for term in ((0.5 * (e_up - e_low), {site[v]: SIGMA_Z_LOCAL}), (0.5 * (e_low + e_up), {}))]
+        # the exchange bracket plus its conjugate: half of J z z twice, and 2J on each flip-flop
+        exchange = [(0.5 * j, {site[v]: SIGMA_Z_LOCAL, site[w]: SIGMA_Z_LOCAL}) for v, w in bonds for _ in range(2)]
+        exchange += [(2.0 * j, {site[v]: left, site[w]: right}) for v, w in bonds
+                     for left, right in ((SIGMA_PLUS_LOCAL, SIGMA_MINUS_LOCAL), (SIGMA_MINUS_LOCAL, SIGMA_PLUS_LOCAL))]
+        # grouped as build_hc + build_hf + build_hp + build_hcp sums them
+        static = [[levels, exchange],
+                  [(w, {field[k]: quanta(field[k])}) for k, w in enumerate(model.w_field)],
+                  [(nu, {phonon[q]: quanta(phonon[q])}) for q, nu in enumerate(model.nu)]]
+        for q in np.flatnonzero(model.lam):
+            b = ladder(phonon[q])
+            static += [(model.lam[q], {phonon[q]: b + b.conj().T, site[v]: SIGMA_Z_LOCAL}) for v in range(model.n)]
+        blocks = [[(model.q0[v, k], {site[v]: SIGMA_X_LOCAL, field[k]: ladder(field[k])})
+                   for v in np.flatnonzero(model.q0[:, k])] for k in range(model.n_field)]
+        terms = []
         if model.n_phase:
-            self._terms += blocks + [block.dag() for block in blocks]
+            terms += blocks + [_adjoint(block) for block in blocks]
         else:
-            for block in blocks:
-                self.static = self.static + block + block.dag()
-        self._terms += [_weighted_sum(space, row, ops.sigma_x) for row in model.drive_table]
+            static += [term for block in blocks for term in block + _adjoint(block)]
+        terms += [[(row[v], {site[v]: SIGMA_X_LOCAL}) for v in np.flatnonzero(row)] for row in model.drive_table]
+        self.static = embed_terms(space, static)
+        self._terms: list[Operator] = [embed_terms(space, term) for term in terms]
         # [static | terms]: H(t) psi is one product with (psi, c_1 psi, c_2 psi, ...)
         stacked = [self.static.matrix] + [op.matrix for op in self._terms]
         self._stacked = sparse.hstack(stacked, format="csr") if self._terms else self.static.matrix

@@ -5,8 +5,9 @@ sites (dimension 2 each), then the quantized field modes, then the phonon
 modes.  Bosonic modes are hard-truncated Fock ladders: a mode declared with
 ``cutoff = m`` keeps the levels ``|0> .. |m>`` (local dimension ``m + 1``).
 Basis states are enumerated in row-major (mixed-radix) order with the first
-subsystem most significant, matching the Kronecker-product order used by
-:func:`embed_local`.
+subsystem most significant: the order of the Kronecker product of the
+local factors, which :func:`embed_terms` writes out by index arithmetic on
+the slot strides and :func:`product_state` takes for states.
 
 Operators are stored as sparse complex (CSR) matrices wrapped in
 :class:`Operator`, which carries the algebra used throughout the package
@@ -15,7 +16,6 @@ Operators are stored as sparse complex (CSR) matrices wrapped in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,6 +280,98 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
     return a @ b + b @ a
 
 
+def _local_factor(space: SpaceIndex, subsystem: int, local) -> np.ndarray:
+    """A local operator as a dense complex matrix, checked against its tensor slot."""
+    if not 0 <= subsystem < len(space.subsystems):
+        raise IndexError(f"subsystem slot {subsystem} out of range")
+    sub = space.subsystems[subsystem]
+    local = np.asarray(local.toarray() if sparse.issparse(local) else local, dtype=np.complex128)
+    if local.shape != (sub.dim, sub.dim):
+        raise DimensionMismatchError(
+            f"local operator shape {local.shape} does not match subsystem "
+            f"{sub.kind}[{sub.label}] of dimension {sub.dim}"
+        )
+    return local
+
+
+def _fold(space: SpaceIndex, terms, grid: np.ndarray, patterns: dict) -> np.ndarray | None:
+    """The folded diagonal of ``terms`` (None if none is diagonal); their other entries go to ``patterns``."""
+    diagonal = None
+    for term in terms:
+        part = _fold(space, term, grid, patterns) if isinstance(term, list) else _add(space, *term, grid, patterns)
+        if part is None:
+            continue
+        if diagonal is None:
+            diagonal = np.zeros(grid.shape, dtype=np.complex128)
+        diagonal += part
+    return diagonal
+
+
+def _add(space: SpaceIndex, coefficient, factors: dict, grid: np.ndarray, patterns: dict):
+    """One term: its diagonal values when every factor is diagonal, else None after adding it to ``patterns``."""
+    dims = grid.shape
+    factors = {slot: _local_factor(space, slot, local) for slot, local in sorted(factors.items())}
+    moving = [s for s, m in factors.items() if np.count_nonzero(m) > np.count_nonzero(np.diagonal(m))]
+    if not moving:
+        value = coefficient
+        for slot, m in factors.items():
+            value = value * np.diagonal(m).reshape([-1 if s == slot else 1 for s in range(len(dims))])
+        return value
+    axes = [s for s in range(len(dims)) if s not in moving]  # the axes ``base`` runs over
+    row, col, val, key = np.zeros(1, grid.dtype), np.zeros(1, grid.dtype), np.full(1, coefficient, np.complex128), []
+    for slot in moving:
+        r, c = np.nonzero(factors[slot])
+        row = np.add.outer(row, (r * space._strides[slot]).astype(grid.dtype)).ravel()
+        col = np.add.outer(col, (c * space._strides[slot]).astype(grid.dtype)).ravel()
+        val = np.multiply.outer(val, factors[slot][r, c]).ravel()
+        key.append((slot, r.tobytes(), c.tobytes()))
+    values = val
+    for slot in factors:
+        if slot not in moving:
+            values = values * np.diagonal(factors[slot]).reshape([-1 if s == slot else 1 for s in axes] + [1])
+    values = np.broadcast_to(values, [dims[s] for s in axes] + [val.size]).reshape(-1, val.size)
+    key = tuple(key)
+    if key in patterns:
+        patterns[key][2] = patterns[key][2] + values
+    else:
+        base = grid[tuple(0 if s in moving else slice(None) for s in range(len(dims)))].ravel()
+        patterns[key] = [np.add.outer(base, row), np.add.outer(base, col), values]
+    return None
+
+
+def embed_terms(space: SpaceIndex, terms) -> Operator:
+    """``sum_i c_i (x)_s L_is`` as canonical CSR, one term ``(c, {slot: L})`` at a time.
+
+    A term is its coefficient times the product of its local factors, each at
+    its tensor slot, with the identity at every other slot.  The sum is built
+    by index arithmetic on the slot strides.  A term whose factors are all
+    diagonal is folded, in the given order, into one diagonal shaped by the
+    subsystem dimensions.  Any other term gives ``base + local offset`` index
+    arrays from its off-diagonal factors, ``base`` running over the basis
+    states at level 0 of their slots, and its diagonal factors scale the
+    values along ``base``; terms with the same off-diagonal pattern add their
+    values in the given order.  One conversion to CSR sums what is left of
+    duplicate entries and drops exact zeros.
+
+    An entry of ``terms`` that is a list is a group: its diagonal is folded
+    from zero on its own and then added, so the diagonal rounds as a sum of
+    separately built operators does.
+    """
+    index = np.int32 if space.dim < 2**31 else np.int64
+    grid = np.arange(space.dim, dtype=index).reshape([sub.dim for sub in space.subsystems])
+    patterns: dict[tuple, list] = {}  # off-diagonal pattern: [rows, cols, values]
+    diagonal = _fold(space, terms, grid, patterns)
+    # the empty triple keeps the concatenation defined when there is no entry
+    entries = [[np.zeros(0, index), np.zeros(0, index), np.zeros(0, np.complex128)], *patterns.values()]
+    if diagonal is not None:
+        at = np.flatnonzero(diagonal).astype(index)
+        entries.append([at, at, diagonal.ravel()[at]])
+    row, col, val = (np.concatenate([np.ravel(e[i]) for e in entries]) for i in range(3))
+    matrix = sparse.coo_matrix((val, (row, col)), (space.dim, space.dim)).tocsr()
+    matrix.eliminate_zeros()
+    return Operator(matrix)
+
+
 def embed_local(space: SpaceIndex, subsystem: int, local) -> Operator:
     """Embed a local operator at one tensor slot: I x .. x local x .. x I.
 
@@ -290,23 +382,7 @@ def embed_local(space: SpaceIndex, subsystem: int, local) -> Operator:
     local:
         Square matrix whose dimension matches the subsystem's local dimension.
     """
-    if not 0 <= subsystem < len(space.subsystems):
-        raise IndexError(f"subsystem slot {subsystem} out of range")
-    sub = space.subsystems[subsystem]
-    local = sparse.csr_matrix(local, dtype=np.complex128)
-    if local.shape != (sub.dim, sub.dim):
-        raise DimensionMismatchError(
-            f"local operator shape {local.shape} does not match subsystem "
-            f"{sub.kind}[{sub.label}] of dimension {sub.dim}"
-        )
-    dim_before = math.prod(s.dim for s in space.subsystems[:subsystem])
-    dim_after = math.prod(s.dim for s in space.subsystems[subsystem + 1 :])
-    mat = local
-    if dim_before > 1:
-        mat = sparse.kron(sparse.identity(dim_before, format="csr"), mat, format="csr")
-    if dim_after > 1:
-        mat = sparse.kron(mat, sparse.identity(dim_after, format="csr"), format="csr")
-    return Operator(mat)
+    return embed_terms(space, [(1.0, {subsystem: local})])
 
 
 def embed_modes(space: SpaceIndex, kind: str, local) -> list[Operator]:

@@ -63,6 +63,8 @@ NEGATIVE_CONTROL_FLOOR = 1e-3
 # Output grid points per run: 10^6 points of a few dozen records already
 # take hundreds of MB in the trajectory files.
 N_OUT_MAX = 10**6
+# Smallest integrator tolerance: below 100 machine epsilons scipy raises rtol to that itself.
+TOL_MIN = 100 * np.finfo(float).eps
 
 
 class ConfigError(ValueError):
@@ -247,6 +249,12 @@ def _rule(text: str, ok):
 _POSITIVE = _rule("positive", lambda v: v > 0)
 
 
+def _tolerance(value, at):
+    """A relative tolerance of DOP853: positive, at least ``TOL_MIN`` and below 1."""
+    _POSITIVE(value, at)
+    return _must(TOL_MIN <= value < 1.0, f"at least {TOL_MIN:.3g} (100 machine epsilons) and below 1", value)
+
+
 def _per(value, at):
     """One entry per site, or in a mode section (``params.field_modes``, ...) one per
     mode that the space declares there.  One number stands for every entry; in the
@@ -381,7 +389,7 @@ _ROWS = (
     ("initial.{modes}.*.n", "int", _fock_level, 0),
     ("initial.{modes}.*.{amplitude}", "complex", None, 0.0),
     ("integrate", "mapping", None, {}),
-    ("integrate.tol", "real", _POSITIVE, 1e-10),
+    ("integrate.tol", "real", _tolerance, 1e-10),
     ("integrate.t_end", "real", _POSITIVE, 10.0),
     ("integrate.n_out", "int", _rule(f"between 2 and {N_OUT_MAX}", lambda v: 2 <= v <= N_OUT_MAX), 201),
     ("output", "mapping", None, {}),
@@ -401,25 +409,23 @@ _ROWS = (
     ("initial.{modes}.*", "mapping", _mean_field_start, None),
 )
 _STEPS = tuple(
-    (path.format(modes=section, amplitude=amplitude).split("."), *rest)
+    (tuple(path.format(modes=section, amplitude=amplitude).split(".")), *rest)
     for path, *rest in _ROWS
     for section, amplitude in (_MODE_AMPLITUDE.items() if "{modes}" in path else [(None, None)])
 )
 
 
-def _places(tree: dict, keys: list[str]) -> list[tuple]:
-    """``(container, key, name, list indices)`` of every place a row's path reaches."""
-    places = [(tree, keys[0], keys[0], ())]
-    for key in keys[1:]:
-        deeper = []
-        for node, k, name, idx in places:
-            child = node[k] if isinstance(node, list) else node.get(k)
-            if key == "*" and isinstance(child, list):
-                deeper += [(child, i, f"{name}[{i}]", idx + (i,)) for i in range(len(child))]
-            elif key != "*" and isinstance(child, dict):
-                deeper.append((child, key, f"{name}.{key}", idx))
-        places = deeper
-    return places
+def _stale_prefixes() -> list[tuple]:
+    """Per row of ``_STEPS``, the path prefixes of earlier rows that extend its path:
+    the row writes the values at its path, so places resolved beneath them are stale after it."""
+    seen, stale = set(), []
+    for keys, *_ in _STEPS:
+        stale.append(tuple(p for p in seen if len(p) > len(keys) and p[:len(keys)] == keys))
+        seen.update(keys[:n] for n in range(1, len(keys) + 1))
+    return stale
+
+
+_STALE = _stale_prefixes()
 
 
 def _failed(value) -> bool:
@@ -443,12 +449,37 @@ class _Walk:
 
     def __init__(self, raw: dict):
         self.raw, self.tree, self.problems = raw, copy.deepcopy(raw), []
-        for self.keys, kind, constraint, default in _STEPS:
-            for node, key, name, self.idx in _places(self.tree, self.keys):
+        self._resolved: dict[tuple, list] = {}
+        for (self.keys, kind, constraint, default), stale in zip(_STEPS, _STALE):
+            for node, key, name, self.idx in self._places(self.keys):
                 problem = self._check(node, key, kind, constraint, default)
                 if problem:
                     self.problems.append(f"{name} {problem}")
                     node[key] = _FAILED
+            for keys in stale:  # the row may have replaced the containers these places lie in
+                self._resolved.pop(keys, None)
+
+    def _places(self, keys: tuple) -> list[tuple]:
+        """``(container, key, name, list indices)`` of every place a path reaches.
+
+        Each path prefix is resolved once, from the places of the prefix one key
+        shorter, and kept until a row on a path that it extends has run.
+        """
+        places = self._resolved.get(keys)
+        if places is not None:
+            return places
+        if len(keys) == 1:
+            places = [(self.tree, keys[0], keys[0], ())]
+        else:
+            places, key = [], keys[-1]
+            for node, k, name, idx in self._places(keys[:-1]):
+                child = node[k] if isinstance(node, list) else node.get(k)
+                if key == "*" and isinstance(child, list):
+                    places += [(child, i, f"{name}[{i}]", idx + (i,)) for i in range(len(child))]
+                elif key != "*" and isinstance(child, dict):
+                    places.append((child, key, f"{name}.{key}", idx))
+        self._resolved[keys] = places
+        return places
 
     def _check(self, node, key, kind: str, constraint, default) -> str | None:
         """Normalizes the value at one place; returns what is wrong with it, if anything."""
@@ -494,8 +525,8 @@ class _Walk:
         return self.get("sweep.task") if task == "sweep" else task
 
 
-_KNOWN_PATHS = {tuple(keys) for keys, *_ in _STEPS}
-_CONTAINER_PATHS = {tuple(keys) for keys, kind, *_ in _STEPS if kind in ("mapping", "list")}
+_KNOWN_PATHS = {keys for keys, *_ in _STEPS}
+_CONTAINER_PATHS = {keys for keys, kind, *_ in _STEPS if kind in ("mapping", "list")}
 
 
 def _unknown_keys(node, path: tuple = (), name: str = "") -> list[str]:

@@ -306,7 +306,7 @@ def test_exponential_path_matches_tight_dop853():
     assert traj.meta["method"] == "chebyshev"
     assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
     # records come from the same states as on the other paths
-    sz = np.einsum("ij,ij->j", ref.y.conj(), TotalHamiltonian(space, params).cache.sigma[0].z.matrix @ ref.y).real
+    sz = np.einsum("ij,ij->j", ref.y.conj(), OperatorCache.for_space(space).sigma[0].z.matrix @ ref.y).real
     assert np.max(np.abs(traj.records["sigma_z_0"] - sz)) <= 1e-8
 
 
@@ -410,6 +410,36 @@ def test_records_match_embedded_operator_expectations(field_cutoffs, phonon_cuto
         assert np.iscomplexobj(traj.records[name]) == name.startswith(("sigma_minus_", "sigma_plus_", "a_", "b_"))
     tops = [np.max(traj.records[name]) for name in oracle if name.startswith("top_")]
     assert min(tops) > 0.0 and traj.meta["max_top_level_population"] == max(tops)
+
+
+@pytest.mark.parametrize(
+    "field_cutoffs,phonon_cutoff,drives,method",
+    [
+        ((3, 2), 2, (), "eigh"),  # dim 144
+        ((7, 5), 2, (), "chebyshev"),  # dim 576
+        ((2, 1), 1, DRIVE, "interaction+DOP853"),  # dim 48
+        ((3, 2), 2, DRIVE, "DOP853"),  # dim 144
+    ],
+    ids=["eigh", "chebyshev", "interaction", "DOP853"],
+)
+def test_a_byte_budget_records_the_same_in_smaller_chunks(monkeypatch, field_cutoffs, phonon_cutoff, drives, method):
+    space, params, psi0 = _mixed_system(field_cutoffs, phonon_cutoff, drives)
+    default = propagate(space, params, psi0, 3.0, n_out=11)
+    widths = []
+    slot_records = dynamics._slot_records
+
+    def spied(space, block, block_conj):
+        widths.append(block.shape[1])
+        return slot_records(space, block, block_conj)
+
+    monkeypatch.setattr(dynamics, "_slot_records", spied)
+    monkeypatch.setattr(dynamics, "RECORD_BYTES", 3 * 16 * space.dim)
+    small = propagate(space, params, psi0, 3.0, n_out=11)
+    assert default.meta["method"] == small.meta["method"] == method
+    assert widths == [3, 3, 3, 2]
+    assert list(small.records) == list(default.records)
+    for name, values in default.records.items():
+        assert np.max(np.abs(small.records[name] - values)) <= 1e-12, name
 
 
 def test_exponential_path_rejects_non_finite_hamiltonian():
@@ -935,10 +965,11 @@ def test_a_caller_built_cache_serves_the_hamiltonian_and_both_oracles(monkeypatc
     space = build_space(SpaceSpec(2, (ModeSpec(3),), (ModeSpec(1),)))
     params = draw_params(space, np.random.default_rng(13))
     cache = OperatorCache(space)
-    ham = TotalHamiltonian(space, params, cache)
+    TotalHamiltonian(space, params, cache)
+    assert len(builds) == 1  # the Hamiltonian builds no cache
     assert max(verify_heisenberg_identities(space, params).values()) <= 1e-11
     assert verify_compact_form(space, params, 0) <= 1e-10
-    assert ham.cache is cache and OperatorCache.for_space(space) is cache
+    assert OperatorCache.for_space(space) is cache
     assert len(builds) == 1
 
 

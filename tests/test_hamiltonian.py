@@ -408,6 +408,62 @@ def test_at_of_a_static_hamiltonian_is_the_static_operator():
     assert ham.at(4.7) is ham.static
 
 
+GRID_DRIVES = {
+    "undriven": (),
+    "all-sites": (ClassicalDrive(amplitude=0.05 + 0.02j, frequency=1.0),),
+    "repeated-site": (ClassicalDrive(0.03 - 0.01j, 0.9, (1, 1)), ClassicalDrive(0.02j, 1.3, (0,))),
+}
+
+
+def _grid_system(n, boundary, exchange_j, n_phonon, coupling_mode, drives):
+    space = build_space(SpaceSpec(n, (ModeSpec(2),), (ModeSpec(1),) * n_phonon))
+    params = SystemParams(
+        site_energies=tuple((-0.5 + 0.03 * v, 0.5 + 0.05 * v) for v in range(n)),
+        exchange_j=exchange_j,
+        boundary=boundary,
+        field_modes=(FieldMode(omega=1.2, wavevector=0.9, amplitude=0.2,
+                               polarization_overlap=tuple(1.0 - 0.2 * v for v in range(n))),),
+        phonon_modes=tuple(PhononMode(nu=0.5 + 0.2 * q, coupling=0.1 * (1 - q)) for q in range(n_phonon)),
+        coupling_mode=coupling_mode,
+        drives=drives,
+    )
+    return space, params
+
+
+@pytest.mark.parametrize("n_phonon", [0, 1, 2])
+@pytest.mark.parametrize("n,boundary", [(2, "open"), (3, "open"), (2, "periodic"), (3, "periodic")])
+@pytest.mark.parametrize("exchange_j", [0.0, 0.07])
+@pytest.mark.parametrize("drives", list(GRID_DRIVES.values()), ids=list(GRID_DRIVES))
+@pytest.mark.parametrize("coupling_mode", COUPLING_CASES)
+def test_total_hamiltonian_built_from_local_factors_is_the_term_sum(coupling_mode, drives, exchange_j, n, boundary,
+                                                                    n_phonon):
+    # two independent builds: local factors summed at once, and the builders' embedded operators
+    space, params = _grid_system(n, boundary, exchange_j, n_phonon, coupling_mode, drives)
+    ham = TotalHamiltonian(space, params)
+    for t in (0.6, 1.7):  # no coefficient is 0 here, which ``at`` would store on its union pattern
+        h, ref = ham.at(t), term_sum(space, params, t)
+        assert (h - ref).max_abs() <= 1e-14, t
+        assert h.matrix.nnz == ref.matrix.nnz, t
+
+
+@pytest.mark.parametrize("coupling_mode,drives,method", [
+    (STATIC_PHASE, (), "eigh"),
+    (LITERAL_TIME_DEPENDENT, GRID_DRIVES["all-sites"], "interaction+DOP853"),
+], ids=["static", "driven"])
+def test_total_hamiltonian_and_propagate_build_no_operator_cache(monkeypatch, coupling_mode, drives, method):
+    def refuse(self, space):
+        raise AssertionError("an operator cache was built")
+
+    monkeypatch.setattr(OperatorCache, "__init__", refuse)
+    monkeypatch.setattr(OperatorCache, "_shared", {})
+    space, params = _grid_system(3, "periodic", 0.07, 1, coupling_mode, drives)
+    TotalHamiltonian(space, params)
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[0] = 1.0
+    traj = propagate(space, params, psi0, 2.0, n_out=5)
+    assert traj.meta["method"] == method and traj.meta["norm_drift"] <= 1e-8
+
+
 def _phasor_params():
     return SystemParams(
         site_energies=((-0.5, 0.5),) * 3,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy import sparse
 
 from chainqed.hilbert import (
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from chainqed.hilbert import (
     commutator,
     creation_local,
     embed_local,
+    embed_terms,
     fock_local,
     identity,
     number_local,
@@ -83,6 +85,63 @@ def test_embed_dimension_mismatch_names_subsystem():
     space = build_space(SpaceSpec(1, (ModeSpec(3),)))
     with pytest.raises(DimensionMismatchError, match=r"field\[0\]"):
         embed_local(space, 1, np.eye(2))
+
+
+def _kron_embedding(space, slot, local):
+    """``I x local x I`` by two Kronecker products: the reference embedding."""
+    before = int(np.prod([sub.dim for sub in space.subsystems[:slot]]))
+    after = int(np.prod([sub.dim for sub in space.subsystems[slot + 1:]]))
+    mat = sparse.kron(sparse.identity(before, format="csr"), sparse.csr_matrix(local, dtype=complex), format="csr")
+    return sparse.kron(mat, sparse.identity(after, format="csr"), format="csr")
+
+
+def test_embed_local_is_the_kronecker_embedding_bit_for_bit():
+    space = build_space(SpaceSpec(1, (ModeSpec(2),), (ModeSpec(3),)))
+    rng = np.random.default_rng(5)
+    for slot, sub in enumerate(space.subsystems):
+        d = sub.dim
+        dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        zero_row = dense.copy()
+        zero_row[1] = 0.0
+        a = annihilation_local(d - 1)
+        for local in (number_local(d - 1), a + a.conj().T, dense, zero_row):
+            got, ref = embed_local(space, slot, local).matrix, _kron_embedding(space, slot, local)
+            assert got.has_canonical_format
+            for field in ("indptr", "indices", "data"):
+                assert_array_equal(getattr(got, field), getattr(ref, field))
+                assert getattr(got, field).dtype == getattr(ref, field).dtype
+    for slot in (-1, len(space.subsystems)):
+        with pytest.raises(IndexError, match="out of range"):
+            embed_local(space, slot, np.eye(2))
+    with pytest.raises(DimensionMismatchError, match=r"phonon\[0\] of dimension 4"):
+        embed_local(space, 2, np.eye(3))
+
+
+def test_embed_terms_is_the_sum_of_embedded_products():
+    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
+    rng = np.random.default_rng(9)
+    dense = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    terms = [
+        (0.7, {0: SIGMA_Z_LOCAL}),  # diagonal: folded
+        (-0.2, {}),  # the identity
+        (0.3 - 0.1j, {1: SIGMA_PLUS_LOCAL, 2: annihilation_local(2)}),
+        (1.5, {0: SIGMA_Z_LOCAL, 2: dense}),  # diagonal entries off the folded vector
+        (0.3 - 0.1j, {1: SIGMA_PLUS_LOCAL, 2: annihilation_local(2)}),  # a duplicate entry
+    ]
+    expected = np.zeros((space.dim, space.dim), dtype=complex)
+    for c, factors in terms:
+        product = np.eye(space.dim)
+        for slot, m in factors.items():
+            product = product @ embed_local(space, slot, m).to_dense()
+        expected += c * product
+    op = embed_terms(space, terms)
+    assert op.matrix.has_canonical_format
+    assert np.max(np.abs(op.to_dense() - expected)) <= 1e-15
+    # an exact cancellation leaves no stored zero
+    cancelled = embed_terms(space, [(1.0, {0: SIGMA_Z_LOCAL}), (-1.0, {0: SIGMA_Z_LOCAL}),
+                                    (2.0, {1: SIGMA_PLUS_LOCAL}), (-2.0, {1: SIGMA_PLUS_LOCAL})])
+    assert cancelled.matrix.nnz == 0
+    assert embed_terms(space, []).matrix.nnz == 0
 
 
 def test_disjoint_embeddings_commute():

@@ -150,6 +150,21 @@ def test_non_finite_and_out_of_range_values_rejected(section, key, value, named)
     assert any(named in problem for problem in err.value.problems), err.value.problems
 
 
+@pytest.mark.parametrize("refused,accepted", [(2.0, 0.5), (1.0, 0.999), (1e-15, 100 * np.finfo(float).eps)],
+                         ids=["above-one", "one", "below-100-eps"])
+def test_integrator_tolerance_outside_its_range_refused(refused, accepted):
+    # tol 2.0 once ran a compare with norm drift 0.13; scipy lifts a tol below 100 eps to 100 eps
+    raw = _valid_raw()
+    raw["integrate"]["tol"] = accepted
+    assert config_from_dict(raw).integrate["tol"] == accepted
+    raw["integrate"]["tol"] = refused
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.problems == [
+        f"integrate.tol must be at least 2.22e-14 (100 machine epsilons) and below 1, got {refused!r}"
+    ]
+
+
 MALFORMED = [
     # (dotted path into the valid config, value, text naming the problem)
     ("space", [{"n_sites": 2}], "space must be a mapping"),
