@@ -7,8 +7,11 @@ Two independent routes to the same physics are kept side by side:
   Hamiltonian of dimension at most ``SPECTRAL_MAX_DIM`` is propagated by
   its dense eigendecomposition (``eigh``); a larger one, on any output
   grid, by a Chebyshev expansion of the propagator (Tal-Ezer & Kosloff,
-  J. Chem. Phys. 81, 3967, 1984), one per window of output times (at
-  most ``RECORD_CHUNK``, fewer where ``RECORD_BYTES`` binds).  Both are
+  J. Chem. Phys. 81, 3967, 1984), one per window of output times.  A
+  window is capped by columns (at most ``RECORD_CHUNK``, fewer where
+  ``RECORD_BYTES`` binds) and by ``R tau`` (at most ``CHEBYSHEV_SPAN``,
+  with R the half-width of the spectrum); a gap between output times
+  longer than that span is crossed by hops that record nothing.  Both are
   exact to roundoff, with no step error.  An explicitly time-dependent
   generator of dimension at most ``INTERACTION_MAX_DIM`` is integrated by
   DOP853 in the interaction picture of its static part, whose
@@ -60,7 +63,6 @@ import numpy as np
 from scipy import sparse
 from scipy.fft import dct
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .hamiltonian import (
     CompiledModel,
@@ -111,6 +113,18 @@ SPECTRAL_MAX_DIM = 512
 INTERACTION_MAX_DIM = 128
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
+# Largest R tau of one Chebyshev expansion (R the half-width of the spectral
+# interval): a window closes early where its next time would pass it, and a
+# longer gap between output times is crossed by hops of this span.  The order,
+# the coefficient table (order x columns) and the DCT of 2 order + 16 points per
+# column all grow with R tau.  One site plus a field mode of cutoff 256 (dim
+# 514, R = 129), 201 points to t = 1000, propagate after a warm-up run, median
+# of 3 on a 2-vCPU x86 box, peak RSS over the RSS before the call: unbounded
+# (R tau up to 41,000 in one window) 6.7 s and +75 MB; a span of 500 2.9 s,
+# 1,000 1.8 s, 2,000 (this bound) 2.3 s and +0.6 MB, 4,000 2.1 s and +1.6 MB,
+# 8,000 2.9 s and +2.7 MB, with states within 1e-11 of the unbounded run's.
+# Every benchmark workload stays below it (model-large: R tau about 220).
+CHEBYSHEV_SPAN = 2000.0
 # Bytes of one block of states on the exact path: each Chebyshev window, its
 # ring of polynomial vectors, each frame chunk and each block of slot records
 # holds ``_record_columns(dim)`` columns, RECORD_CHUNK or fewer where dim forces
@@ -317,28 +331,41 @@ def _chebyshev_sum(doubled, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
-    """States ``exp(-i H tau) psi0`` at the elapsed times tau, in chunks of ``_record_columns`` columns.
+    """States ``exp(-i H tau) psi0`` at the elapsed times tau, in chunks of at most ``_record_columns`` columns.
 
     Each chunk is one window: ``H`` is mapped onto [-1, 1] by its Gershgorin
     interval ``c +- R``, and ``exp(-i H tau)`` applied to the window's start
     state (``psi0``, then the last state produced) is expanded in the
     Chebyshev polynomials of the mapped matrix, to the order that ``R``
     times the window's longest tau needs.  One recurrence serves every
-    time in the window.
+    time in the window.  A window closes early where the next time would
+    take ``R tau`` past ``CHEBYSHEV_SPAN``; where the next time lies
+    further than that from the start state, the state hops there by
+    expansions of ``R tau = CHEBYSHEV_SPAN`` that record nothing.
     """
     matrix = h.matrix
     centre, half_width = _spectral_interval(matrix)
     # 2 (H - c) / R; a zero-width interval means H = c, and order 1 needs no product
     doubled = (matrix - centre * sparse.identity(h.dim, format="csr")) * (2.0 / half_width) if half_width > 0 else None
-    psi, start, step = psi0, 0.0, _record_columns(h.dim)
-    for lo in range(0, elapsed.size, step):
+    reach = CHEBYSHEV_SPAN / half_width if half_width > 0 else math.inf
+    psi, start, step, lo = psi0, 0.0, _record_columns(h.dim), 0
+    while lo < elapsed.size:
         tau = elapsed[lo:lo + step] - start
+        tau = tau[:np.searchsorted(tau, reach, side="right")]
+        hop = not tau.size  # the next time lies beyond reach
+        if hop:
+            tau = np.array([reach])
         order = _chebyshev_order(half_width * tau[-1])
         states = _chebyshev_sum(doubled, psi, _chebyshev_coefficients(centre, half_width, tau, order))
         if not np.isfinite(states).all():
             raise PropagationError("Chebyshev propagation returned non-finite states")
-        yield states
-        psi, start = states[:, -1].copy(), elapsed[lo + tau.size - 1]
+        psi = states[:, -1].copy()
+        if hop:
+            start += reach
+        else:
+            yield states
+            lo += tau.size
+            start = elapsed[lo - 1]
 
 
 def _slot_records(space: SpaceIndex, block: np.ndarray, block_conj: np.ndarray):
@@ -404,9 +431,12 @@ def propagate(
     * static H, dimension at most ``SPECTRAL_MAX_DIM``: dense
       eigendecomposition (``meta["method"] == "eigh"``);
     * static H above that size, on any output grid: a Chebyshev expansion
-      of ``exp(-i H tau)`` per window of ``_record_columns`` output times, with
-      tau counted from the last state of the window before
-      (``"chebyshev"``);
+      of ``exp(-i H tau)`` per window of output times, with tau counted
+      from the last state of the window before (``"chebyshev"``).  A window
+      holds at most ``_record_columns`` times and closes early where ``R
+      tau`` would pass ``CHEBYSHEV_SPAN``; where the next time lies further
+      than that from the window's start state, the state hops there by
+      expansions of that span, which record nothing;
     * time-dependent H (literal coupling phases, classical drives) of
       dimension at most ``INTERACTION_MAX_DIM``: DOP853 in the interaction
       picture of ``ham.static = V E V^dag`` (``"interaction+DOP853"``).  It
@@ -713,6 +743,9 @@ def memory_kernel_integral(times: np.ndarray, values: np.ndarray, nu: float, t: 
         raise ValueError("history needs at least two samples")
     if t < times[0] or t > times[-1] + 1e-12:
         raise ValueError(f"time {t} outside recorded history [{times[0]}, {times[-1]}]")
+    # imported here: only this quadrature needs scipy.interpolate, which import chainqed would load for every process
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(times, values)
     result, _ = quad(
         lambda tp: spline(tp) * math.sin(nu * (t - tp)),

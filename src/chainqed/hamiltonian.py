@@ -153,21 +153,21 @@ class SystemParams:
         return site * self.lattice_spacing
 
     def neighbors(self, site: int) -> tuple[int, ...]:
-        """Nearest neighbours under the boundary policy."""
-        if self.boundary == "periodic":
-            n = self.n_sites
+        """Nearest neighbours under the boundary policy; a single site has none, periodic or not."""
+        n = self.n_sites
+        if self.boundary == "periodic" and n > 1:
             return ((site - 1) % n, (site + 1) % n)
         out = []
         if site - 1 >= 0:
             out.append(site - 1)
-        if site + 1 < self.n_sites:
+        if site + 1 < n:
             out.append(site + 1)
         return tuple(out)
 
     def bonds(self) -> tuple[tuple[int, int], ...]:
-        """Nearest-neighbour bonds summed once in the exchange Hamiltonian."""
+        """Nearest-neighbour bonds summed once in the exchange Hamiltonian; none below two sites."""
         n = self.n_sites
-        if self.boundary == "periodic":
+        if self.boundary == "periodic" and n > 1:
             return tuple((v, (v + 1) % n) for v in range(n))
         return tuple((v, v + 1) for v in range(n - 1))
 
@@ -320,7 +320,7 @@ def build_exchange(space: SpaceIndex, params: SystemParams) -> Operator:
     ops = OperatorCache.for_space(space)
     h = zero(space)
     j = params.exchange_j
-    if j == 0.0 or space.n_sites < 2:
+    if j == 0.0:
         return h
     for v, w in params.bonds():
         sv, sw = ops.sigma[v], ops.sigma[w]
@@ -430,7 +430,7 @@ class TotalHamiltonian:
         def quanta(slot: int) -> np.ndarray:  # n + 1/2
             return np.diag(np.arange(space.subsystems[slot].dim) + 0.5)
 
-        j = model.exchange_j if model.n > 1 else 0.0
+        j = model.exchange_j
         bonds = list(zip(model.bond_v, model.bond_w)) if j else []
         levels = [term for v, (e_low, e_up) in enumerate(params.site_energies)
                   for term in ((0.5 * (e_up - e_low), {site[v]: SIGMA_Z_LOCAL}), (0.5 * (e_low + e_up), {}))]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.signal import find_peaks, peak_widths
 
 from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, _check_grid, _dop853
 from .hamiltonian import CompiledModel, SystemParams
@@ -496,6 +495,9 @@ def spectrum(
     total_spectral = float(np.sum(power)) * (1.0 / (n * dt))
     mean_square = float(np.mean(np.abs(series) ** 2))
     parseval_ratio = total_spectral / mean_square if mean_square > 0 else 1.0
+
+    # imported here: scipy.signal loads scipy.stats and scipy.ndimage, about 20 MB for every process
+    from scipy.signal import find_peaks, peak_widths
 
     floor = peak_rel_height * float(np.max(power)) if np.max(power) > 0 else 0.0
     idx, props = find_peaks(power, height=floor)

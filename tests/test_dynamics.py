@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -344,6 +345,47 @@ def test_chebyshev_windows_match_eigh():
     energies, vecs = np.linalg.eigh(h.to_dense())
     exact = vecs @ (np.exp(-1j * np.outer(energies, traj.times)) * (vecs.conj().T @ psi0)[:, None])
     assert np.max(np.abs(traj.states - exact)) <= 1e-10
+
+
+def test_bounded_chebyshev_windows_hop_long_gaps_and_match_eigh(monkeypatch):
+    # span 50 at R = 129: windows close after 0.39 time units, and the gaps to 1.7 and 3.0 are crossed by hops
+    space, params, psi0 = large_static_system()
+    h = TotalHamiltonian(space, params).static
+    span = 50.0
+    monkeypatch.setattr(dynamics, "CHEBYSHEV_SPAN", span)
+    expansions = []
+    coefficients = dynamics._chebyshev_coefficients
+
+    def spied(centre, half_width, tau, order):
+        expansions.append((half_width * tau, order))
+        return coefficients(centre, half_width, tau, order)
+
+    monkeypatch.setattr(dynamics, "_chebyshev_coefficients", spied)
+    times = np.concatenate([np.linspace(0.0, 0.5, 21), [1.7, 3.0]])
+    traj = propagate(space, params, psi0, 3.0, t_eval=times, keep_states=True)
+    assert traj.meta["method"] == "chebyshev"
+    hops = [arg for arg, _ in expansions if arg.size == 1 and arg[0] == pytest.approx(span)]
+    assert len(hops) == 6  # three before 1.7 and three before 3.0
+    assert max(order for _, order in expansions) <= dynamics._chebyshev_order(span)
+    assert max(arg[-1] for arg, _ in expansions) <= span * (1 + 1e-12)
+    energies, vecs = np.linalg.eigh(h.to_dense())
+    exact = vecs @ (np.exp(-1j * np.outer(energies, times)) * (vecs.conj().T @ psi0)[:, None])
+    assert np.max(np.abs(traj.states - exact)) <= 1e-10
+
+
+def test_unbounded_span_records_model_large_sized_windows_identically(monkeypatch):
+    # R tau about 215 per window, as model-large's windows (about 220): the span never binds there
+    space, params, psi0 = large_static_system()
+    n_out = 3 * dynamics.RECORD_CHUNK + 1
+    _, half_width = dynamics._spectral_interval(TotalHamiltonian(space, params).static.matrix)
+    assert 200 < half_width * 5.0 / (n_out - 1) * dynamics.RECORD_CHUNK < dynamics.CHEBYSHEV_SPAN
+    default = propagate(space, params, psi0, 5.0, n_out=n_out)
+    monkeypatch.setattr(dynamics, "CHEBYSHEV_SPAN", math.inf)
+    unbounded = propagate(space, params, psi0, 5.0, n_out=n_out)
+    assert default.meta["method"] == unbounded.meta["method"] == "chebyshev"
+    assert list(unbounded.records) == list(default.records)
+    for name, values in default.records.items():
+        assert_array_equal(unbounded.records[name], values, err_msg=name)
 
 
 def test_chebyshev_zero_width_interval_is_a_phase():

@@ -618,3 +618,11 @@ def test_periodic_neighbors():
     open_params = uniform_params(4)
     assert open_params.neighbors(0) == (1,)
     assert open_params.neighbors(3) == (2,)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_a_single_site_has_no_bond(boundary):
+    params = uniform_params(1, j=0.2, boundary=boundary)
+    assert params.bonds() == ()
+    assert params.neighbors(0) == ()
+    assert CompiledModel(params).exchange_j == 0.0

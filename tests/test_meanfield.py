@@ -13,6 +13,7 @@ from chainqed.hamiltonian import (
     FieldMode,
     PhononMode,
     SystemParams,
+    TotalHamiltonian,
     coupling_q,
     drive_field,
 )
@@ -36,6 +37,7 @@ from chainqed.meanfield import (
     volterra_diagnostics,
 )
 from chainqed.runner import draw_params
+from chainqed.transition_ops import SIGMA_MINUS_LOCAL, SIGMA_PLUS_LOCAL, SIGMA_Z_LOCAL
 
 
 def single_site_params(omega=1.0, **kwargs):
@@ -372,6 +374,21 @@ def test_state_size_mismatch_refused():
                  lambda: mf_propagate(short, params, 1.0)):
         with pytest.raises(ValueError, match=r"params declare \(3,"):
             call()
+
+
+def test_single_site_periodic_chain_has_no_self_bond():
+    # the exact Hamiltonian of one site has no exchange; the closure must not pair the site with itself
+    mf0 = MeanFieldState([0.3 + 0.1j], [-0.8], [], [])
+    energies = {}
+    for boundary in ("open", "periodic"):
+        params = single_site_params(exchange_j=0.2, boundary=boundary)
+        energies[boundary] = mf_propagate(mf0, params, 5.0, n_out=11).observable("energy")
+    h = TotalHamiltonian(build_space(SpaceSpec(1)), single_site_params(exchange_j=0.2, boundary="periodic"))
+    # the one-site density matrix with <sigma-> = s- and <sigma_z> = s_z; s_z is conserved
+    rho = 0.5 * (np.eye(2) - 0.8 * SIGMA_Z_LOCAL) + (0.3 + 0.1j) * SIGMA_PLUS_LOCAL + (0.3 - 0.1j) * SIGMA_MINUS_LOCAL
+    exact = np.trace(rho @ h.static.to_dense()).real
+    assert_allclose(energies["periodic"], energies["open"], rtol=0, atol=1e-12)
+    assert_allclose(energies["periodic"], exact, rtol=0, atol=1e-12)
 
 
 def test_long_periodic_chain_keeps_bloch_lengths():

@@ -1,5 +1,8 @@
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
+import chainqed
 from chainqed import cli, runner
 from chainqed.dynamics import Trajectory
 from chainqed.runner import (
@@ -972,3 +976,13 @@ def test_cli_seed_override_is_validated(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "seed must be non-negative" in err and "Traceback" not in err
+
+
+def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
+    # spectrum and memory_kernel_integral import them when called, so every other process is spared about 20 MB
+    heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate")
+    src = str(Path(chainqed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = f"import sys, chainqed; print(*(m for m in {heavy!r} if m in sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == []
