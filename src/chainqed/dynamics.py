@@ -14,10 +14,12 @@ Two independent routes to the same physics are kept side by side:
   longer than that span is crossed by hops that record nothing.  Both are
   exact to roundoff, with no step error.  An explicitly time-dependent
   generator of dimension at most ``INTERACTION_MAX_DIM`` is integrated by
-  DOP853 in the interaction picture of its static part, whose
+  LSODA in the interaction picture of its static part, whose
   eigendecomposition removes the fast carrier from the integrated
-  amplitudes; a larger one by plain DOP853
-  (adaptive explicit Runge-Kutta).  ``Trajectory.meta["method"]`` names the
+  amplitudes; a larger one by plain LSODA.  Every ODE path, the mean-field
+  closure's included, goes through :func:`solve_ivp`, one call of LSODA
+  (adaptive Adams/BDF with automatic switching, stepped in compiled code,
+  scipy's ``odeint``).  ``Trajectory.meta["method"]`` names the
   backend that ran and ``meta["backend_reason"]`` why.  The records
   (``RECORD_NAMES``) are contractions of the state block at each
   subsystem's tensor slot, with no embedded matrix; the embedded operators
@@ -55,14 +57,13 @@ implemented here, by requiring exact agreement with the commutator form.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.fft import dct
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import odeint, quad
 
 from .hamiltonian import (
     CompiledModel,
@@ -101,8 +102,10 @@ TOP_LEVEL_FLAG = 1e-6
 # 1.28 -> 0.32 s).
 SPECTRAL_MAX_DIM = 512
 # Largest time-dependent H integrated in the interaction picture of its static
-# part.  The frame cuts DOP853's right-hand-side calls up to 4.7x, but every
-# call adds two dense dim x dim products.  propagate wall time, plain DOP853 ->
+# part.  These figures were taken with DOP853, before LSODA integrated both
+# paths; ROADMAP item 4 re-measures them.  The frame cut DOP853's
+# right-hand-side calls up to 4.7x, but every call adds two dense dim x dim
+# products.  propagate wall time, plain DOP853 ->
 # frame, tol 1e-10, eigh included (same box): literal coupling plus a weak
 # drive 2.65 -> 1.19 s at dim 52, 0.68 -> 0.47 s and 0.83 -> 0.72 s at 128,
 # 0.47 -> 0.57 s and 0.81 -> 0.87 s at 256, 0.93 -> 1.32 s and 0.99 -> 1.82 s
@@ -194,7 +197,7 @@ class Trajectory:
 
 
 def _check_grid(t_eval, t_start: float, t_end: float) -> np.ndarray:
-    """The output grid, held to the contract ``solve_ivp`` enforces (same errors), and not empty."""
+    """The output grid, held to the contract scipy's ``solve_ivp`` enforces (same errors), and not empty."""
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1:
         raise ValueError("`t_eval` must be 1-dimensional.")
@@ -238,20 +241,64 @@ def _frame_chunks(energies: np.ndarray, vecs: np.ndarray, elapsed: np.ndarray, a
     )
 
 
-def _dop853(rhs, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray | None, tol: float, solve=None):
-    """One DOP853 solve onto the output grid (every step when ``times`` is None):
-    (times, states, right-hand-side calls).
+# Tolerances of every ODE path (the interaction frame, plain LSODA, the mean-field
+# closure and the Lyapunov probe): one LSODA solve (Petzold, SIAM J. Sci. Stat.
+# Comput. 4, 136 (1983); ODEPACK, as scipy's odeint) at rtol = tol / 10 and
+# atol = tol / 1000; at rtol = tol the closures came out 5-8x less accurate than
+# DOP853 at rtol = tol, atol = tol / 100.  Largest deviation from a tol-1e-13 DOP853
+# solve of the same right-hand side at tol 1e-10, DOP853 -> LSODA, with RHS calls
+# (and LSODA's steps): compare-static closure 4.8e-9, 15,737 -> 8.4e-10, 13,260
+# (6,509); compare-driven frame 7.8e-11, 17,942 -> 5.2e-13, 15,185 (7,592);
+# compare-driven closure 5.3e-10, 15,626 -> 5.7e-10, 13,681 (6,763); mf-chain
+# closure 3.7e-10, 857 -> 6.6e-12, 639 (319).
+# ml = mu = 0: where LSODA switches to its stiff method, as it does now and then on
+# these oscillatory systems at tight tolerances, it builds a diagonal Jacobian from
+# one RHS call instead of a dense one from n calls, and it reserves no n x n work
+# array (which raised mf-chain's peak RSS by 1-2.5 MB).  386 harmonic oscillators
+# to t = 10 at rtol 1e-11 (n = 772): 35,433 RHS calls dense, 6,032 diagonal.
+# LSODA refuses an rtol below 100 machine epsilons ("Illegal input detected"), so
+# tol must be at least 1000 of them.
+TOL_MIN = 1000 * np.finfo(float).eps
+# Steps LSODA may take between two output times: its default of 500 would end a
+# long gap between output times (one Lyapunov interval, a coarse grid) that any
+# number of steps may cross.
+MAX_STEPS = 2**31 - 1
 
-    ``solve`` is the ``solve_ivp`` that the calling module names (this module's
-    when left out), so wrapping one module's ``solve_ivp`` sees that module's solves.
+
+def solve_ivp(fun, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarray | None, tol: float):
+    """One LSODA solve of ``dy/dt = fun(t, y)`` from ``y0`` at ``t_span[0]``:
+    (states, right-hand-side calls, accepted steps).
+
+    ``states`` holds one column per output time, ``times`` or ``t_span`` when
+    ``times`` is None.  A complex state is integrated as its float view.
+    Every ODE path calls it through its module's name ``solve_ivp``, so that
+    wrapping one module's name sees that module's solves.
     """
-    sol = (solve or solve_ivp)(rhs, t_span, y0, method="DOP853", t_eval=times, rtol=tol, atol=tol * 1e-2)
-    # scipy leaves the solver in a reference cycle (its wrapped right-hand side closes
-    # over it); a young-generation collection frees it and its work arrays in microseconds
-    gc.collect(1)
-    if not sol.success:
-        raise PropagationError(f"propagation failed: {sol.message}")
-    return sol.t, sol.y, int(sol.nfev)
+    if not tol >= TOL_MIN:
+        raise ValueError(f"integrator tolerance {tol!r} is below {TOL_MIN:.3g} (1000 machine epsilons)")
+    t_start, t_end = t_span
+    grid = np.asarray(t_span if times is None else times, dtype=float)
+    # odeint starts at the first time of its grid; like scipy's solve_ivp, the solve spans t_span
+    lead, tail = int(grid[0] > t_start), int(grid[-1] < t_end)
+    grid = np.concatenate(([t_start] * lead, grid, [t_end] * tail))
+    y0 = np.ascontiguousarray(y0)
+    is_complex, rhs = np.iscomplexobj(y0), fun
+    if is_complex:
+        y0 = y0.view(float)
+
+        def rhs(t, y):
+            return fun(t, y.view(np.complex128)).view(float)
+
+    ys, info = odeint(rhs, y0, grid, tfirst=True, full_output=True, rtol=tol / 10, atol=tol / 1000,
+                      mxstep=MAX_STEPS, ml=0, mu=0)
+    if info["message"] != "Integration successful.":
+        raise PropagationError(f"propagation failed: {info['message']}")
+    # LSODA accepts steps whose error norm is NaN, so a non-finite state ends no solve by itself
+    if not np.isfinite(ys).all():
+        raise PropagationError("propagation returned non-finite states")
+    ys = ys[lead:grid.size - tail]
+    states = ys.view(np.complex128) if is_complex else ys
+    return states.T, int(info["nfe"][-1]), int(info["nst"][-1])
 
 
 def _interaction_rhs(ham: TotalHamiltonian, energies: np.ndarray, vecs: np.ndarray, t_start: float):
@@ -438,25 +485,27 @@ def propagate(
       than that from the window's start state, the state hops there by
       expansions of that span, which record nothing;
     * time-dependent H (literal coupling phases, classical drives) of
-      dimension at most ``INTERACTION_MAX_DIM``: DOP853 in the interaction
-      picture of ``ham.static = V E V^dag`` (``"interaction+DOP853"``).  It
+      dimension at most ``INTERACTION_MAX_DIM``: LSODA in the interaction
+      picture of ``ham.static = V E V^dag`` (``"interaction+LSODA"``).  It
       integrates ``phi = exp(i E (t - t0)) V^dag psi``, whose right-hand
       side makes one ``ham.apply`` call, and maps phi back to psi in chunks
       of ``_record_columns`` output points;
-    * time-dependent H above ``INTERACTION_MAX_DIM``: DOP853 (``"DOP853"``).
+    * time-dependent H above ``INTERACTION_MAX_DIM``: LSODA (``"LSODA"``).
 
-    Both DOP853 paths evaluate the generator at the integrator's internal
-    stage times, not frozen per step.  The two static paths are exact to
-    roundoff and make no right-hand-side evaluations
-    (``meta["rhs_evaluations"] == 0``).
+    Both LSODA paths evaluate the generator wherever the integrator asks for
+    it, not frozen per step, and record its right-hand-side calls
+    (``meta["rhs_evaluations"]``) and accepted steps (``meta["steps"]``).
+    The two static paths are exact to roundoff and make neither
+    (both 0).
 
     Parameters
     ----------
     state:
         Initial state; ``state.time`` (0 for a bare array) is the start time.
     tol:
-        Local error tolerance of the DOP853 integrator, in either frame
-        (rtol; atol is two orders tighter).  Unused on both static paths.
+        Tolerance of the LSODA integrator, in either frame (rtol tol / 10,
+        atol tol / 1000, see :func:`solve_ivp`); at least ``TOL_MIN``.
+        Unused on both static paths.
     t_eval:
         Explicit output grid, strictly increasing within ``[start, t_end]``;
         overrides ``n_out`` equally spaced points.
@@ -468,13 +517,14 @@ def propagate(
     ------
     ValueError
         When the initial state is not normalized (a NaN amplitude included),
-        ``t_end`` does not exceed its start time, or the output grid is empty.
+        ``t_end`` does not exceed its start time, or the output grid is empty;
+        on an LSODA path, when ``tol`` is below ``TOL_MIN``.
     PropagationError
         Before any backend runs, when a matrix of the Hamiltonian or a
         compiled parameter behind its coefficients is non-finite; on
-        integrator failure (step-size underflow and the like); on a
-        non-finite spectrum, or non-finite states from the Chebyshev
-        expansion.
+        integrator failure (repeated error test failures and the like) or
+        non-finite integrated states; on a non-finite spectrum, or
+        non-finite states from the Chebyshev expansion.
     """
     if isinstance(state, StateVector):
         psi0, t_start = state.amplitudes, state.time
@@ -494,7 +544,7 @@ def propagate(
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
     if not ham.is_finite():
         raise PropagationError("Hamiltonian has non-finite entries or parameters")
-    states, rhs_evaluations = None, 0
+    states, rhs_evaluations, steps = None, 0, 0
     limit = SPECTRAL_MAX_DIM if ham.is_static else INTERACTION_MAX_DIM
     kind = "static" if ham.is_static else "time-dependent"
     if space.dim <= limit:
@@ -505,17 +555,17 @@ def propagate(
             method = "eigh"
             amps = np.broadcast_to(phi0[:, None], (space.dim, times.size))
         else:
-            method = "interaction+DOP853"
+            method = "interaction+LSODA"
             rhs = _interaction_rhs(ham, energies, vecs, t_start)
-            times, amps, rhs_evaluations = _dop853(rhs, (t_start, t_end), phi0, times, tol)
+            amps, rhs_evaluations, steps = solve_ivp(rhs, (t_start, t_end), phi0, times, tol)
         chunks = _frame_chunks(energies, vecs, times - t_start, amps)
     elif ham.is_static:
         method, reason = "chebyshev", f"{kind}, dim > {limit}"
         chunks = _chebyshev_chunks(ham.static, psi0, times - t_start)
     else:
-        method, reason = "DOP853", f"{kind}, dim > {limit}"
-        times, states, rhs_evaluations = _dop853(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0,
-                                                 times, tol)
+        method, reason = "LSODA", f"{kind}, dim > {limit}"
+        states, rhs_evaluations, steps = solve_ivp(lambda t, psi: -1j * ham.apply(t, psi), (t_start, t_end), psi0,
+                                                   times, tol)
         chunks = _column_chunks(states)
     if keep_states and states is None:
         states = np.concatenate(list(chunks), axis=1)
@@ -538,6 +588,7 @@ def propagate(
         "backend_reason": reason,
         "warnings": warnings,
         "rhs_evaluations": rhs_evaluations,
+        "steps": steps,
     }
     return Trajectory(
         times=times.copy(),

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, _check_grid, _dop853
+from .dynamics import RECORD_CHUNK, PropagationError, Trajectory, _check_grid, solve_ivp
 from .hamiltonian import CompiledModel, SystemParams
 
 # The Rabi oracle refuses drive strengths and detunings beyond this fraction of the
@@ -87,11 +86,6 @@ def bloch_state(theta: float = 0.0, phi: float = 0.0) -> tuple[complex, float]:
 _ONE = np.ones(1)
 
 
-def _no_factors(t) -> np.ndarray:
-    """No time factors (a static model)."""
-    return _ONE[:0]
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + i im in one new array (no complex temporary)."""
     z = re.astype(np.complex128)
@@ -127,8 +121,6 @@ class CompiledClosure(CompiledModel):
         self._o, self._i, self._j, m, self._c = self._term_table()
         self._timed = int(np.count_nonzero(m == self._size))  # first term with a time factor
         self._m = m[self._timed :]
-        # f(t) after its 1, chosen once: a static model has none
-        self._factors = _no_factors if self.is_static else self._re_im
 
     def _term_table(self):
         """(o, i, j, m, c) of the nonzero terms of the closed equations (``close_rhs``)."""
@@ -185,9 +177,13 @@ class CompiledClosure(CompiledModel):
         keep = keep[np.argsort(m[keep] != one, kind="stable")]
         return o[keep], i[keep], j[keep], m[keep], c[keep]
 
-    def _re_im(self, t):
-        """Re and Im of each phasor at time t, interleaved."""
-        return self.phasors(t).view(float)
+    def _factors(self, t):
+        """f(t) after its 1: Re and Im of each phasor at time t, interleaved; none for a static model.
+
+        A method, not a bound method stored on the closure: that would hold each closure and its
+        term table in a reference cycle past its run.
+        """
+        return _ONE[:0] if self.is_static else self.phasors(t).view(float)
 
     def check(self, mf: MeanFieldState) -> CompiledClosure:
         """This closure, after refusing a state whose sizes differ from the parameters."""
@@ -269,28 +265,30 @@ def mf_propagate(
     tol: float = 1e-10,
     n_out: int = 201,
 ) -> Trajectory:
-    """Integrate the closed equations; records mirror the exact trajectory.
+    """Integrate the closed equations by LSODA (``dynamics.solve_ivp``); records mirror the exact trajectory.
 
     ``norm`` records the root of the mean per-site Bloch length (the
     closure's analogue of state normalization) and ``bloch_l`` the per-site
-    invariant itself.  Raises ``ValueError`` when ``t_end`` does not exceed
-    the start time or ``n_out`` is 0, ``PropagationError`` before integrating
-    when a compiled frequency, coupling or drive is non-finite, and when the
-    integration fails.
+    invariant itself; ``meta`` carries the right-hand-side calls
+    (``rhs_evaluations``) and the accepted steps (``steps``).  Raises
+    ``ValueError`` when ``t_end`` does not exceed the start time, ``n_out``
+    is 0 or ``tol`` is below ``dynamics.TOL_MIN``, ``PropagationError``
+    before integrating when a compiled frequency, coupling or drive is
+    non-finite, and when the integration fails.
     """
     closure = _run_closure(params, mf)
     t_start = mf.time
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
     times = _check_grid(np.linspace(t_start, t_end, n_out), t_start, t_end)
-    times, y, rhs_evaluations = _dop853(closure.rhs, (t_start, t_end), mf.pack(), times, tol, solve=solve_ivp)
+    y, rhs_evaluations, steps = solve_ivp(closure.rhs, (t_start, t_end), mf.pack(), times, tol)
     sm, sz, a, b = closure.split(y)
     sz = sz.copy()
     del y  # the solver's state block is not needed past this point
     records = _records(closure, times, sm, sz, a, b)
     bloch = (records[f"bloch_{l}"] for l in range(closure.n))
     meta = {"bloch_drift": max(float(np.max(np.abs(row - row[0]))) for row in bloch), "tol": tol,
-            "method": "DOP853", "kind": "meanfield", "rhs_evaluations": rhs_evaluations}
+            "method": "LSODA", "kind": "meanfield", "rhs_evaluations": rhs_evaluations, "steps": steps}
     return Trajectory(times=times, records=records, meta=meta)
 
 
@@ -570,7 +568,8 @@ def volterra_diagnostics(
     separation between a reference and a perturbed state, renormalized to
     ``LYAPUNOV_SEPARATION`` every ``renorm_interval`` (default: one twentieth
     of the run).  The two states are integrated as one stacked vector, so
-    the probe makes one DOP853 solve per interval on top of the base run;
+    the probe makes one LSODA solve (``dynamics.solve_ivp``, from the
+    interval's start onto its end) per interval on top of the base run;
     spectral flatness is computed from the base trajectory and classified
     against ``FLATNESS_PERIODIC`` and ``FLATNESS_BROADBAND``.  Raises
     ``ValueError`` for a ``t_end`` that is non-finite or not past the start,
@@ -621,7 +620,7 @@ def volterra_diagnostics(
     t0 = mf0.time
     for i in range(n_intervals):
         t1 = t0 + renorm_interval
-        y_end = _dop853(pair_rhs, (t0, t1), pair, None, tol, solve=solve_ivp)[1][:, -1]
+        y_end = solve_ivp(pair_rhs, (t0, t1), pair, None, tol)[0][:, -1]
         y_ref, grown = y_end[:size], y_end[size:] - y_end[:size]
         dist = max(float(np.linalg.norm(grown)), np.finfo(float).tiny)
         logs[i] = np.log(dist / LYAPUNOV_SEPARATION) / renorm_interval

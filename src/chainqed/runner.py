@@ -32,6 +32,7 @@ import numpy as np
 import yaml
 
 from . import dynamics, meanfield
+from .dynamics import TOL_MIN
 from .hamiltonian import (
     BOUNDARIES,
     COUPLING_MODES,
@@ -63,8 +64,6 @@ NEGATIVE_CONTROL_FLOOR = 1e-3
 # Output grid points per run: 10^6 points of a few dozen records already
 # take hundreds of MB in the trajectory files.
 N_OUT_MAX = 10**6
-# Smallest integrator tolerance: below 100 machine epsilons scipy raises rtol to that itself.
-TOL_MIN = 100 * np.finfo(float).eps
 
 
 class ConfigError(ValueError):
@@ -250,9 +249,9 @@ _POSITIVE = _rule("positive", lambda v: v > 0)
 
 
 def _tolerance(value, at):
-    """A relative tolerance of DOP853: positive, at least ``TOL_MIN`` and below 1."""
+    """The tolerance of every ODE path: positive, at least ``dynamics.TOL_MIN`` and below 1."""
     _POSITIVE(value, at)
-    return _must(TOL_MIN <= value < 1.0, f"at least {TOL_MIN:.3g} (100 machine epsilons) and below 1", value)
+    return _must(TOL_MIN <= value < 1.0, f"at least {TOL_MIN:.3g} (1000 machine epsilons) and below 1", value)
 
 
 def _per(value, at):
@@ -636,11 +635,13 @@ def export_trajectory(traj: dynamics.Trajectory, fmt: str, path: str | Path) -> 
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = _columns(traj)
     if fmt == "csv":
+        table = np.vstack([block for _, block in columns])
+        k, n = table.shape
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name + part for name, block in columns
-                             for part in (("",) if len(block) == 1 else ("_re", "_im"))])
-            writer.writerows(np.vstack([block for _, block in columns]).T.tolist())
+            csv.writer(fh).writerow([name + part for name, block in columns
+                                     for part in (("",) if len(block) == 1 else ("_re", "_im"))])
+            # the rows csv.writer writes (repr of each float, "\r\n" line ends), from one template
+            fh.write((("%r," * (k - 1) + "%r\r\n") * n) % tuple(table.T.ravel().tolist()))
     elif fmt == "json":
         (_, times), *records = columns
         meta = json.dumps(_jsonable(traj.meta), indent=1).replace("\n", "\n ")

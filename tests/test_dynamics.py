@@ -1,16 +1,17 @@
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from chainqed import dynamics
+from chainqed import dynamics, meanfield
 from chainqed.dynamics import (
     INTERACTION_MAX_DIM,
     SPECTRAL_MAX_DIM,
+    TOL_MIN,
     PropagationError,
     StateVector,
     bulk_projector,
@@ -229,11 +230,11 @@ DRIVE = (ClassicalDrive(amplitude=0.01, frequency=1.0),)
         (SPECTRAL_MAX_DIM // 2, {}, None, "chebyshev", "static, dim > 512"),  # dim 514
         (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "chebyshev", "static, dim > 512"),
         (2, {}, NON_UNIFORM, "eigh", "static, dim <= 512"),
-        (2, {"drives": DRIVE}, None, "interaction+DOP853", "time-dependent, dim <= 128"),
-        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+DOP853", "time-dependent, dim <= 128"),
-        (INTERACTION_MAX_DIM // 2 - 1, {"drives": DRIVE}, None, "interaction+DOP853",
+        (2, {"drives": DRIVE}, None, "interaction+LSODA", "time-dependent, dim <= 128"),
+        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+LSODA", "time-dependent, dim <= 128"),
+        (INTERACTION_MAX_DIM // 2 - 1, {"drives": DRIVE}, None, "interaction+LSODA",
          "time-dependent, dim <= 128"),  # dim == INTERACTION_MAX_DIM
-        (INTERACTION_MAX_DIM // 2, {"drives": DRIVE}, None, "DOP853", "time-dependent, dim > 128"),  # dim 130
+        (INTERACTION_MAX_DIM // 2, {"drives": DRIVE}, None, "LSODA", "time-dependent, dim > 128"),  # dim 130
     ],
     ids=["static-at-limit", "static-above-limit", "static-above-limit-nonuniform", "static-small-nonuniform",
          "driven-small", "literal-small", "driven-at-limit", "driven-above-limit"],
@@ -245,6 +246,8 @@ def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, t_eval, method, re
     assert traj.meta["backend_reason"] == reason
     exponential_method = method in ("eigh", "chebyshev")
     assert (traj.meta["rhs_evaluations"] == 0) == exponential_method
+    assert (traj.meta["steps"] == 0) == exponential_method
+    assert traj.meta["rhs_evaluations"] >= traj.meta["steps"]
 
 
 def large_static_system():
@@ -426,10 +429,10 @@ def _mixed_system(field_cutoffs, phonon_cutoff, drives=()):
     [
         ((3, 2), 2, (), "eigh"),  # dim 144
         ((7, 5), 2, (), "chebyshev"),  # dim 576 > SPECTRAL_MAX_DIM
-        ((2, 1), 1, DRIVE, "interaction+DOP853"),  # dim 48
-        ((3, 2), 2, DRIVE, "DOP853"),  # dim 144 > INTERACTION_MAX_DIM
+        ((2, 1), 1, DRIVE, "interaction+LSODA"),  # dim 48
+        ((3, 2), 2, DRIVE, "LSODA"),  # dim 144 > INTERACTION_MAX_DIM
     ],
-    ids=["eigh", "chebyshev", "interaction", "DOP853"],
+    ids=["eigh", "chebyshev", "interaction", "LSODA"],
 )
 def test_records_match_embedded_operator_expectations(field_cutoffs, phonon_cutoff, drives, method):
     space, params, psi0 = _mixed_system(field_cutoffs, phonon_cutoff, drives)
@@ -459,10 +462,10 @@ def test_records_match_embedded_operator_expectations(field_cutoffs, phonon_cuto
     [
         ((3, 2), 2, (), "eigh"),  # dim 144
         ((7, 5), 2, (), "chebyshev"),  # dim 576
-        ((2, 1), 1, DRIVE, "interaction+DOP853"),  # dim 48
-        ((3, 2), 2, DRIVE, "DOP853"),  # dim 144
+        ((2, 1), 1, DRIVE, "interaction+LSODA"),  # dim 48
+        ((3, 2), 2, DRIVE, "LSODA"),  # dim 144
     ],
-    ids=["eigh", "chebyshev", "interaction", "DOP853"],
+    ids=["eigh", "chebyshev", "interaction", "LSODA"],
 )
 def test_a_byte_budget_records_the_same_in_smaller_chunks(monkeypatch, field_cutoffs, phonon_cutoff, drives, method):
     space, params, psi0 = _mixed_system(field_cutoffs, phonon_cutoff, drives)
@@ -502,18 +505,10 @@ def test_exponential_path_rejects_non_finite_states(monkeypatch):
         propagate(space, params, psi0, 1.0)
 
 
-@pytest.mark.parametrize("path,repeats", [("exact", 30), ("meanfield", 30), ("lyapunov", 2)])
-def test_finished_runs_leave_no_dop853_solver_alive(monkeypatch, path, repeats):
-    # scipy's solver sits in a reference cycle; the runs free it without a
-    # full collection, so a loop of short runs does not pile up work arrays
-    solvers = []
-    init = DOP853.__init__
-
-    def tracked(self, *args, **kwargs):
-        solvers.append(weakref.ref(self))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DOP853, "__init__", tracked)
+@pytest.mark.parametrize("path,repeats", [("exact", 15), ("meanfield", 15), ("lyapunov", 3)])
+def test_repeated_runs_hold_no_growing_memory(path, repeats):
+    # a loop of short runs must not pile up solver work arrays or state blocks,
+    # and must not wait for a full collection to free them
     space = build_space(SpaceSpec(2, (ModeSpec(2),)))
     params = SystemParams(
         site_energies=((-0.5, 0.5), (-0.5, 0.5)),
@@ -523,19 +518,30 @@ def test_finished_runs_leave_no_dop853_solver_alive(monkeypatch, path, repeats):
     )
     psi0 = product_state(space, [site_local_state("excited"), site_local_state("ground"), fock_local(0, 2)])
     mf0 = MeanFieldState([0.0, 0.0], [1.0, -1.0], [0.0], [])
-    run = {
-        "exact": lambda: propagate(space, params, psi0, 5.0, n_out=11),
-        "meanfield": lambda: mf_propagate(mf0, params, 5.0, n_out=11),
+    n_out, size = 201, mf0.pack().size
+    # each run and the bytes of the state block that its solves return
+    run, block = {
+        "exact": (lambda: propagate(space, params, psi0, 5.0, n_out=n_out), 16 * space.dim * n_out),
+        "meanfield": (lambda: mf_propagate(mf0, params, 5.0, n_out=n_out), 8 * size * n_out),
         # one probe: a base run plus one stacked solve per renormalization interval
-        "lyapunov": lambda: volterra_diagnostics(params, mf0, 20.0, n_out=64),
+        "lyapunov": (lambda: volterra_diagnostics(params, mf0, 20.0, n_out=64), 8 * size * (64 + 20 * 2 * 2)),
     }[path]
-    for _ in range(repeats):
-        run()
-    assert len(solvers) >= 30
-    assert [ref for ref in solvers if ref() is not None] == []
+    tracemalloc.start()
+    try:
+        # the first runs fill the caches of first use (imports, numpy and scipy internals)
+        for _ in range(repeats):
+            run()
+        settled = tracemalloc.get_traced_memory()[0]
+        for _ in range(repeats):
+            run()
+        grown = tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()
+    # a state block held per run would add `repeats` blocks
+    assert grown < block
 
 
-@pytest.mark.parametrize("drives", [(), (ClassicalDrive(amplitude=0.01, frequency=1.0),)], ids=["eigh", "DOP853"])
+@pytest.mark.parametrize("drives", [(), (ClassicalDrive(amplitude=0.01, frequency=1.0),)], ids=["eigh", "interaction"])
 @pytest.mark.parametrize("t_eval", [[0.0, 0.5, 1.5], [0.0, 0.7, 0.3, 1.0], [-0.1, 0.5, 1.0]],
                          ids=["beyond-end", "unsorted", "before-start"])
 def test_bad_output_grid_raises_like_solve_ivp(drives, t_eval):
@@ -637,7 +643,7 @@ def test_interaction_path_matches_tight_dop853_of_the_term_sum(system, start):
     ref = solve_ivp(lambda t, psi: -1j * (fixed @ psi + varying(t).matrix @ psi), (start, t_eval[-1]), psi0,
                     method="DOP853", t_eval=t_eval, rtol=1e-12, atol=1e-14)
     traj = propagate(space, params, StateVector(psi0, time=start), t_eval[-1], t_eval=t_eval, keep_states=True)
-    assert traj.meta["method"] == "interaction+DOP853"
+    assert traj.meta["method"] == "interaction+LSODA"
     assert traj.meta["rhs_evaluations"] > 0
     assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
 
@@ -676,7 +682,7 @@ NON_FINITE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("cutoff", [2, SPECTRAL_MAX_DIM // 2], ids=["interaction", "DOP853"])
+@pytest.mark.parametrize("cutoff", [2, SPECTRAL_MAX_DIM // 2], ids=["interaction", "LSODA"])
 @pytest.mark.parametrize("model", list(NON_FINITE_MODELS))
 def test_exact_path_refuses_a_non_finite_time_dependent_model(model, cutoff):
     space = build_space(SpaceSpec(1, (ModeSpec(cutoff),)))
@@ -697,6 +703,152 @@ def test_mean_field_path_refuses_a_non_finite_model(model, probe):
             mf_propagate(mf0, params, 1.0)
         else:
             volterra_diagnostics(params, mf0, 10.0, n_out=64)
+
+
+# -- the integrator of every ODE path -----------------------------------------------------
+
+
+def _compare_driven_mean_field():
+    """The compare-driven physics and its mean-field start state."""
+    _, params, _, _ = compare_driven_system()
+    return params, MeanFieldState([0.5 * np.sin(1.0), 0.0], [-np.cos(1.0), -1.0], [1.0], [])
+
+
+def _closure_case():
+    """The compare-static physics (criterion 08): one site and a field mode of nbar 9 at g = 0.01."""
+    params = single_site_params(field_modes=(FieldMode(omega=1.0, amplitude=0.01, polarization_overlap=(1.0,)),))
+    return meanfield.CompiledClosure(params).rhs, MeanFieldState([0.0], [-1.0], [3.0 * np.exp(0.7j)], []).pack()
+
+
+def _driven_closure_case():
+    params, mf = _compare_driven_mean_field()
+    return meanfield.CompiledClosure(params).rhs, mf.pack()
+
+
+def _frame_case():
+    space, params, psi0, _ = compare_driven_system()
+    ham = TotalHamiltonian(space, params)
+    energies, vecs = dynamics._eigensystem(ham.static)
+    return dynamics._interaction_rhs(ham, energies, vecs, 0.0), vecs.conj().T @ psi0
+
+
+def _plain_case():
+    space, params, psi0 = _mixed_system((3, 2), 2, DRIVE)  # dim 144 > INTERACTION_MAX_DIM
+    ham = TotalHamiltonian(space, params)
+    return (lambda t, psi: -1j * ham.apply(t, psi)), psi0
+
+
+def _chain_case(n=256):
+    """The mf-chain physics: a periodic chain of n sites, one field mode and one phonon mode."""
+    rng = np.random.default_rng(1)
+    omegas = np.clip(1.0 + 0.05 * rng.standard_normal(n), 0.8, 1.2)
+    theta, phi = rng.uniform(0.2, 1.2, size=n), rng.uniform(0.0, 2.0 * np.pi, size=n)
+    params = SystemParams(
+        site_energies=tuple((-0.5 * w, 0.5 * w) for w in omegas),
+        exchange_j=0.05,
+        boundary="periodic",
+        field_modes=(FieldMode(omega=1.0, wavevector=0.4, amplitude=0.02, polarization_overlap=(1.0,) * n),),
+        phonon_modes=(PhononMode(nu=0.5, coupling=0.01),),
+    )
+    mf = MeanFieldState(0.5 * np.sin(theta) * np.exp(1j * phi), -np.cos(theta), [1.0], [0.0])
+    return meanfield.CompiledClosure(params).rhs, mf.pack()
+
+
+@pytest.mark.parametrize(
+    "case,t_end,bound",
+    [
+        # bound <= the deviation of DOP853 at tol 1e-10 (rtol tol, atol tol / 100) on the same horizon,
+        # measured on an x86 box: 1.5e-9, 5.2e-10, 1.1e-11, 1.1e-10 and 3.3e-10
+        (_closure_case, 100.0, 1.5e-9),
+        (_driven_closure_case, 250.0, 5e-10),  # the benchmark's horizon
+        (_frame_case, 50.0, 1e-11),
+        (_plain_case, 20.0, 5e-11),
+        (_chain_case, 15.0, 5e-11),  # the benchmark's horizon
+    ],
+    ids=["compare-static-closure", "compare-driven-closure", "compare-driven-frame", "plain-above-128",
+         "mf-chain-256"],
+)
+def test_every_ode_path_agrees_with_tight_dop853(case, t_end, bound):
+    # the integrator at tol 1e-10 against scipy's DOP853 at tol 1e-13, on the same right-hand side
+    fun, y0 = case()
+    times = np.linspace(0.0, t_end, 101)
+    ref = solve_ivp(fun, (0.0, t_end), y0, method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15).y
+    states, rhs_evaluations, steps = dynamics.solve_ivp(fun, (0.0, t_end), y0, times, 1e-10)
+    assert states.shape == ref.shape and states.dtype == ref.dtype
+    assert np.max(np.abs(states - ref)) <= bound
+    assert rhs_evaluations >= steps > 0
+
+
+def test_integrator_states_on_a_late_grid_and_on_the_span():
+    # dy/dt = -i w y: a complex state, a grid that starts after the start time, and no grid at all
+    omega = np.array([1.0, -0.3, 2.5])
+    y0 = np.array([1.0, 0.5j, -0.2 + 0.1j])
+
+    def fun(t, y):
+        return -1j * omega * y
+
+    times = np.linspace(1.0, 4.0, 7)
+    states, _, _ = dynamics.solve_ivp(fun, (0.0, 4.0), y0, times, 1e-10)
+    exact = y0[:, None] * np.exp(-1j * np.outer(omega, times))
+    assert states.shape == (3, 7) and np.max(np.abs(states - exact)) <= 1e-9
+    span, _, _ = dynamics.solve_ivp(fun, (0.5, 2.0), y0, None, 1e-10)
+    assert span.shape == (3, 2) and np.array_equal(span[:, 0], y0)
+    assert np.max(np.abs(span[:, 1] - y0 * np.exp(-1.5j * omega))) <= 1e-9
+    # a grid that ends before the span does, down to the start time alone
+    early, _, _ = dynamics.solve_ivp(fun, (0.0, 4.0), y0, np.array([0.0, 2.0]), 1e-10)
+    assert early.shape == (3, 2) and np.max(np.abs(early[:, 1] - y0 * np.exp(-2j * omega))) <= 1e-9
+    start, _, _ = dynamics.solve_ivp(fun, (0.0, 4.0), y0, np.array([0.0]), 1e-10)
+    assert start.shape == (3, 1) and np.array_equal(start[:, 0], y0)
+
+
+def test_integrator_refuses_non_finite_states_and_passes_on_errors():
+    with pytest.raises(PropagationError, match="non-finite states"):
+        dynamics.solve_ivp(lambda t, y: np.full_like(y, np.nan), (0.0, 1.0), np.ones(2), None, 1e-10)
+
+    def broken(t, y):
+        raise KeyError("rhs")
+
+    with pytest.raises(KeyError, match="rhs"):
+        dynamics.solve_ivp(broken, (0.0, 1.0), np.ones(2), None, 1e-10)
+
+
+def test_closure_and_frame_run_at_the_tolerance_floor():
+    space, params, psi0, _ = compare_driven_system()
+    _, mf0 = _compare_driven_mean_field()
+    exact = propagate(space, params, psi0, 2.0, tol=TOL_MIN, n_out=11)
+    mf = mf_propagate(mf0, params, 2.0, tol=TOL_MIN, n_out=11)
+    assert (exact.meta["method"], mf.meta["method"]) == ("interaction+LSODA", "LSODA")
+    for traj in (exact, mf):
+        assert traj.meta["tol"] == TOL_MIN
+        assert traj.meta["rhs_evaluations"] >= traj.meta["steps"] > 0
+
+
+@pytest.mark.parametrize("path", ["frame", "closure", "lyapunov"])
+def test_a_tolerance_below_the_floor_is_refused_before_integrating(monkeypatch, path):
+    def no_odeint(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "odeint", no_odeint)
+    space, params, psi0, _ = compare_driven_system()
+    _, mf0 = _compare_driven_mean_field()
+    tol = 0.99 * TOL_MIN
+    with pytest.raises(ValueError, match=r"tolerance .* is below 2\.22e-13 \(1000 machine epsilons\)"):
+        if path == "frame":
+            propagate(space, params, psi0, 2.0, tol=tol, n_out=11)
+        elif path == "closure":
+            mf_propagate(mf0, params, 2.0, tol=tol, n_out=11)
+        else:
+            volterra_diagnostics(params, mf0, 10.0, n_out=64, tol=tol)
+
+
+def test_ode_paths_record_a_one_point_grid():
+    space, params, psi0, _ = compare_driven_system()
+    _, mf0 = _compare_driven_mean_field()
+    exact = propagate(space, params, psi0, 2.0, n_out=1, keep_states=True)
+    assert exact.meta["method"] == "interaction+LSODA"
+    assert np.max(np.abs(exact.states[:, 0] - psi0)) <= 1e-14
+    mf = mf_propagate(mf0, params, 2.0, n_out=1)
+    assert mf.records["sigma_z_0"][0] == mf0.s_z[0]
 
 
 # -- Heisenberg right-hand sides ------------------------------------------------------

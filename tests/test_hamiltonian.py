@@ -448,7 +448,7 @@ def test_total_hamiltonian_built_from_local_factors_is_the_term_sum(coupling_mod
 
 @pytest.mark.parametrize("coupling_mode,drives,method", [
     (STATIC_PHASE, (), "eigh"),
-    (LITERAL_TIME_DEPENDENT, GRID_DRIVES["all-sites"], "interaction+DOP853"),
+    (LITERAL_TIME_DEPENDENT, GRID_DRIVES["all-sites"], "interaction+LSODA"),
 ], ids=["static", "driven"])
 def test_total_hamiltonian_and_propagate_build_no_operator_cache(monkeypatch, coupling_mode, drives, method):
     def refuse(self, space):
@@ -527,7 +527,7 @@ def test_propagation_with_a_site_listed_twice_matches_term_sum():
     psi0[0] = 1.0
     times = np.linspace(0.0, 12.0, 7)
     traj = propagate(space, params, psi0, times[-1], t_eval=times, tol=1e-11, keep_states=True)
-    assert traj.meta["method"] == "interaction+DOP853"
+    assert traj.meta["method"] == "interaction+LSODA"
     # the term sum with its time-independent builders assembled once (static phase: H_CF is fixed)
     assert params.coupling_mode == STATIC_PHASE
     fixed = (build_hc(space, params) + build_hf(space, params) + build_hcf(space, params, 0.0)

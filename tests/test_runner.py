@@ -154,10 +154,11 @@ def test_non_finite_and_out_of_range_values_rejected(section, key, value, named)
     assert any(named in problem for problem in err.value.problems), err.value.problems
 
 
-@pytest.mark.parametrize("refused,accepted", [(2.0, 0.5), (1.0, 0.999), (1e-15, 100 * np.finfo(float).eps)],
-                         ids=["above-one", "one", "below-100-eps"])
+@pytest.mark.parametrize("refused,accepted",
+                         [(2.0, 0.5), (1.0, 0.999), (100 * float(np.finfo(float).eps), 1000 * float(np.finfo(float).eps))],
+                         ids=["above-one", "one", "below-1000-eps"])
 def test_integrator_tolerance_outside_its_range_refused(refused, accepted):
-    # tol 2.0 once ran a compare with norm drift 0.13; scipy lifts a tol below 100 eps to 100 eps
+    # tol 2.0 once ran a compare with norm drift 0.13; LSODA refuses an rtol (tol / 10) below 100 eps
     raw = _valid_raw()
     raw["integrate"]["tol"] = accepted
     assert config_from_dict(raw).integrate["tol"] == accepted
@@ -165,7 +166,7 @@ def test_integrator_tolerance_outside_its_range_refused(refused, accepted):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.problems == [
-        f"integrate.tol must be at least 2.22e-14 (100 machine epsilons) and below 1, got {refused!r}"
+        f"integrate.tol must be at least 2.22e-13 (1000 machine epsilons) and below 1, got {refused!r}"
     ]
 
 
