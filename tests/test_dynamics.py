@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.special import jv
 
 from chainqed import dynamics, meanfield
 from chainqed.dynamics import (
@@ -473,9 +474,9 @@ def test_a_byte_budget_records_the_same_in_smaller_chunks(monkeypatch, field_cut
     widths = []
     slot_records = dynamics._slot_records
 
-    def spied(space, block, block_conj):
+    def spied(space, block):
         widths.append(block.shape[1])
-        return slot_records(space, block, block_conj)
+        return slot_records(space, block)
 
     monkeypatch.setattr(dynamics, "_slot_records", spied)
     monkeypatch.setattr(dynamics, "RECORD_BYTES", 3 * 16 * space.dim)
@@ -485,6 +486,71 @@ def test_a_byte_budget_records_the_same_in_smaller_chunks(monkeypatch, field_cut
     assert list(small.records) == list(default.records)
     for name, values in default.records.items():
         assert np.max(np.abs(small.records[name] - values)) <= 1e-12, name
+
+
+def _spin_chain(n_sites):
+    """An open chain of tilted spins with exchange 0.1: static, dim 2^n."""
+    space = build_space(SpaceSpec(n_sites))
+    params = SystemParams(site_energies=((-0.5, 0.5),) * n_sites, exchange_j=0.1)
+    psi0 = product_state(space, [site_local_state("angles", theta=0.3 + 0.2 * l, phi=0.5 * l) for l in range(n_sites)])
+    return space, params, psi0
+
+
+def test_chebyshev_propagate_holds_at_most_three_state_blocks(monkeypatch):
+    # ten sites (dim 1024) at 32 columns a block, each window's order above 32, so that its ring is a full block;
+    # the expansion holds its ring and its states, the record one block-sized temporary besides the block.  The
+    # window before kept alive while the next one expands, a conjugate block beside the energy product, or a
+    # temporary per ring contraction would each pass the bound.
+    columns = 32
+    space, params, psi0 = _spin_chain(10)
+    ham = TotalHamiltonian(space, params)
+    monkeypatch.setattr(dynamics, "RECORD_BYTES", 16 * space.dim * columns)
+    assert dynamics._record_columns(space.dim) == columns < dynamics.RECORD_CHUNK
+    t_end, n_out = 8.0, 3 * columns + 1
+    _, half_width = dynamics._spectral_interval(ham.static.matrix)
+    order = dynamics._chebyshev_order(half_width * t_end / (n_out - 1) * columns)
+    assert order > columns
+    block, table = 16 * space.dim * columns, 16 * order * columns
+
+    def run():
+        return propagate(space, params, psi0, t_end, n_out=n_out, hamiltonian=ham)
+
+    run()  # the first run fills the caches of first use
+    tracemalloc.start()
+    try:
+        traj = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["method"] == "chebyshev"
+    assert peak <= 3 * block + table
+
+
+@pytest.mark.parametrize("x,expected", [(0.0, 1), (0.5, 13), (10.0, 36), (220.0, 286), (2000.0, 2134)])
+def test_chebyshev_order_is_the_first_bessel_tail_below_roundoff(x, expected):
+    order = dynamics._chebyshev_order(x)
+    assert order == expected
+    # every coefficient from the order on lies below 2^-53, the one before it does not
+    assert np.all(np.abs(jv(np.arange(order, 2 * order + 64), x)) < 2.0**-53)
+    assert abs(jv(order - 1, x)) >= 2.0**-53
+
+
+def _factorial_tail_order(x):
+    """The smallest k > x with (x/2)^k / k! < 2^-53: a looser bound on the same tail."""
+    k = math.floor(x) + 1
+    while x > 0 and k * math.log(x / 2) - math.lgamma(k + 1) >= -53 * math.log(2):
+        k += 1
+    return k
+
+
+def test_bessel_tail_order_moves_states_by_roundoff(monkeypatch):
+    # two windows of R tau about 1,300 at dim 514: 1,380 terms each where the factorial bound takes 1,780
+    space, params, psi0 = large_static_system()
+    tight = propagate(space, params, psi0, 20.0, n_out=2 * dynamics.RECORD_CHUNK + 1, keep_states=True)
+    monkeypatch.setattr(dynamics, "_chebyshev_order", _factorial_tail_order)
+    loose = propagate(space, params, psi0, 20.0, n_out=2 * dynamics.RECORD_CHUNK + 1, keep_states=True)
+    assert tight.meta["method"] == loose.meta["method"] == "chebyshev"
+    assert np.max(np.abs(tight.states - loose.states)) <= 1e-13
 
 
 def test_exponential_path_rejects_non_finite_hamiltonian():
