@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -142,6 +144,50 @@ def test_embed_terms_is_the_sum_of_embedded_products():
                                     (2.0, {1: SIGMA_PLUS_LOCAL}), (-2.0, {1: SIGMA_PLUS_LOCAL})])
     assert cancelled.matrix.nnz == 0
     assert embed_terms(space, []).matrix.nnz == 0
+
+
+def test_embed_terms_sums_repeated_entries_as_a_coo_conversion():
+    # three patterns at the mode's slot meet along its first row, where 1e16 + 1 - 1e16 rounds by the order of its
+    # terms: the sum must round as a COO conversion of the terms' entries in order, each raveled base by base
+    space = build_space(SpaceSpec(1, (ModeSpec(3),)))
+    first_row = np.zeros((4, 4))
+    first_row[0, 1:] = 1.0
+    a = annihilation_local(3)
+    terms = [(1e16, {1: first_row}), (1.0, {1: a + a.conj().T}), (-1e16, {1: np.ones((4, 4))})]
+    rows, cols, values = [], [], []
+    for c, factors in terms:
+        local = factors[1]
+        r, k = np.nonzero(local)
+        for base in (0, space.dim // 2):  # the site's two levels
+            rows.append(base + r)
+            cols.append(base + k)
+            values.append(c * local[r, k].astype(complex))
+    ref = sparse.coo_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                            (space.dim, space.dim)).tocsr()
+    ref.eliminate_zeros()
+    got = embed_terms(space, terms).matrix
+    assert got[0, 1] == 0.0 and got[1, 0] == 1.0 - 1e16
+    for field in ("indptr", "indices", "data"):
+        assert_array_equal(getattr(got, field), getattr(ref, field))
+        assert getattr(got, field).dtype == getattr(ref, field).dtype
+
+
+def test_embed_terms_build_holds_less_than_twice_its_csr():
+    # a 12-site exchange chain: no index array over all entries beside the CSR's own
+    n = 12
+    space = build_space(SpaceSpec(n))
+    terms = [(0.5, {l: SIGMA_Z_LOCAL}) for l in range(n)]
+    for l in range(n - 1):
+        terms += [(0.1, {l: SIGMA_PLUS_LOCAL, l + 1: SIGMA_PLUS_LOCAL.T}), (0.1, {l: SIGMA_PLUS_LOCAL.T, l + 1: SIGMA_PLUS_LOCAL})]
+    embed_terms(space, terms)  # the first build fills the caches of first use
+    tracemalloc.start()
+    try:
+        matrix = embed_terms(space, terms).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nnz > 5 * space.dim
+    assert peak <= 2 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
 
 
 def test_disjoint_embeddings_commute():
