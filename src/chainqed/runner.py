@@ -64,6 +64,8 @@ NEGATIVE_CONTROL_FLOOR = 1e-3
 # Output grid points per run: 10^6 points of a few dozen records already
 # take hundreds of MB in the trajectory files.
 N_OUT_MAX = 10**6
+# Rows of a CSV trajectory formatted and written at once.
+CSV_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -635,13 +637,16 @@ def export_trajectory(traj: dynamics.Trajectory, fmt: str, path: str | Path) -> 
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = _columns(traj)
     if fmt == "csv":
-        table = np.vstack([block for _, block in columns])
-        k, n = table.shape
+        blocks = [block for _, block in columns]
+        row = "%r," * (sum(map(len, blocks)) - 1) + "%r\r\n"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow([name + part for name, block in columns
                                      for part in (("",) if len(block) == 1 else ("_re", "_im"))])
-            # the rows csv.writer writes (repr of each float, "\r\n" line ends), from one template
-            fh.write((("%r," * (k - 1) + "%r\r\n") * n) % tuple(table.T.ravel().tolist()))
+            # the rows csv.writer writes (repr of each float, "\r\n" line ends), from one template per
+            # CSV_ROWS rows, so that the text and the values of only those rows are held at once
+            for lo in range(0, len(traj.times), CSV_ROWS):
+                rows = np.vstack([block[:, lo:lo + CSV_ROWS] for block in blocks])
+                fh.write((row * rows.shape[1]) % tuple(rows.T.ravel().tolist()))
     elif fmt == "json":
         (_, times), *records = columns
         meta = json.dumps(_jsonable(traj.meta), indent=1).replace("\n", "\n ")

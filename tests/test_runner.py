@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import pickle
@@ -603,6 +605,20 @@ def test_round_trip_bitwise(tmp_path, fmt):
         for name, arr in traj.records.items():
             assert back.records[name].dtype == arr.dtype, name
             assert np.array_equal(back.records[name].view(np.uint64), arr.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 512])
+def test_csv_written_in_blocks_of_rows_is_csv_writer_text(tmp_path, monkeypatch, rows):
+    # 7 rows: blocks of 1, 2 and 3 rows leave a short last block, 512 takes them at once
+    traj = sample_trajectory(7)
+    monkeypatch.setattr(runner, "CSV_ROWS", rows)
+    path = export_trajectory(traj, "csv", tmp_path / "t.csv")
+    columns = runner._columns(traj)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([name + part for name, block in columns for part in (("",) if len(block) == 1 else ("_re", "_im"))])
+    writer.writerows(np.vstack([block for _, block in columns]).T.tolist())
+    assert path.read_bytes() == text.getvalue().encode()
 
 
 def _json_dump_text(traj) -> str:
