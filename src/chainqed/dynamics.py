@@ -410,8 +410,11 @@ def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
     """
     matrix = h.matrix
     centre, half_width = _spectral_interval(matrix)
-    # 2 (H - c) / R; a zero-width interval means H = c, and order 1 needs no product
-    doubled = (matrix - centre * sparse.identity(h.dim, format="csr")) * (2.0 / half_width) if half_width > 0 else None
+    # 2 (H - c) / R, scaled in place; a zero-width interval means H = c, and order 1 needs no product
+    doubled = None
+    if half_width > 0:
+        doubled = matrix - centre * sparse.identity(h.dim, format="csr")
+        doubled.data *= 2.0 / half_width
     reach = CHEBYSHEV_SPAN / half_width if half_width > 0 else math.inf
     psi, start, step, lo = psi0, 0.0, _record_columns(h.dim), 0
     while lo < elapsed.size:
