@@ -133,10 +133,15 @@ CHEBYSHEV_SPAN = 2000.0
 # Bytes of one block of states on the exact path: each Chebyshev window, its
 # ring of polynomial vectors, each frame chunk and each block of slot records
 # holds ``_record_columns(dim)`` columns, RECORD_CHUNK or fewer where dim forces
-# it (at dim <= 32,768 every chunk keeps 64 columns).  Static 18-site spin chain
-# (dim 262,144), 65 points to t = 20, Chebyshev: 64 columns add 753 MB to the
-# peak RSS of propagate, 8 columns (this budget) 117 MB, in the same 8.9 s;
-# windows of 16-64 columns ran equally fast at 14 and 16 sites.
+# it (at dim <= 32,768 every chunk keeps 64 columns).  The Chebyshev path holds
+# two blocks at once, the ring and the window's states, and its records take at
+# most one block-sized temporary besides the block.  Static 18-site spin chain
+# (dim 262,144), 65 points to t = 20, Chebyshev: when about five blocks were
+# held, 64 columns added 753 MB to the peak RSS of propagate and 8 columns (this
+# budget) 117 MB, in the same 8.9 s; windows of 16-64 columns ran equally fast
+# at 14 and 16 sites.  Holding two blocks instead of five, propagate adds
+# 118-122 MB instead of 201 MB at 18 sites (8 columns) and 108-119 MB instead
+# of 196 MB at 16 sites (32 columns), without the operator cache (2-vCPU x86).
 RECORD_BYTES = 2**25
 # Records of each subsystem kind, in file order; each name is the prefix
 # followed by the subsystem's label.  A site records its lowering
