@@ -99,22 +99,21 @@ TOP_LEVEL_FLAG = 1e-6
 # dim^3.  propagate, 401 points, one site and a field mode (best to median
 # of 5, same box): eigh at dim 512 0.16-0.18 s whatever the horizon;
 # Chebyshev at dim 514 (R = 129) 0.17-0.18 s to t = 15 and 1.18-1.23 s to
-# t = 150.  On model-large (dim 1456, R = 9.2, t = 150) it makes 2,095
-# sparse products where ``expm_multiply`` made 8,708 (traced propagate
-# 1.28 -> 0.32 s).
+# t = 150.  On model-large (dim 1456, R = 9.2, t = 150) it makes 1,814
+# sparse products where ``expm_multiply`` made 8,708.
 SPECTRAL_MAX_DIM = 512
 # Largest time-dependent H integrated in the interaction picture of its static
-# part.  These figures were taken with DOP853, before LSODA integrated both
-# paths; ROADMAP item 4 re-measures them.  The frame cut DOP853's
-# right-hand-side calls up to 4.7x, but every call adds two dense dim x dim
-# products.  propagate wall time, plain DOP853 ->
-# frame, tol 1e-10, eigh included (same box): literal coupling plus a weak
-# drive 2.65 -> 1.19 s at dim 52, 0.68 -> 0.47 s and 0.83 -> 0.72 s at 128,
-# 0.47 -> 0.57 s and 0.81 -> 0.87 s at 256, 0.93 -> 1.32 s and 0.99 -> 1.82 s
-# at 512; a weakly driven spin chain 0.71 -> 0.58 s at 128, 0.87 -> 0.91 s at
-# 256.  Where the drive is strong or the static carrier slow, the frame loses
-# at any size: drive amplitude 0.1, 0.83 -> 1.04 s at 128; one resonantly
-# driven site (criterion 07), 0.27 -> 0.34 s.
+# part.  The frame cuts LSODA's right-hand-side calls, but every call adds two
+# dense dim x dim products.  propagate wall time, plain LSODA -> frame, median
+# and quartiles of 8 rounds alternating in one process (same box): compare-
+# driven (literal coupling plus a weak drive, dim 52, tol 1e-10) 40,193 ->
+# 15,185 calls, 1.53 s (1.49-1.58) -> 1.01 s (0.98-1.08), records within
+# 1.3e-10.  Where the drive is strong or the static carrier slow, the frame
+# loses: one resonantly driven site (criterion 07, tol 1e-12) 14,402 ->
+# 13,625 calls, 0.54 s (0.50-0.58) -> 0.67 s (0.63-0.75).  A spin chain with
+# one site weakly driven (amplitude 0.01, t = 50, medians of 4 rounds) gained
+# from the frame at 128 (0.22 -> 0.16 s) and still at 256 (0.31 -> 0.26 s), so
+# this limit is conservative for weak drives; it is not yet calibrated.
 INTERACTION_MAX_DIM = 128
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
@@ -337,20 +336,12 @@ def _chebyshev_order(x: float) -> int:
     """Smallest k > x with ``|J_k(x)| < 2^-53``, which bounds ``|J_j(x)|`` for every j >= k.
 
     Beyond x, ``J_j(x)`` is positive and falls with j, so the first such k is
-    found by bisection, between ``floor(x) + 1`` and the smallest k with
-    ``(x/2)^k / k! < 2^-53`` (an upper bound on ``J_k(x)``, about 1.37 x terms
-    where about 1.07 x suffice at x = 2,000).
+    found by a scan up from ``floor(x) + 1`` (about 0.07 x steps at x = 2,000).
     """
-    lo = hi = math.floor(x) + 1
-    while x > 0 and hi * math.log(x / 2) - math.lgamma(hi + 1) >= -53 * math.log(2):
-        hi += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if abs(jv(mid, x)) < 2.0**-53:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    k = math.floor(x) + 1
+    while abs(jv(k, x)) >= 2.0**-53:
+        k += 1
+    return k
 
 
 def _chebyshev_coefficients(centre: float, half_width: float, tau: np.ndarray, order: int) -> np.ndarray:
@@ -760,16 +751,9 @@ def heisenberg_rhs_phonon(space: SpaceIndex, params: SystemParams, q: int) -> tu
     return rhs_b, rhs_b.dag()
 
 
-def heisenberg_commutator(
-    space: SpaceIndex,
-    params: SystemParams,
-    op: Operator,
-    t: float = 0.0,
-    hamiltonian: TotalHamiltonian | None = None,
-) -> Operator:
+def heisenberg_commutator(space: SpaceIndex, params: SystemParams, op: Operator, t: float = 0.0) -> Operator:
     """The oracle: i [H_total(t), O]."""
-    ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
-    return 1j * commutator(ham.at(t), op)
+    return 1j * commutator(TotalHamiltonian(space, params).at(t), op)
 
 
 def bulk_projector(space: SpaceIndex) -> Operator:

@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -258,12 +258,10 @@ class OperatorCache:
     The cache serves only the per-term builders and the equation-of-motion
     oracles, the independent references that ``TotalHamiltonian`` (built
     without it) is tested against.  Its operators are shared, never modified
-    in place.  Every builder and oracle reads the shared cache of its space
-    (``for_space``), and a new cache becomes that shared cache, so each space
-    is built once.
+    in place.  Every builder and oracle reads the cache of its space from
+    ``for_space``, so each space is built once while it stays among the two
+    most recently used; a cache a caller builds is that caller's own.
     """
-
-    _shared: dict[SpaceIndex, "OperatorCache"] = {}  # least recently used first
 
     def __init__(self, space: SpaceIndex):
         self.space = space
@@ -276,22 +274,12 @@ class OperatorCache:
         self.b = embed_modes(space, "phonon", annihilation_local)
         self.b_dag = [op.dag() for op in self.b]
         self.b_num = embed_modes(space, "phonon", number_local)
-        self._share()
 
-    def _share(self):
-        """Make this the shared cache of its space, the most recently used one."""
-        shared = OperatorCache._shared
-        shared.pop(self.space, None)
-        shared[self.space] = self
-        if len(shared) > 2:  # a 16-site cache holds 77.5 MiB: keep few alive
-            del shared[next(iter(shared))]
-
-    @classmethod
-    def for_space(cls, space: SpaceIndex) -> "OperatorCache":
+    @staticmethod
+    @lru_cache(maxsize=2)  # a 16-site cache holds 77.5 MiB: keep few alive
+    def for_space(space: SpaceIndex) -> "OperatorCache":
         """The one cache shared by every caller on an equal ``space``, built on first use."""
-        cache = cls._shared.get(space) or cls(space)
-        cache._share()
-        return cache
+        return OperatorCache(space)
 
 
 # -- Hamiltonian builders -------------------------------------------------------

@@ -241,8 +241,8 @@ class Operator:
     def hermiticity_defect(self) -> float:
         return (self - self.dag()).max_abs()
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect() <= HERMITICITY_TOL
 
     def expect(self, psi: np.ndarray) -> complex:
         """Expectation value <psi|A|psi> (no normalization applied)."""
@@ -488,12 +488,11 @@ def coherent_local(alpha: complex, cutoff: int) -> np.ndarray:
     ``cutoff`` well above ``|alpha|^2`` (the propagator monitors the top
     level population).
     """
-    n = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
-    amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact) if alpha != 0 else None
     if alpha == 0:
         return fock_local(0, cutoff)
-    amps = np.asarray(amps, dtype=complex)
+    n = np.arange(cutoff + 1)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
+    amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact)
     amps /= np.linalg.norm(amps)
     return amps
 

@@ -416,19 +416,6 @@ _STEPS = tuple(
 )
 
 
-def _stale_prefixes() -> list[tuple]:
-    """Per row of ``_STEPS``, the path prefixes of earlier rows that extend its path:
-    the row writes the values at its path, so places resolved beneath them are stale after it."""
-    seen, stale = set(), []
-    for keys, *_ in _STEPS:
-        stale.append(tuple(p for p in seen if len(p) > len(keys) and p[:len(keys)] == keys))
-        seen.update(keys[:n] for n in range(1, len(keys) + 1))
-    return stale
-
-
-_STALE = _stale_prefixes()
-
-
 def _failed(value) -> bool:
     """Whether an earlier row failed ``value`` or a value inside it."""
     if isinstance(value, dict):
@@ -450,36 +437,25 @@ class _Walk:
 
     def __init__(self, raw: dict):
         self.raw, self.tree, self.problems = raw, copy.deepcopy(raw), []
-        self._resolved: dict[tuple, list] = {}
-        for (self.keys, kind, constraint, default), stale in zip(_STEPS, _STALE):
+        for self.keys, kind, constraint, default in _STEPS:
             for node, key, name, self.idx in self._places(self.keys):
                 problem = self._check(node, key, kind, constraint, default)
                 if problem:
                     self.problems.append(f"{name} {problem}")
                     node[key] = _FAILED
-            for keys in stale:  # the row may have replaced the containers these places lie in
-                self._resolved.pop(keys, None)
 
     def _places(self, keys: tuple) -> list[tuple]:
-        """``(container, key, name, list indices)`` of every place a path reaches.
-
-        Each path prefix is resolved once, from the places of the prefix one key
-        shorter, and kept until a row on a path that it extends has run.
-        """
-        places = self._resolved.get(keys)
-        if places is not None:
-            return places
+        """``(container, key, name, list indices)`` of every place a path reaches,
+        resolved from the places of the path one key shorter."""
         if len(keys) == 1:
-            places = [(self.tree, keys[0], keys[0], ())]
-        else:
-            places, key = [], keys[-1]
-            for node, k, name, idx in self._places(keys[:-1]):
-                child = node[k] if isinstance(node, list) else node.get(k)
-                if key == "*" and isinstance(child, list):
-                    places += [(child, i, f"{name}[{i}]", idx + (i,)) for i in range(len(child))]
-                elif key != "*" and isinstance(child, dict):
-                    places.append((child, key, f"{name}.{key}", idx))
-        self._resolved[keys] = places
+            return [(self.tree, keys[0], keys[0], ())]
+        places, key = [], keys[-1]
+        for node, k, name, idx in self._places(keys[:-1]):
+            child = node[k] if isinstance(node, list) else node.get(k)
+            if key == "*" and isinstance(child, list):
+                places += [(child, i, f"{name}[{i}]", idx + (i,)) for i in range(len(child))]
+            elif key != "*" and isinstance(child, dict):
+                places.append((child, key, f"{name}.{key}", idx))
         return places
 
     def _check(self, node, key, kind: str, constraint, default) -> str | None:

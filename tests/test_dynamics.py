@@ -1180,16 +1180,7 @@ def _cached_matrices(cache):
     return out
 
 
-def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(monkeypatch):
-    builds = []
-    init = OperatorCache.__init__
-
-    def counted(self, space):
-        builds.append(space)
-        init(self, space)
-
-    monkeypatch.setattr(OperatorCache, "__init__", counted)
-    monkeypatch.setattr(OperatorCache, "_shared", {})
+def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(cache_builds):
     space = build_space(SpaceSpec(3, (ModeSpec(2),), (ModeSpec(2),)))
     rng = np.random.default_rng(28)
     before = None
@@ -1200,11 +1191,11 @@ def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(monkeypatc
             before = _cached_matrices(OperatorCache.for_space(space))
         assert max(verify_compact_form(space, params, l) for l in range(3)) <= 1e-10
         assert min(verify_compact_form(space, params, l, metric=(1.0, 1.0, 1.0)) for l in range(3)) > 1e-3
-    assert len(builds) == 1
+    assert len(cache_builds) == 1
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[1] = 1.0
     propagate(space, params, psi0, 2.0, n_out=5)
-    assert len(builds) == 1
+    assert len(cache_builds) == 1
     after = _cached_matrices(OperatorCache.for_space(space))
     assert [entry[0] for entry in after] == [entry[0] for entry in before]
     assert len(after) == 1 + 3 * 4 + 6  # unit; minus, plus, z, sigma_x per site; a, a_dag, n, b, b_dag, nb
@@ -1212,25 +1203,14 @@ def test_identity_draws_build_one_shared_cache_and_leave_it_unchanged(monkeypatc
         assert all(np.array_equal(x, y) for x, y in zip(old[1:], new[1:])), old[0]
 
 
-def test_a_caller_built_cache_serves_the_hamiltonian_and_both_oracles(monkeypatch):
-    builds = []
-    init = OperatorCache.__init__
-
-    def counted(self, space):
-        builds.append(space)
-        init(self, space)
-
-    monkeypatch.setattr(OperatorCache, "__init__", counted)
-    monkeypatch.setattr(OperatorCache, "_shared", {})
+def test_the_hamiltonian_builds_no_cache_and_both_oracles_share_one(cache_builds):
     space = build_space(SpaceSpec(2, (ModeSpec(3),), (ModeSpec(1),)))
     params = draw_params(space, np.random.default_rng(13))
-    cache = OperatorCache(space)
-    TotalHamiltonian(space, params, cache)
-    assert len(builds) == 1  # the Hamiltonian builds no cache
+    TotalHamiltonian(space, params)
+    assert cache_builds == []
     assert max(verify_heisenberg_identities(space, params).values()) <= 1e-11
     assert verify_compact_form(space, params, 0) <= 1e-10
-    assert OperatorCache.for_space(space) is cache
-    assert len(builds) == 1
+    assert cache_builds == [space]
 
 
 # -- Ehrenfest consistency ------------------------------------------------------------------

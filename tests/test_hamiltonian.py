@@ -450,18 +450,14 @@ def test_total_hamiltonian_built_from_local_factors_is_the_term_sum(coupling_mod
     (STATIC_PHASE, (), "eigh"),
     (LITERAL_TIME_DEPENDENT, GRID_DRIVES["all-sites"], "interaction+LSODA"),
 ], ids=["static", "driven"])
-def test_total_hamiltonian_and_propagate_build_no_operator_cache(monkeypatch, coupling_mode, drives, method):
-    def refuse(self, space):
-        raise AssertionError("an operator cache was built")
-
-    monkeypatch.setattr(OperatorCache, "__init__", refuse)
-    monkeypatch.setattr(OperatorCache, "_shared", {})
+def test_total_hamiltonian_and_propagate_build_no_operator_cache(cache_builds, coupling_mode, drives, method):
     space, params = _grid_system(3, "periodic", 0.07, 1, coupling_mode, drives)
     TotalHamiltonian(space, params)
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[0] = 1.0
     traj = propagate(space, params, psi0, 2.0, n_out=5)
     assert traj.meta["method"] == method and traj.meta["norm_drift"] <= 1e-8
+    assert cache_builds == []
 
 
 def _phasor_params():
@@ -563,27 +559,27 @@ def test_equal_spaces_share_one_cache():
     first, second = build_space(spec), build_space(spec)
     assert first is not second and first == second
     assert OperatorCache.for_space(first) is OperatorCache.for_space(second)
-    own = OperatorCache(first)  # a cache built by a caller becomes the shared one
-    assert OperatorCache.for_space(second) is own
 
 
-def test_shared_caches_stay_bounded(monkeypatch):
-    builds = []
-    init = OperatorCache.__init__
+def test_a_cache_built_by_a_caller_is_not_shared(cache_builds):
+    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
+    own = OperatorCache(space)
+    shared = OperatorCache.for_space(space)
+    assert shared is not own
+    OperatorCache(space)
+    assert OperatorCache.for_space(space) is shared
+    assert cache_builds == [space] * 3
 
-    def counted(self, space):
-        builds.append(space)
-        init(self, space)
 
-    monkeypatch.setattr(OperatorCache, "__init__", counted)
-    monkeypatch.setattr(OperatorCache, "_shared", {})
+def test_shared_caches_stay_bounded(cache_builds):
     spaces = [build_space(SpaceSpec(n)) for n in (1, 2, 3)]
     caches = [OperatorCache.for_space(space) for space in spaces]
-    assert len(OperatorCache._shared) == 2
+    assert OperatorCache.for_space.cache_info().currsize == 2
     assert OperatorCache.for_space(spaces[2]) is caches[2]
     assert OperatorCache.for_space(spaces[1]) is caches[1]
     assert OperatorCache.for_space(spaces[0]) is not caches[0]  # the oldest was evicted
-    assert builds == [spaces[0], spaces[1], spaces[2], spaces[0]]
+    assert cache_builds == [spaces[0], spaces[1], spaces[2], spaces[0]]
+    assert OperatorCache.for_space.cache_info()[:2] == (2, 4)  # hits, misses
 
 
 def test_params_validation():
