@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .dynamics import PropagationError
 from .runner import ConfigError, config_from_dict, load_config, run
 
 _SUBCOMMANDS = {
@@ -62,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except PropagationError as exc:  # the report, written, holds it too
+        print(exc, file=sys.stderr)
+        return 1
     if not args.verbose:
         print(report.summary())
     return 0 if report.passed else 1

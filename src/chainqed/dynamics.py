@@ -61,10 +61,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.fft import dct
 from scipy.integrate import odeint, quad
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import zaxpy, zgemm
 from scipy.special import jv
 
 from .hamiltonian import (
@@ -138,9 +137,8 @@ CHEBYSHEV_SPAN = 2000.0
 # (dim 262,144), 65 points to t = 20, Chebyshev: when about five blocks were
 # held, 64 columns added 753 MB to the peak RSS of propagate and 8 columns (this
 # budget) 117 MB, in the same 8.9 s; windows of 16-64 columns ran equally fast
-# at 14 and 16 sites.  Holding two blocks instead of five, propagate adds
-# 118-122 MB instead of 201 MB at 18 sites (8 columns) and 108-119 MB instead
-# of 196 MB at 16 sites (32 columns), without the operator cache (2-vCPU x86).
+# at 14 and 16 sites.  Holding two blocks and no second matrix, propagate adds 65 MB
+# (18 sites, 8 columns) and 97 MB (16 sites, 32 columns) to the peak RSS (2-vCPU x86).
 RECORD_BYTES = 2**25
 # Records of each subsystem kind, in file order; each name is the prefix
 # followed by the subsystem's label.  A site records its lowering
@@ -327,7 +325,9 @@ def _interaction_rhs(ham: TotalHamiltonian, energies: np.ndarray, vecs: np.ndarr
 def _spectral_interval(matrix) -> tuple[float, float]:
     """Centre and half-width of the Gershgorin interval of a Hermitian CSR matrix, which holds its spectrum."""
     diag = matrix.diagonal()
-    radius = np.asarray(abs(matrix - sparse.diags(diag)).sum(axis=1)).ravel()
+    radius = -np.abs(diag)
+    filled = np.diff(matrix.indptr) > 0  # reduceat would give an empty row the first entry of the next one
+    radius[filled] += np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1][filled])
     lo, hi = np.min(diag.real - radius), np.max(diag.real + radius)
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
@@ -363,15 +363,14 @@ def _chebyshev_coefficients(centre: float, half_width: float, tau: np.ndarray, o
     return coeffs
 
 
-def _chebyshev_sum(doubled, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``sum_k coeffs[k, j] T_k psi`` for every column j, with ``T_k`` the Chebyshev polynomials of ``doubled / 2``.
+def _chebyshev_sum(matrix, centre: float, half_width: float, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[k, j] T_k((H - c) / R) psi`` for every column j, H the CSR ``matrix`` and ``c +- R`` its interval.
 
-    The recurrence ``T_{k+1} psi = doubled T_k psi - T_{k-1} psi`` keeps its
-    vectors in a ring of at most ``_record_columns`` rows, contracted with their
-    coefficient rows whenever the ring is full.  Each contraction is added into
-    the states in place, by ``zgemm`` with ``beta = 1`` on the transposed
-    (Fortran-ordered) views of the C-ordered ring, coefficients and states, so
-    that neither the product nor an operand is copied.
+    The recurrence ``T_{k+1} psi = 2 (H - c) / R T_k psi - T_{k-1} psi`` runs on ``matrix`` itself, ``H v``
+    shifted by ``-c v`` (``zaxpy``) and scaled in place, in a ring of at most ``_record_columns`` rows,
+    contracted with their coefficient rows whenever the ring is full.  Each contraction is added into the
+    states in place, by ``zgemm`` with ``beta = 1`` on the transposed (Fortran-ordered) views of the
+    C-ordered ring, coefficients and states, so that neither the product nor an operand is copied.
     """
     order = len(coeffs)
     ring = np.empty((min(order, _record_columns(psi.size)), psi.size), dtype=np.complex128)
@@ -382,9 +381,12 @@ def _chebyshev_sum(doubled, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         if k == 0:
             ring[row] = psi
         elif k == 1:
-            np.multiply(doubled @ psi, 0.5, out=ring[row])
+            np.multiply(zaxpy(psi, matrix @ psi, a=-centre), 1.0 / half_width, out=ring[row])
         else:
-            np.subtract(doubled @ ring[(k - 1) % size], ring[(k - 2) % size], out=ring[row])
+            v = ring[(k - 1) % size]
+            hv = zaxpy(v, matrix @ v, a=-centre)
+            hv *= 2.0 / half_width
+            np.subtract(hv, ring[(k - 2) % size], out=ring[row])
         if row == size - 1 or k == order - 1:
             # states^T += coeffs[rows]^T ring[rows]
             zgemm(1.0, coeffs[k - row:k + 1].T, ring[:row + 1].T, 1.0, states.T, trans_b=1, overwrite_c=1)
@@ -397,20 +399,15 @@ def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
     Each chunk is one window: ``H`` is mapped onto [-1, 1] by its Gershgorin
     interval ``c +- R``, and ``exp(-i H tau)`` applied to the window's start
     state (``psi0``, then the last state produced) is expanded in the
-    Chebyshev polynomials of the mapped matrix, to the order that ``R``
-    times the window's longest tau needs.  One recurrence serves every
-    time in the window.  A window closes early where the next time would
-    take ``R tau`` past ``CHEBYSHEV_SPAN``; where the next time lies
-    further than that from the start state, the state hops there by
-    expansions of ``R tau = CHEBYSHEV_SPAN`` that record nothing.
+    Chebyshev polynomials of ``(H - c) / R`` (formed in each update from H
+    as built), to the order that ``R`` times the window's longest tau needs.
+    One recurrence serves every time in the window.  A window closes early
+    where the next time would take ``R tau`` past ``CHEBYSHEV_SPAN``; where
+    the next time lies further than that from the start state, the state
+    hops there by expansions of ``R tau = CHEBYSHEV_SPAN`` that record nothing.
     """
-    matrix = h.matrix
-    centre, half_width = _spectral_interval(matrix)
-    # 2 (H - c) / R, scaled in place; a zero-width interval means H = c, and order 1 needs no product
-    doubled = None
-    if half_width > 0:
-        doubled = matrix - centre * sparse.identity(h.dim, format="csr")
-        doubled.data *= 2.0 / half_width
+    centre, half_width = _spectral_interval(h.matrix)
+    # a zero-width interval means H = c: every expansion has order 1, a phase with no product
     reach = CHEBYSHEV_SPAN / half_width if half_width > 0 else math.inf
     psi, start, step, lo = psi0, 0.0, _record_columns(h.dim), 0
     while lo < elapsed.size:
@@ -420,7 +417,8 @@ def _chebyshev_chunks(h: Operator, psi0: np.ndarray, elapsed: np.ndarray):
         if hop:
             tau = np.array([reach])
         order = _chebyshev_order(half_width * tau[-1])
-        states = _chebyshev_sum(doubled, psi, _chebyshev_coefficients(centre, half_width, tau, order))
+        states = _chebyshev_sum(h.matrix, centre, half_width, psi,
+                                _chebyshev_coefficients(centre, half_width, tau, order))
         if not np.isfinite(states).all():
             raise PropagationError("Chebyshev propagation returned non-finite states")
         psi = states[:, -1].copy()

@@ -442,17 +442,16 @@ class TotalHamiltonian:
             static += [term for block in blocks for term in block + _adjoint(block)]
         terms += [[(row[v], {site[v]: SIGMA_X_LOCAL}) for v in np.flatnonzero(row)] for row in model.drive_table]
         self.static = embed_terms(space, static)
-        self._terms: list[Operator] = [embed_terms(space, term) for term in terms]
         # [static | terms]: H(t) psi is one product with (psi, c_1 psi, c_2 psi, ...)
-        stacked = [self.static.matrix] + [op.matrix for op in self._terms]
-        self._stacked = sparse.hstack(stacked, format="csr") if self._terms else self.static.matrix
+        stacked = [self.static.matrix] + [embed_terms(space, term).matrix for term in terms]
+        self._stacked = sparse.hstack(stacked, format="csr") if terms else self.static.matrix
 
     @property
     def is_static(self) -> bool:
         return self.model.is_static
 
     def _coefficients(self, t: float) -> np.ndarray:
-        """Coefficients of the time-dependent terms at time t, in the order of ``_terms``."""
+        """Coefficients of the time-dependent terms at time t, in the order of their blocks in ``_stacked``."""
         p, m = self.model.phasors(t), self.model.n_phase
         return np.concatenate((p[:m], p[:m].conj(), 2.0 * p[m:].real))
 
@@ -472,7 +471,7 @@ class TotalHamiltonian:
         coo = self._stacked.tocoo()
         term, col = np.divmod(coo.col.astype(np.int64), dim)
         keys, slot = np.unique(coo.row.astype(np.int64) * dim + col, return_inverse=True)
-        values = np.zeros((keys.size, 1 + len(self._terms)), dtype=np.complex128)
+        values = np.zeros((keys.size, self._stacked.shape[1] // dim), dtype=np.complex128)
         np.add.at(values, (slot, term), coo.data)
         rows, indices = np.divmod(keys, dim)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim))))

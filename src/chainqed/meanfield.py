@@ -228,7 +228,8 @@ class CompiledClosure(CompiledModel):
 
 def _run_closure(params: SystemParams, mf: MeanFieldState) -> CompiledClosure:
     """The closure of a run, checked against the state and refusing non-finite parameters."""
-    closure = CompiledClosure(params).check(mf)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the refusal below, not a warning
+        closure = CompiledClosure(params).check(mf)
     if not closure.is_finite():
         raise PropagationError("model has non-finite frequencies, couplings or drives")
     return closure

@@ -986,17 +986,24 @@ def run(
     verbose: bool = False,
     task_override: str | None = None,
 ) -> RunReport:
-    """Execute a validated config and write its report and trajectory files."""
+    """Run a validated config; write its report (also when a ``PropagationError`` stops it) and trajectory files."""
     task = task_override or config.task
     if task not in _TASK_FUNCTIONS:
         raise ConfigError([f"unknown task {task!r}"])
     out_dir = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(task=task, config_hash=config.config_hash, seed=config.seed)
-    started = _time.perf_counter()
-    _TASK_FUNCTIONS[task](config, out_dir, report, workers=workers, verbose=verbose)
+    started, failure = _time.perf_counter(), None
+    try:
+        _TASK_FUNCTIONS[task](config, out_dir, report, workers=workers, verbose=verbose)
+    except dynamics.PropagationError as exc:  # recorded as a failed sweep point is, then raised
+        failure = exc
+        report.results["error"] = str(exc)
+        report.checks.append(Check("propagation", 0, 1, False, str(exc)))
     report.elapsed_seconds = _time.perf_counter() - started
     report.save(out_dir / "report.json")
     if verbose:
         print(report.summary())
+    if failure is not None:
+        raise failure
     return report

@@ -139,15 +139,10 @@ def build_transition_set(space: SpaceIndex, site: int) -> TransitionSet:
 # -- algebra verification -----------------------------------------------------
 
 
-def _expand_in_basis(mat: np.ndarray) -> np.ndarray:
-    """Coefficients of a 2x2 matrix in the (minus, plus, z, unit) basis."""
-    basis = np.stack(
-        [SIGMA_MINUS_LOCAL, SIGMA_PLUS_LOCAL, SIGMA_Z_LOCAL, SIGMA_E_LOCAL]
-    ).reshape(4, 4)
-    coeffs, residual, _, _ = np.linalg.lstsq(basis.T, mat.reshape(4), rcond=None)
-    if residual.size and residual[0] > 1e-20:
-        raise ValueError("matrix not in the span of the transition set")
-    return coeffs
+def _expand_in_basis(mat: np.ndarray, images: dict[str, np.ndarray]) -> np.ndarray:
+    """Coefficients of a 2x2 matrix in the (minus, plus, z, unit) matrices of ``images``, a basis of 2x2 matrices."""
+    basis = np.stack([images[name] for name in ("minus", "plus", "z", "unit")]).reshape(4, 4)
+    return np.linalg.solve(basis.T, mat.reshape(4))
 
 
 @dataclass
@@ -218,15 +213,6 @@ def check_algebra_closure(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRepor
     # set (unit and zero included, so [unit, X] = 0 is exercised too).
     ext = ts.extended()
 
-    def reconstruct(target: np.ndarray) -> Operator:
-        coeffs = _expand_in_basis(target)
-        return (
-            coeffs[0] * ts.minus
-            + coeffs[1] * ts.plus
-            + coeffs[2] * ts.z
-            + coeffs[3] * ts.unit
-        )
-
     for na, op_a in ext.items():
         for nb, op_b in ext.items():
             for sign, bracket, label in ((-1.0, commutator, "commutator"),
@@ -235,11 +221,11 @@ def check_algebra_closure(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRepor
                     LOCAL_IMAGES[na] @ LOCAL_IMAGES[nb]
                     + sign * LOCAL_IMAGES[nb] @ LOCAL_IMAGES[na]
                 )
-                res = (bracket(op_a, op_b) - reconstruct(target)).max_abs()
+                res = (bracket(op_a, op_b) - embed_like(target)).max_abs()
                 max_res = max(max_res, res)
                 if res > tol:
                     failures.append(f"{label} ({na},{nb}) not in span ({res:.3e})")
-        res = (op_a.dag() - reconstruct(LOCAL_IMAGES[na].conj().T)).max_abs()
+        res = (op_a.dag() - embed_like(LOCAL_IMAGES[na].conj().T)).max_abs()
         max_res = max(max_res, res)
         if res > tol:
             failures.append(f"adjoint of {na} not in span ({res:.3e})")
@@ -260,12 +246,6 @@ def check_pauli_isomorphism(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRep
     structure constants must coincide.
     """
     local, pauli = LOCAL_IMAGES, PAULI_IMAGES
-    pauli_basis = np.stack([pauli["minus"], pauli["plus"], pauli["z"], pauli["unit"]]).reshape(4, 4)
-
-    def pauli_coeffs(mat: np.ndarray) -> np.ndarray:
-        coeffs, _, _, _ = np.linalg.lstsq(pauli_basis.T, mat.reshape(4), rcond=None)
-        return coeffs
-
     failures: list[str] = []
     max_res = 0.0
     for na in local:
@@ -273,9 +253,7 @@ def check_pauli_isomorphism(ts: TransitionSet, tol: float = 1e-13) -> AlgebraRep
             for sign, kind in ((-1.0, "comm"), (+1.0, "anti")):
                 ours = local[na] @ local[nb] + sign * local[nb] @ local[na]
                 theirs = pauli[na] @ pauli[nb] + sign * pauli[nb] @ pauli[na]
-                res = float(
-                    np.max(np.abs(_expand_in_basis(ours) - pauli_coeffs(theirs)))
-                )
+                res = float(np.max(np.abs(_expand_in_basis(ours, local) - _expand_in_basis(theirs, pauli))))
                 max_res = max(max_res, res)
                 if res > tol:
                     failures.append(

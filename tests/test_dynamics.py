@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.special import jv
@@ -407,6 +408,23 @@ def test_chebyshev_zero_width_interval_is_a_phase():
     assert np.max(np.abs(traj.states - np.exp(-30j * traj.times) * psi0[:, None])) <= 1e-14
 
 
+
+@pytest.mark.parametrize(
+    "dense",
+    [
+        [[2, 0, 3 + 4j, 0], [0, 0, 0, 0], [3 - 4j, 0, -1, 1], [0, 0, 1, 0.5]],
+        [[1, 2j, 0, 0], [-2j, -3, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 1, 0], [1, 5, 2], [0, 2, 0]],
+    ],
+    ids=["empty-row", "trailing-empty-rows", "no-stored-diagonal"],
+)
+def test_spectral_interval_is_the_dense_gershgorin_interval(dense):
+    dense = np.array(dense, dtype=complex)
+    diag = np.diag(dense).real
+    radius = np.abs(dense - np.diag(np.diag(dense))).sum(axis=1)
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    assert dynamics._spectral_interval(sparse.csr_matrix(dense)) == (0.5 * (hi + lo), 0.5 * (hi - lo))
+
 def _mixed_system(field_cutoffs, phonon_cutoff, drives=()):
     """Two sites, two field modes of different cutoffs and a phonon mode, each away from its ground level."""
     space = build_space(SpaceSpec(2, tuple(ModeSpec(c) for c in field_cutoffs), (ModeSpec(phonon_cutoff),)))
@@ -525,6 +543,34 @@ def test_chebyshev_propagate_holds_at_most_three_state_blocks(monkeypatch):
     assert traj.meta["method"] == "chebyshev"
     assert peak <= 3 * block + table
 
+
+
+def test_chebyshev_propagate_runs_on_the_hamiltonian_as_built(monkeypatch):
+    # twelve sites (dim 4096) at two columns a block: the expansion and the records stay below the bytes of H's CSR
+    # arrays, so any copy of H on the way (shifted, scaled, or its moduli for the Gershgorin radii) passes the bound
+    space, params, psi0 = _spin_chain(12)
+    ham = TotalHamiltonian(space, params)
+    monkeypatch.setattr(dynamics, "RECORD_BYTES", 16 * space.dim * 2)
+    matrix = ham.static.matrix
+    arrays = (matrix.data, matrix.indices, matrix.indptr)
+    before = [a.tobytes() for a in arrays]
+    h_bytes = sum(a.nbytes for a in arrays)
+    assert 16 * space.dim * 2 < h_bytes / 4
+
+    def run():
+        return propagate(space, params, psi0, 4.0, n_out=9, hamiltonian=ham)
+
+    run()  # the first run fills the caches of first use
+    tracemalloc.start()
+    try:
+        traj = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["method"] == "chebyshev"
+    assert peak < h_bytes
+    assert ham.static.matrix is matrix
+    assert [a.tobytes() for a in (matrix.data, matrix.indices, matrix.indptr)] == before
 
 @pytest.mark.parametrize("x,expected", [(0.0, 1), (0.5, 13), (10.0, 36), (220.0, 286), (2000.0, 2134)])
 def test_chebyshev_order_is_the_first_bessel_tail_below_roundoff(x, expected):

@@ -948,6 +948,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err.lower()
 
 
+
+def test_cli_propagation_error_writes_the_report_and_exits_1(tmp_path, capsys):
+    # q_jk overflows the compiled closure: the mean-field run of compare refuses the model
+    text = ("task: compare\nspace: {n_sites: 1, field_modes: [{cutoff: 2}]}\n"
+            "params: {field_modes: [{omega: 1.0, amplitude: 1.0e308}]}\nintegrate: {t_end: 1.0, n_out: 5}\n")
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    message = "model has non-finite frequencies, couplings or drives"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    saved = json.loads((out / "report.json").read_text())
+    assert saved["results"]["error"] == message
+    assert [(c["name"], c["passed"]) for c in saved["checks"]] == [("propagation", False)]
+    with pytest.raises(runner.dynamics.PropagationError, match=message):  # the library call still raises
+        run(load_config(path), out_dir=tmp_path / "again")
+    assert json.loads((tmp_path / "again" / "report.json").read_text())["results"]["error"] == message
+
 def test_cli_mean_field_long_chain_has_no_exact_space_cap(tmp_path, capsys):
     raw = {
         "task": "meanfield",
