@@ -58,12 +58,14 @@ implemented here, by requiring exact agreement with the commutator form.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
-from scipy.integrate import odeint, quad
+from scipy.integrate import ODEintWarning, odeint, quad
 from scipy.linalg.blas import zaxpy, zgemm
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import jv
 
 from .hamiltonian import (
@@ -293,8 +295,10 @@ def solve_ivp(fun, t_span: tuple[float, float], y0: np.ndarray, times: np.ndarra
         def rhs(t, y):
             return fun(t, y.view(np.complex128)).view(float)
 
-    ys, info = odeint(rhs, y0, grid, tfirst=True, full_output=True, rtol=tol / 10, atol=tol / 1000,
-                      mxstep=MAX_STEPS, ml=0, mu=0)
+    with warnings.catch_warnings():  # a failed solve raises PropagationError with odeint's message below
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(rhs, y0, grid, tfirst=True, full_output=True, rtol=tol / 10, atol=tol / 1000,
+                          mxstep=MAX_STEPS, ml=0, mu=0)
     if info["message"] != "Integration successful.":
         raise PropagationError(f"propagation failed: {info['message']}")
     # LSODA accepts steps whose error norm is NaN, so a non-finite state ends no solve by itself
@@ -367,26 +371,32 @@ def _chebyshev_sum(matrix, centre: float, half_width: float, psi: np.ndarray, co
     """``sum_k coeffs[k, j] T_k((H - c) / R) psi`` for every column j, H the CSR ``matrix`` and ``c +- R`` its interval.
 
     The recurrence ``T_{k+1} psi = 2 (H - c) / R T_k psi - T_{k-1} psi`` runs on ``matrix`` itself, ``H v``
-    shifted by ``-c v`` (``zaxpy``) and scaled in place, in a ring of at most ``_record_columns`` rows,
-    contracted with their coefficient rows whenever the ring is full.  Each contraction is added into the
-    states in place, by ``zgemm`` with ``beta = 1`` on the transposed (Fortran-ordered) views of the
-    C-ordered ring, coefficients and states, so that neither the product nor an operand is copied.
+    formed by scipy's compiled ``csr_matvec`` into one zeroed buffer (as ``matrix @ v`` forms it, without a
+    new array per product), shifted by ``-c v`` (``zaxpy``) and scaled in place, in a ring of
+    ``_record_columns`` rows (at least the two that the recurrence reads), contracted with their coefficient
+    rows whenever the ring is full.  Each contraction is added into the states in place, by ``zgemm`` with
+    ``beta = 1`` on the transposed (Fortran-ordered) views of the C-ordered ring, coefficients and states,
+    so that neither the product nor an operand is copied.
     """
-    order = len(coeffs)
-    ring = np.empty((min(order, _record_columns(psi.size)), psi.size), dtype=np.complex128)
+    order, dim = len(coeffs), psi.size
+    ring = np.empty((min(order, max(2, _record_columns(dim))), dim), dtype=np.complex128)
     size = len(ring)
-    states = np.zeros((psi.size, coeffs.shape[1]), dtype=np.complex128)
+    states = np.zeros((dim, coeffs.shape[1]), dtype=np.complex128)
+    hv = np.empty(dim, dtype=np.complex128)
     for k in range(order):
         row = k % size
         if k == 0:
             ring[row] = psi
-        elif k == 1:
-            np.multiply(zaxpy(psi, matrix @ psi, a=-centre), 1.0 / half_width, out=ring[row])
         else:
-            v = ring[(k - 1) % size]
-            hv = zaxpy(v, matrix @ v, a=-centre)
-            hv *= 2.0 / half_width
-            np.subtract(hv, ring[(k - 2) % size], out=ring[row])
+            v = psi if k == 1 else ring[(k - 1) % size]
+            hv.fill(0.0)
+            csr_matvec(dim, dim, matrix.indptr, matrix.indices, matrix.data, v, hv)
+            zaxpy(v, hv, a=-centre)
+            if k == 1:
+                np.multiply(hv, 1.0 / half_width, out=ring[row])
+            else:
+                hv *= 2.0 / half_width
+                np.subtract(hv, ring[(k - 2) % size], out=ring[row])
         if row == size - 1 or k == order - 1:
             # states^T += coeffs[rows]^T ring[rows]
             zgemm(1.0, coeffs[k - row:k + 1].T, ring[:row + 1].T, 1.0, states.T, trans_b=1, overwrite_c=1)

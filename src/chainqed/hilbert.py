@@ -9,9 +9,9 @@ subsystem most significant: the order of the Kronecker product of the
 local factors, which :func:`embed_terms` writes out by index arithmetic on
 the slot strides and :func:`product_state` takes for states.
 
-Operators are stored as sparse complex (CSR) matrices wrapped in
-:class:`Operator`, which carries the algebra used throughout the package
-(products, adjoints, commutators, anticommutators).
+Operators are sparse complex CSR arrays held by :class:`Operator`, which
+carries the algebra used throughout the package (products, adjoints,
+commutators, anticommutators) on scipy's compiled sparse kernels.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 DEFAULT_DIMENSION_CAP = 2**20
 
@@ -181,24 +182,93 @@ def build_space(spec: SpaceSpec) -> SpaceIndex:
     return SpaceIndex(tuple(subsystems), dim, tuple(strides))
 
 
-class Operator:
-    """Sparse complex operator on a composite space.
+_INDEX_MAX = np.iinfo(np.int32).max
 
-    Thin wrapper over ``scipy.sparse.csr_matrix`` providing the arithmetic
-    the package needs.  Instances are immutable by convention and safe to
-    share across workers.
+
+def _index(*sizes: int) -> type:
+    """int32 where every size fits it, else int64."""
+    return np.int32 if max(sizes) <= _INDEX_MAX else np.int64
+
+
+def _kernel_index(a: "Operator", b: "Operator", bound: int = 0) -> type:
+    """Index dtype of a kernel call on ``a`` and ``b``: int64 where an operand or ``bound`` needs it, as scipy picks it."""
+    if a.indptr.dtype != np.int32 or b.indptr.dtype != np.int32:
+        return np.int64
+    return _index(bound)
+
+
+def _trimmed(array: np.ndarray, size: int) -> np.ndarray:
+    """``array[:size]``, copied when that is under half of it, as scipy trims a result."""
+    if size == array.size:
+        return array
+    return array[:size].copy() if size < array.size // 2 else array[:size]
+
+
+def _outputs(dim: int, size: int, index: type) -> tuple:
+    """Empty ``indptr``, ``indices`` and ``data`` for a kernel to fill with at most ``size`` entries."""
+    return np.empty(dim + 1, dtype=index), np.empty(size, dtype=index), np.empty(size, dtype=np.complex128)
+
+
+def _result(dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "Operator":
+    """The operator of kernel output arrays sized for a bound: trimmed to its entries, indices int32 where they fit.
+
+    scipy takes that index dtype from the whole output it allocated, so an unused tail of uninitialized memory
+    can keep int64 indices there; here it follows from the entries written.
+    """
+    nnz = int(indptr[-1])
+    indices, data = _trimmed(indices, nnz), _trimmed(data, nnz)
+    if indptr.dtype != np.int32 and _index(dim, nnz) == np.int32:
+        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    return Operator._of(dim, indptr, indices, data)
+
+
+class Operator:
+    """Sparse complex operator on a composite space, held as CSR arrays.
+
+    ``indptr``, ``indices`` and ``data`` are the CSR arrays; they are never
+    written after construction, and results that keep an operand's sparsity
+    (negation, scalar multiples) share its index arrays.  ``+``, ``-``, ``@``
+    and :meth:`dag` call scipy's compiled kernels in
+    ``scipy.sparse._sparsetools`` directly (``csr_plus_csr``,
+    ``csr_minus_csr``, ``csr_matmat_maxnnz`` with ``csr_matmat``, and
+    ``csr_tocsc`` for the transpose), and a scalar multiple scales ``data``.
+    The operators of ``csr_matrix`` call the same kernels through a Python
+    wrapper, which added 23-75 us to each operation at dim 1456 (about as
+    much as the kernels take; ``timeit`` on a 2-vCPU x86 box), and the
+    equation-of-motion checks make thousands of operations.  The arrays are
+    the ones scipy's own operators give, bit for bit: the same kernel calls,
+    the zeros that ``+`` and ``-`` produce dropped by the kernel, arrays
+    trimmed as scipy trims them, and int32 indices unless the dimension or
+    the entry count needs int64 (``tests/test_hilbert.py`` pins this against
+    scipy).  :attr:`matrix` builds the ``csr_matrix`` on the
+    same arrays when it is first read, and keeps it.  Instances are immutable
+    by convention and safe to share across workers.
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("dim", "indptr", "indices", "data", "_matrix")
+    __array_ufunc__ = None  # numpy scalars and arrays leave ``*`` to Operator, which takes scalars only
 
     def __init__(self, matrix):
-        # an arithmetic result is already complex CSR: wrapping it again would re-check it
         if not (isinstance(matrix, sparse.csr_matrix) and matrix.dtype == np.complex128):
             matrix = sparse.csr_matrix(matrix, dtype=np.complex128)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got {matrix.shape}")
-        self.matrix = matrix
         self.dim = matrix.shape[0]
+        self.indptr, self.indices, self.data = matrix.indptr, matrix.indices, matrix.data
+        self._matrix = matrix
+
+    @classmethod
+    def _of(cls, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "Operator":
+        op = cls.__new__(cls)
+        op.dim, op.indptr, op.indices, op.data, op._matrix = dim, indptr, indices, data, None
+        return op
+
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        """The operator as ``scipy.sparse.csr_matrix`` on the same arrays, built on first read."""
+        if self._matrix is None:
+            self._matrix = sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
+        return self._matrix
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -206,37 +276,60 @@ class Operator:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "Operator") -> "Operator":
+    def _arrays(self, index: type) -> tuple:
+        return self.indptr.astype(index, copy=False), self.indices.astype(index, copy=False), self.data
+
+    def _elementwise(self, other: "Operator", kernel) -> "Operator":
         self._check(other)
-        return Operator(self.matrix + other.matrix)
+        bound = self.data.size + other.data.size
+        index = _kernel_index(self, other, bound)
+        indptr, indices, data = _outputs(self.dim, bound, index)
+        kernel(self.dim, self.dim, *self._arrays(index), *other._arrays(index), indptr, indices, data)
+        return _result(self.dim, indptr, indices, data)
+
+    def __add__(self, other: "Operator") -> "Operator":
+        return self._elementwise(other, _sparsetools.csr_plus_csr)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.matrix - other.matrix)
+        return self._elementwise(other, _sparsetools.csr_minus_csr)
 
     def __neg__(self) -> "Operator":
-        return Operator(-self.matrix)
+        return _result(self.dim, self.indptr, self.indices, -self.data)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.matrix * scalar)
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return _result(self.dim, self.indptr, self.indices, self.data * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.matrix @ other.matrix)
+        dim, index = self.dim, _kernel_index(self, other)
+        bound = _sparsetools.csr_matmat_maxnnz(dim, dim, *self._arrays(index)[:2], *other._arrays(index)[:2])
+        if bound == 0:
+            return _zero(dim)
+        index = _kernel_index(self, other, bound)
+        indptr, indices, data = _outputs(dim, bound, index)
+        _sparsetools.csr_matmat(dim, dim, *self._arrays(index), *other._arrays(index), indptr, indices, data)
+        return _result(dim, indptr, indices, data)
 
     def dag(self) -> "Operator":
-        """Hermitian adjoint."""
-        return Operator(self.matrix.conjugate().transpose().tocsr())
+        """Hermitian adjoint: the transpose by ``csr_tocsc``, then conjugated in place."""
+        dim, nnz = self.dim, self.data.size
+        index = _index(dim, nnz)
+        indptr, indices, data = _outputs(dim, nnz, index)
+        _sparsetools.csr_tocsc(dim, dim, *self._arrays(index), indptr, indices, data)
+        np.conjugate(data, out=data)
+        return Operator._of(dim, indptr, indices, data)
 
     # -- queries ------------------------------------------------------------
 
     def max_abs(self) -> float:
         """Largest absolute matrix entry (zero for the empty matrix)."""
-        if self.matrix.nnz == 0:
+        if self.data.size == 0:
             return 0.0
-        return float(np.max(np.abs(self.matrix.data)))
+        return float(np.max(np.abs(self.data)))
 
     def hermiticity_defect(self) -> float:
         return (self - self.dag()).max_abs()
@@ -259,15 +352,23 @@ class Operator:
         return self.matrix.toarray()
 
     def __repr__(self) -> str:
-        return f"Operator(dim={self.dim}, nnz={self.matrix.nnz})"
+        return f"Operator(dim={self.dim}, nnz={self.data.size})"
+
+
+def _zero(dim: int) -> Operator:
+    index = _index(dim)
+    return Operator._of(dim, np.zeros(dim + 1, dtype=index), np.zeros(0, dtype=index), np.zeros(0, dtype=np.complex128))
 
 
 def identity(space: SpaceIndex) -> Operator:
-    return Operator(sparse.identity(space.dim, dtype=np.complex128, format="csr"))
+    """The identity, with the arrays of ``sparse.identity(dim, format="csr")``."""
+    dim, index = space.dim, _index(space.dim)
+    return Operator._of(dim, np.arange(dim + 1, dtype=index), np.arange(dim, dtype=index),
+                        np.ones(dim, dtype=np.complex128))
 
 
 def zero(space: SpaceIndex) -> Operator:
-    return Operator(sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128))
+    return _zero(space.dim)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -355,7 +456,7 @@ def _csr(dim: int, parts: list) -> sparse.csr_matrix:
     for base, rows, _, _ in parts:
         counts[1:] += np.bincount(np.add.outer(base, rows).ravel(), minlength=dim)
     total = int(np.sum(counts))
-    index = np.int32 if max(dim, total) < 2**31 else np.int64
+    index = _index(dim, total)
     indptr = np.cumsum(counts, dtype=index)
     indices = np.empty(total, dtype=index)
     data = np.empty(total, dtype=np.complex128)
@@ -394,10 +495,11 @@ def embed_terms(space: SpaceIndex, terms) -> Operator:
     from zero on its own and then added, so the diagonal rounds as a sum of
     separately built operators does.
     """
-    index = np.int32 if space.dim < 2**31 else np.int64
+    index = _index(space.dim)
     grid = np.arange(space.dim, dtype=index).reshape([sub.dim for sub in space.subsystems])
     patterns: dict[tuple, list] = {}  # off-diagonal pattern: [base, local rows, local cols, values]
-    diagonal = _fold(space, terms, grid, patterns)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check the result for non-finite entries
+        diagonal = _fold(space, terms, grid, patterns)
     parts = list(patterns.values())
     patterns.clear()
     if diagonal is not None:

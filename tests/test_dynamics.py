@@ -572,6 +572,21 @@ def test_chebyshev_propagate_runs_on_the_hamiltonian_as_built(monkeypatch):
     assert ham.static.matrix is matrix
     assert [a.tobytes() for a in (matrix.data, matrix.indices, matrix.indptr)] == before
 
+
+def test_chebyshev_ring_of_a_one_column_budget_keeps_two_rows(monkeypatch):
+    # a budget of one state column: the ring still holds T_{k-1} and T_{k-2}, which the recurrence reads together
+    space, params, psi0 = _spin_chain(10)
+    ham = TotalHamiltonian(space, params)
+    default = propagate(space, params, psi0, 4.0, n_out=9, hamiltonian=ham)
+    monkeypatch.setattr(dynamics, "RECORD_BYTES", 16 * space.dim)
+    assert dynamics._record_columns(space.dim) == 1
+    small = propagate(space, params, psi0, 4.0, n_out=9, hamiltonian=ham)
+    assert default.meta["method"] == small.meta["method"] == "chebyshev"
+    for name, values in default.records.items():
+        assert np.max(np.abs(small.records[name] - values)) <= 1e-12, name
+    assert np.max(np.abs(small.records["norm"] - 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("x,expected", [(0.0, 1), (0.5, 13), (10.0, 36), (220.0, 286), (2000.0, 2134)])
 def test_chebyshev_order_is_the_first_bessel_tail_below_roundoff(x, expected):
     order = dynamics._chebyshev_order(x)

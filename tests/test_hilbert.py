@@ -25,6 +25,7 @@ from chainqed.hilbert import (
     product_state,
     site_local_state,
     top_level_projector_local,
+    zero,
 )
 from chainqed.transition_ops import SIGMA_PLUS_LOCAL, SIGMA_Z_LOCAL
 
@@ -258,6 +259,90 @@ def test_operator_dimension_mismatch():
         a + b
     with pytest.raises(DimensionMismatchError):
         a @ b
+
+
+def _kernel_operands():
+    """Operators for the kernel test, each with the scipy matrix it stands for.
+
+    ``a`` and ``b`` differ in their number of entries; ``product`` comes
+    from ``csr_matmat``, which leaves its indices unsorted; ``upper64`` has
+    int64 index arrays (as ``csr_array`` keeps them), ``lower`` and
+    ``diagonal`` are int32 and share no entry with it.
+    """
+    rng = np.random.default_rng(11)
+    n = 9
+
+    def random(density):
+        return np.where(rng.uniform(size=(n, n)) < density, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+
+    full = random(1.0)
+    upper = sparse.csr_matrix(np.triu(full, 1))
+    upper64 = sparse.csr_matrix(sparse.csr_array(
+        (upper.data, upper.indices.astype(np.int64), upper.indptr.astype(np.int64)), shape=(n, n)))
+    refs = {
+        "a": sparse.csr_matrix(random(0.5)),
+        "b": sparse.csr_matrix(random(0.2)),
+        "empty": sparse.csr_matrix((n, n), dtype=np.complex128),
+        "upper64": upper64,
+        "lower": sparse.csr_matrix(np.tril(full)),
+        "diagonal": sparse.csr_matrix(np.diag(np.diag(full))),
+    }
+    ops = {name: Operator(matrix) for name, matrix in refs.items()}
+    ops["product"], refs["product"] = ops["a"] @ ops["b"], refs["a"] @ refs["b"]
+    assert refs["upper64"].indices.dtype == np.int64
+    assert not refs["product"].has_sorted_indices
+    return ops, refs
+
+
+def _assert_same_arrays(op, ref, what):
+    assert (op.indptr.dtype, op.indices.dtype) == (ref.indptr.dtype, ref.indices.dtype), what
+    assert_array_equal(op.indptr, ref.indptr, err_msg=what)
+    assert_array_equal(op.indices, ref.indices, err_msg=what)
+    assert op.data.dtype == ref.data.dtype and op.data.tobytes() == ref.data.tobytes(), what
+
+
+def test_operator_arithmetic_gives_scipys_arrays():
+    # Operator calls scipy's compiled kernels itself; each result must hold the arrays that scipy's own operators
+    # give, bit for bit and with the same index dtype.  scipy picks the index dtype of a kernel result from the
+    # whole output it allocated for the bound on the entries, whose unused tail is uninitialized memory; so the
+    # int64 operand meets only operands that leave no such tail (disjoint entries, products that never meet).
+    ops, refs = _kernel_operands()
+    for name, op in ops.items():
+        ref = refs[name]
+        _assert_same_arrays(-op, -ref, f"-{name}")
+        _assert_same_arrays(op.dag(), ref.conjugate().transpose().tocsr(), f"{name}.dag()")
+        for scalar in (0, 0.0, -1.5, np.float64(0.25), 2.0 - 0.5j, 1j):
+            _assert_same_arrays(op * scalar, ref * scalar, f"{name} * {scalar}")
+            _assert_same_arrays(scalar * op, scalar * ref, f"{scalar} * {name}")
+    plain = [name for name in ops if name != "upper64"]
+    pairs = [(x, y) for x in plain for y in plain]
+    for x, y in pairs + [("upper64", "lower"), ("lower", "upper64")]:
+        _assert_same_arrays(ops[x] + ops[y], refs[x] + refs[y], f"{x} + {y}")
+        _assert_same_arrays(ops[x] - ops[y], refs[x] - refs[y], f"{x} - {y}")
+    for x, y in pairs + [("upper64", "diagonal"), ("diagonal", "upper64")]:
+        _assert_same_arrays(ops[x] @ ops[y], refs[x] @ refs[y], f"{x} @ {y}")
+    _assert_same_arrays(ops["a"] - ops["a"], refs["a"] - refs["a"], "a - a")  # every entry cancels
+    assert (ops["a"] - ops["a"]).data.size == 0
+
+
+def test_operator_arithmetic_builds_no_csr_matrix_until_read(monkeypatch):
+    space = build_space(SpaceSpec(2, (ModeSpec(2),)))
+    a = embed_local(space, 2, annihilation_local(2))
+    sigma = embed_local(space, 0, SIGMA_PLUS_LOCAL)
+    built = []
+    init = sparse.csr_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_matrix, "__init__", counted)
+    result = commutator(a.dag() @ a + 0.5 * identity(space), sigma.dag()) - (-sigma) * 2.0 + zero(space)
+    assert built == []
+    matrix = result.matrix
+    assert len(built) == 1 and result.matrix is matrix
+    assert all(np.shares_memory(x, y) for x, y in zip((matrix.indptr, matrix.indices, matrix.data),
+                                                         (result.indptr, result.indices, result.data)))
 
 
 def test_hermiticity_detection():

@@ -964,6 +964,32 @@ def test_cli_propagation_error_writes_the_report_and_exits_1(tmp_path, capsys):
         run(load_config(path), out_dir=tmp_path / "again")
     assert json.loads((tmp_path / "again" / "report.json").read_text())["results"]["error"] == message
 
+
+def _subprocess_env() -> dict:
+    """The environment of a child Python process that imports this chainqed."""
+    src = str(Path(chainqed.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.mark.parametrize("params,initial,message", [
+    # the field frequency overflows the diagonal of H
+    ("{field_modes: [{omega: 1.0e308, amplitude: 0.1}]}", "{}", "Hamiltonian has non-finite entries or parameters"),
+    # LSODA refuses the mean-field closure of this amplitude
+    ("{field_modes: [{omega: 1.0, amplitude: 0.1}]}", "{field_modes: [{kind: coherent, alpha: [1.0e200, 0.0]}]}",
+     "propagation failed: Illegal input detected (internal error)."),
+])
+def test_cli_overflowing_input_prints_its_message_and_no_warning(tmp_path, params, initial, message):
+    # a child process: its stderr is what a user sees, with the warnings that pytest would otherwise capture
+    text = (f"task: compare\nspace: {{n_sites: 1, field_modes: [{{cutoff: 2}}]}}\nparams: {params}\n"
+            f"initial: {initial}\nintegrate: {{t_end: 1.0, n_out: 5}}\n")
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "chainqed.cli", "run", "--config", str(path), "--out", str(out)],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == message + "\n"
+    assert json.loads((out / "report.json").read_text())["results"]["error"] == message
+
+
 def test_cli_mean_field_long_chain_has_no_exact_space_cap(tmp_path, capsys):
     raw = {
         "task": "meanfield",
@@ -1014,8 +1040,7 @@ def test_cli_seed_override_is_validated(tmp_path, capsys):
 def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
     # spectrum and memory_kernel_integral import them when called, so every other process is spared about 20 MB
     heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate")
-    src = str(Path(chainqed.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = f"import sys, chainqed; print(*(m for m in {heavy!r} if m in sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                            check=True)
     assert loaded.stdout.split() == []
