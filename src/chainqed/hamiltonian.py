@@ -22,14 +22,14 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .hilbert import (
     Operator,
     SpaceIndex,
+    _index,
     annihilation_local,
     embed_local,
     embed_modes,
@@ -395,7 +395,11 @@ class TotalHamiltonian:
     term is one operator with a scalar coefficient read from the model's phasors: the
     per-mode coupling block ``sum_j q_jk(0) sigma_x_j a_k`` and its adjoint with the
     mode phase and its conjugate (literal coupling), and ``sum_j sigma_x_j`` over a
-    drive's sites with twice the real part of the drive's phasor.
+    drive's sites with twice the real part of the drive's phasor.  A time-dependent H is
+    held once, as one CSR pattern covering ``static`` and the terms with a values table
+    ``nnz x (1 + K)`` (column 0 ``static``, column i term i), built here; ``at`` and
+    ``apply`` both use the data ``values @ (1, c_1(t), ..., c_K(t))``.  A static H
+    builds no table.
 
     Each of these operators is one ``embed_terms`` sum of local factors; no
     embedded operator is built on the way.  The diagonal terms of ``static`` are
@@ -442,49 +446,39 @@ class TotalHamiltonian:
             static += [term for block in blocks for term in block + _adjoint(block)]
         terms += [[(row[v], {site[v]: SIGMA_X_LOCAL}) for v in np.flatnonzero(row)] for row in model.drive_table]
         self.static = embed_terms(space, static)
-        # [static | terms]: H(t) psi is one product with (psi, c_1 psi, c_2 psi, ...)
-        stacked = [self.static.matrix] + [embed_terms(space, term).matrix for term in terms]
-        self._stacked = sparse.hstack(stacked, format="csr") if terms else self.static.matrix
+        if terms:
+            ops = [self.static] + [embed_terms(space, term) for term in terms]
+            keys = [np.repeat(np.arange(space.dim) * space.dim, np.diff(op.indptr)) + op.indices for op in ops]
+            keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+            column = np.repeat(np.arange(len(ops)), [op.data.size for op in ops])
+            self._values = np.zeros((keys.size, len(ops)), dtype=np.complex128)
+            self._values[slot, column] = np.concatenate([op.data for op in ops])
+            index = _index(space.dim, keys.size)
+            self._indptr = np.searchsorted(keys, np.arange(space.dim + 1) * space.dim).astype(index)
+            self._indices = (keys % space.dim).astype(index)
 
     @property
     def is_static(self) -> bool:
         return self.model.is_static
 
     def _coefficients(self, t: float) -> np.ndarray:
-        """Coefficients of the time-dependent terms at time t, in the order of their blocks in ``_stacked``."""
+        """Coefficients of the time-dependent terms at time t, in the order of their columns in ``_values``."""
         p, m = self.model.phasors(t), self.model.n_phase
         return np.concatenate((p[:m], p[:m].conj(), 2.0 * p[m:].real))
 
     def is_finite(self) -> bool:
         """Whether every matrix entry and every compiled number behind the coefficients is finite."""
-        return bool(np.isfinite(self._stacked.data).all() and self.model.is_finite())
+        return bool(np.isfinite(self.static.data if self.is_static else self._values).all() and self.model.is_finite())
 
-    @cached_property
-    def _union(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One CSR pattern covering ``static`` and every term: (values, indices, indptr).
-
-        ``values[:, 0]`` holds the static entries and ``values[:, i]`` those of
-        term i on the union pattern, zero where a matrix has no entry.  Built
-        on the first ``at`` of a time-dependent H.
-        """
-        dim = self.space.dim
-        coo = self._stacked.tocoo()
-        term, col = np.divmod(coo.col.astype(np.int64), dim)
-        keys, slot = np.unique(coo.row.astype(np.int64) * dim + col, return_inverse=True)
-        values = np.zeros((keys.size, self._stacked.shape[1] // dim), dtype=np.complex128)
-        np.add.at(values, (slot, term), coo.data)
-        rows, indices = np.divmod(keys, dim)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim))))
-        return values, indices.astype(np.int32), indptr.astype(np.int32)
-
-    def at(self, t: float) -> Operator:
-        """The Hamiltonian operator at time t (``static`` itself when H is static)."""
+    def _operator(self, t: float) -> Operator:
+        """H(t) on the one pattern, with no ``csr_matrix`` built (``static`` itself when H is static)."""
         if self.is_static:
             return self.static
-        values, indices, indptr = self._union
-        data = values @ np.concatenate(([1.0], self._coefficients(t)))
-        return Operator(sparse.csr_matrix((data, indices, indptr), shape=(self.space.dim,) * 2))
+        data = self._values @ np.concatenate(([1.0], self._coefficients(t)))
+        return Operator._of(self.space.dim, self._indptr, self._indices, data)
+
+    at = _operator  # ``apply`` calls ``_operator``, not ``at``: bench/tracer.py counts ``at`` calls as records
 
     def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        """H(t) |psi> without assembling the summed matrix."""
-        return self._stacked @ np.concatenate((psi, np.multiply.outer(self._coefficients(t), psi).ravel()))
+        """H(t) |psi>: the operator that ``at`` returns, applied by ``Operator.apply``."""
+        return self._operator(t).apply(psi)

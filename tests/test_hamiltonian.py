@@ -379,9 +379,14 @@ def test_total_hamiltonian_precompiled_matches_builder():
             assert ham.is_static == (coupling_mode == STATIC_PHASE and case == "undriven")
             psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
             for t in (0.0, 0.83, 4.2):
-                h_ref = term_sum(space, params, t)
-                assert (ham.at(t) - h_ref).max_abs() <= 1e-13, (coupling_mode, case, t)
+                h_ref, h = term_sum(space, params, t), ham.at(t)
+                assert (h - h_ref).max_abs() <= 1e-13, (coupling_mode, case, t)
                 assert_allclose(ham.apply(t, psi), h_ref.to_dense() @ psi, atol=1e-12)
+                # one H(t): ``apply`` gives the bits of the operator ``at`` returns
+                assert np.array_equal(ham.apply(t, psi), h.apply(psi)), (coupling_mode, case, t)
+                h.expect(psi)
+                if not ham.is_static:  # ``at`` wraps the values at t; nothing builds a ``csr_matrix`` of them
+                    assert h._matrix is None
 
 
 def test_at_reads_one_pattern_and_matches_term_sum():
@@ -406,6 +411,20 @@ def test_at_of_a_static_hamiltonian_is_the_static_operator():
     assert ham.is_static
     assert ham.at(0.0) is ham.static
     assert ham.at(4.7) is ham.static
+
+
+def test_one_table_holds_a_time_dependent_hamiltonian_and_none_a_static_one():
+    space, params = _driven_chain(LITERAL_TIME_DEPENDENT, DRIVE_CASES["subset-repeated"])
+    ham = TotalHamiltonian(space, params)
+    assert not any(hasattr(ham, name) for name in ("_stacked", "_union"))
+    n_terms = ham._coefficients(0.0).size
+    assert ham._values.shape == (ham._indices.size, 1 + n_terms)
+    assert ham._indptr.dtype == ham._indices.dtype == np.int32
+    # column 0 is ``static``: its values on the union pattern give back the static operator
+    static = Operator._of(space.dim, ham._indptr, ham._indices, ham._values[:, 0])
+    assert (static - ham.static).max_abs() == 0.0
+    space, params = _driven_chain(STATIC_PHASE, ())
+    assert not hasattr(TotalHamiltonian(space, params), "_values")
 
 
 GRID_DRIVES = {

@@ -363,6 +363,42 @@ def test_coherent_state_moments():
     assert_allclose(np.vdot(vec, a @ vec), alpha, rtol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1.0e200, -3.0e150j, 1.0e300 + 1.0e300j])
+def test_coherent_state_of_a_huge_amplitude_is_finite_and_normalized(alpha):
+    # alpha^n / sqrt(n!) overflows for every n > 0: the amplitudes are scaled before they are exponentiated
+    vec = coherent_local(alpha, 2)
+    assert np.isfinite(vec).all()
+    assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-15)
+    assert_allclose(abs(vec[-1]), 1.0, atol=1e-15)  # all weight on the top level
+
+
+def _random_operator(dim: int, seed: int) -> Operator:
+    rng = np.random.default_rng(seed)
+    dense = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * (rng.random((dim, dim)) < 0.3)
+    return Operator(dense)
+
+
+@pytest.mark.parametrize("shape", [(23,), (25,), (24, 1), (1, 24)])
+def test_apply_and_expect_refuse_a_state_of_the_wrong_length(shape):
+    op = _random_operator(24, 3)
+    with pytest.raises(DimensionMismatchError):
+        op.apply(np.ones(shape, dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        op.expect(np.ones(shape, dtype=complex))
+
+
+def test_apply_and_expect_are_the_bits_of_the_matrix_product():
+    op = _random_operator(24, 5)
+    rng = np.random.default_rng(7)
+    block = rng.normal(size=(24, 6)) + 1j * rng.normal(size=(24, 6))
+    real = rng.normal(size=24)
+    assert not block[:, 2].flags.c_contiguous  # a column of a C-ordered block, as the recorder passes it
+    for psi in (real, block[:, 2], block[:, 5]):
+        assert_array_equal(op.apply(psi), op.matrix @ psi)
+        assert op.expect(psi) == complex(np.vdot(psi, op.matrix @ psi))
+
+
 def test_product_state_assembly():
     space = build_space(SpaceSpec(1, (ModeSpec(2),)))
     psi = product_state(space, [site_local_state("excited"), fock_local(1, 2)])

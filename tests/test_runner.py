@@ -990,6 +990,20 @@ def test_cli_overflowing_input_prints_its_message_and_no_warning(tmp_path, param
     assert json.loads((out / "report.json").read_text())["results"]["error"] == message
 
 
+def test_cli_propagate_of_a_huge_coherent_amplitude_flags_truncation(tmp_path):
+    # alpha^n / sqrt(n!) overflows for every n > 0; the state puts all its weight on the top level
+    text = ("task: propagate\nspace: {n_sites: 1, field_modes: [{cutoff: 2}]}\n"
+            "params: {field_modes: [{omega: 1.0, amplitude: 0.1}]}\n"
+            "initial: {field_modes: [{kind: coherent, alpha: [1.0e200, 0.0]}]}\nintegrate: {t_end: 1.0, n_out: 5}\n")
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "chainqed.cli", "run", "--config", str(path), "--out", str(out)],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr == ""  # no traceback and no warning
+    meta = json.loads((out / "report.json").read_text())["results"]["meta"]
+    assert meta["truncation_flagged"] is True and meta["max_top_level_population"] == pytest.approx(1.0)
+
+
 def test_cli_mean_field_long_chain_has_no_exact_space_cap(tmp_path, capsys):
     raw = {
         "task": "meanfield",
