@@ -106,15 +106,16 @@ SPECTRAL_MAX_DIM = 512
 # Largest time-dependent H integrated in the interaction picture of its static
 # part.  The frame cuts LSODA's right-hand-side calls, but every call adds two
 # dense dim x dim products.  propagate wall time, plain LSODA -> frame, median
-# and quartiles of 8 rounds alternating in one process (same box): compare-
+# and quartiles of 8 rounds alternating in one process (2-vCPU x86): compare-
 # driven (literal coupling plus a weak drive, dim 52, tol 1e-10) 40,193 ->
-# 15,185 calls, 1.53 s (1.49-1.58) -> 1.01 s (0.98-1.08), records within
+# 15,185 calls, 0.41 s (0.40-0.41) -> 0.33 s (0.33-0.34), records within
 # 1.3e-10.  Where the drive is strong or the static carrier slow, the frame
 # loses: one resonantly driven site (criterion 07, tol 1e-12) 14,402 ->
-# 13,625 calls, 0.54 s (0.50-0.58) -> 0.67 s (0.63-0.75).  A spin chain with
-# one site weakly driven (amplitude 0.01, t = 50, medians of 4 rounds) gained
-# from the frame at 128 (0.22 -> 0.16 s) and still at 256 (0.31 -> 0.26 s), so
-# this limit is conservative for weak drives; it is not yet calibrated.
+# 13,625 calls, 0.11 s (0.11-0.11) -> 0.19 s (0.18-0.19).  An open spin chain
+# (J = 0.05, site 0 tilted by theta = 1 and driven at amplitude 0.01, t = 50,
+# 201 points, tol 1e-10) gained from the frame at 128 (6,647 -> 1,510 calls,
+# 0.083 -> 0.060 s) and still at 256 (7,370 -> 1,396 calls, 0.156 -> 0.114 s),
+# so this limit is conservative for weak drives; it is not yet calibrated.
 INTERACTION_MAX_DIM = 128
 # State columns recorded at once: bounds the dim x chunk temporaries.
 RECORD_CHUNK = 64
@@ -314,14 +315,22 @@ def _interaction_rhs(ham: TotalHamiltonian, energies: np.ndarray, vecs: np.ndarr
 
     ``-i (exp(i E tau) V^dag H(t) V exp(-i E tau) phi - E phi)``: one
     ``ham.apply`` per call, and phi moves only as fast as the
-    time-dependent terms, not at the static carrier frequencies.
+    time-dependent terms, not at the static carrier frequencies.  The
+    product ``V^dag H(t) psi`` is a new array per call, so the rest is
+    done in place on it.
     """
-    vecs_dag = vecs.conj().T
+    vecs_dag = np.ascontiguousarray(vecs.conj().T)
+    minus_i_energies = -1j * energies
 
     def rhs(t: float, phi: np.ndarray) -> np.ndarray:
-        rotation = np.exp(-1j * (t - t_start) * energies)
-        h_psi = ham.apply(t, vecs @ (rotation * phi))
-        return -1j * (rotation.conj() * (vecs_dag @ h_psi) - energies * phi)
+        rotation = np.exp(minus_i_energies * (t - t_start))
+        out = vecs_dag @ ham.apply(t, vecs @ (rotation * phi))
+        # conj(rotation) * out, not out * conj(rotation): the two round apart under FMA, and LSODA's
+        # call count on one resonantly driven site (criterion 07, tol 1e-10) moves by 10% with that last bit
+        np.multiply(np.conjugate(rotation, out=rotation), out, out=out)
+        out -= energies * phi
+        out *= -1j
+        return out
 
     return rhs
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,34 @@ def test_a_byte_budget_records_the_same_in_smaller_chunks(monkeypatch, field_cut
         assert np.max(np.abs(small.records[name] - values)) <= 1e-12, name
 
 
+@pytest.mark.parametrize(
+    "field_cutoffs,phonon_cutoff,method",
+    [((2, 1), 1, "interaction+LSODA"), ((3, 2), 2, "LSODA")],  # dim 48 and dim 144
+    ids=["interaction", "LSODA"],
+)
+def test_one_apply_per_rhs_call_and_one_at_per_output_point(monkeypatch, field_cutoffs, phonon_cutoff, method):
+    # the same counts as the benchmark's tracer pins: every right-hand side calls ``apply`` once, and
+    # recording calls ``at`` once per output point
+    space, params, psi0 = _mixed_system(field_cutoffs, phonon_cutoff, DRIVE)
+    calls = {"apply": 0, "at": 0}
+
+    def counted(name):
+        original = getattr(TotalHamiltonian, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(TotalHamiltonian, name, counted(name))
+    traj = propagate(space, params, psi0, 3.0, n_out=17)
+    assert traj.meta["method"] == method
+    assert calls["apply"] == traj.meta["rhs_evaluations"] > 0
+    assert calls["at"] == 17
+
+
 def _spin_chain(n_sites):
     """An open chain of tilted spins with exchange 0.1: static, dim 2^n."""
     space = build_space(SpaceSpec(n_sites))
@@ -818,6 +847,18 @@ def test_exact_path_refuses_a_non_finite_time_dependent_model(model, cutoff):
     psi0 = product_state(space, [site_local_state("excited"), fock_local(0, cutoff)])
     with pytest.raises(PropagationError, match="non-finite"):
         propagate(space, params, psi0, 1.0)
+
+
+def test_an_overflowing_time_dependent_model_is_refused_without_a_warning():
+    # a field omega of 1e308 overflows the diagonal of H, which the values table then scales by the phasor amplitudes
+    space = build_space(SpaceSpec(1, (ModeSpec(2),)))
+    params = single_site_params(coupling_mode=LITERAL_TIME_DEPENDENT, drives=DRIVE,
+                                field_modes=(FieldMode(omega=1e308, amplitude=0.05, polarization_overlap=(1.0,)),))
+    psi0 = product_state(space, [site_local_state("excited"), fock_local(0, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match="non-finite"):
+            propagate(space, params, psi0, 1.0)
 
 
 @pytest.mark.parametrize("probe", ["mf_propagate", "volterra_diagnostics"])

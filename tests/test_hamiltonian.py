@@ -391,18 +391,34 @@ def test_total_hamiltonian_precompiled_matches_builder():
 
 def test_at_reads_one_pattern_and_matches_term_sum():
     rng = np.random.default_rng(31)
-    # a purely imaginary amplitude makes the first drive's value exactly 0 at t = 0
+    # a purely imaginary amplitude makes the first drive's two conjugate columns cancel exactly at t = 0
     drives = (ClassicalDrive(0.04j, 1.1, (0,)), ClassicalDrive(0.03, 0.7))
     for coupling_mode in COUPLING_CASES:
         space, params = _driven_chain(coupling_mode, drives)
         ham = TotalHamiltonian(space, params)
-        assert ham._coefficients(0.0)[-2] == 0.0
+        m, n_phasors = ham.model.n_phase, ham.model.phasor_amp.size
+        drive = [1 + m, 1 + n_phasors + m]
+        assert np.any(ham._values[:, drive] != 0)
+        assert np.all(ham._values[:, drive] @ np.exp(ham._rates[drive] * 0.0) == 0.0)
         nnz = {ham.at(t).matrix.nnz for t in (0.0, 1.0)}
         assert len(nnz) == 1
         for t in (0.0, *rng.uniform(0, 30, size=4)):
             h = ham.at(t)
             assert h.matrix.nnz in nnz
             assert (h - term_sum(space, params, t)).max_abs() <= 1e-14, (coupling_mode, t)
+
+
+def test_at_with_two_complex_drives_is_the_term_sum_and_hermitian():
+    rng = np.random.default_rng(37)
+    drives = (ClassicalDrive(0.04 - 0.03j, 1.1, (0,)), ClassicalDrive(-0.02 + 0.05j, 0.6))
+    space, params = _driven_chain(LITERAL_TIME_DEPENDENT, drives)
+    ham = TotalHamiltonian(space, params)
+    assert ham._rates.size == 1 + 2 * (1 + len(drives))
+    for t in rng.uniform(0, 30, size=6):
+        h = ham.at(t)
+        assert (h - term_sum(space, params, t)).max_abs() <= 1e-13, t
+        dense = h.to_dense()
+        assert np.max(np.abs(dense - dense.conj().T)) <= 1e-15, t
 
 
 def test_at_of_a_static_hamiltonian_is_the_static_operator():
@@ -417,8 +433,10 @@ def test_one_table_holds_a_time_dependent_hamiltonian_and_none_a_static_one():
     space, params = _driven_chain(LITERAL_TIME_DEPENDENT, DRIVE_CASES["subset-repeated"])
     ham = TotalHamiltonian(space, params)
     assert not any(hasattr(ham, name) for name in ("_stacked", "_union"))
-    n_terms = ham._coefficients(0.0).size
-    assert ham._values.shape == (ham._indices.size, 1 + n_terms)
+    # column 0 at rate 0, then one column per phasor and one per conjugate phasor
+    n_phasors = ham.model.phasor_amp.size
+    assert ham._values.shape == (ham._indices.size, 1 + 2 * n_phasors)
+    assert np.array_equal(ham._rates, np.concatenate(([0.0], ham.model.phasor_rate, ham.model.phasor_rate.conj())))
     assert ham._indptr.dtype == ham._indices.dtype == np.int32
     # column 0 is ``static``: its values on the union pattern give back the static operator
     static = Operator._of(space.dim, ham._indptr, ham._indices, ham._values[:, 0])
