@@ -16,7 +16,11 @@ Conventions
   t = 0, giving a time-independent, conservative total Hamiltonian;
   ``literal_time_dependent`` keeps the oscillating phase exp(-i omega_k t)
   in the coupling function, at the price of double-counting the free field
-  evolution already generated by the field Hamiltonian.
+  evolution already generated by the field Hamiltonian.  The literal model
+  is exactly the frozen-phase model with every field frequency doubled,
+  seen in the frame ``exp(i t sum_k omega_k N_k)``: there its phase is
+  gone, and only the drives depend on time (``dynamics.propagate``
+  integrates it in that frame).
 """
 
 from __future__ import annotations
@@ -475,6 +479,20 @@ class TotalHamiltonian:
     def is_finite(self) -> bool:
         """Whether every matrix entry and every compiled number behind the exponentials is finite."""
         return bool(np.isfinite(self.static.data if self.is_static else self._values).all() and self.model.is_finite())
+
+    def gershgorin_bound(self) -> float:
+        """The largest row sum of |entries| over every column of the values table (of ``static`` when H is static).
+
+        Every column's exponential has modulus 1, so this bounds the spectrum of H(t) at every t.  It is
+        inf when the sum overflows, although every entry is finite.
+        """
+        with np.errstate(over="ignore"):
+            if self.is_static:
+                indptr, magnitudes = self.static.indptr, np.abs(self.static.data)
+            else:
+                indptr, magnitudes = self._indptr, np.abs(self._values).sum(axis=1)
+            filled = np.diff(indptr) > 0  # reduceat would give an empty row the first entry of the next one
+            return float(np.add.reduceat(magnitudes, indptr[:-1][filled]).max(initial=0.0))
 
     def _operator(self, t: float) -> Operator:
         """H(t) on the one pattern, with no ``csr_matrix`` built (``static`` itself when H is static)."""

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,13 +235,18 @@ DRIVE = (ClassicalDrive(amplitude=0.01, frequency=1.0),)
         (SPECTRAL_MAX_DIM // 2, {}, NON_UNIFORM, "chebyshev", "static, dim > 512"),
         (2, {}, NON_UNIFORM, "eigh", "static, dim <= 512"),
         (2, {"drives": DRIVE}, None, "interaction+LSODA", "time-dependent, dim <= 128"),
-        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "interaction+LSODA", "time-dependent, dim <= 128"),
+        # the literal phases are removed exactly in the field-number frame, which leaves a static H'
+        (2, {"coupling_mode": LITERAL_TIME_DEPENDENT}, None, "eigh",
+         "literal coupling, field-number frame: static, dim <= 512"),
         (INTERACTION_MAX_DIM // 2 - 1, {"drives": DRIVE}, None, "interaction+LSODA",
          "time-dependent, dim <= 128"),  # dim == INTERACTION_MAX_DIM
         (INTERACTION_MAX_DIM // 2, {"drives": DRIVE}, None, "LSODA", "time-dependent, dim > 128"),  # dim 130
+        # a driven H' stays time-dependent: plain LSODA runs in the lab frame, where the field carriers are not doubled
+        (INTERACTION_MAX_DIM // 2, {"coupling_mode": LITERAL_TIME_DEPENDENT, "drives": DRIVE}, None, "LSODA",
+         "time-dependent, dim > 128"),
     ],
     ids=["static-at-limit", "static-above-limit", "static-above-limit-nonuniform", "static-small-nonuniform",
-         "driven-small", "literal-small", "driven-at-limit", "driven-above-limit"],
+         "driven-small", "literal-small", "driven-at-limit", "driven-above-limit", "literal-driven-above-limit"],
 )
 def test_backend_follows_from_the_hamiltonian(cutoff, kwargs, t_eval, method, reason):
     space, params, psi0 = _vacuum_site_field(cutoff, **kwargs)
@@ -733,8 +739,11 @@ def test_spectral_path_rejects_non_finite_spectrum(free_site):
     space, params = free_site
     ham = TotalHamiltonian(space, params)
     ham.static = Operator(np.full((2, 2), 1e308))  # finite entries, eigenvalue 2e308 overflows
-    psi0 = product_state(space, [site_local_state("ground")])
     with pytest.raises(PropagationError, match="non-finite eigenvalues"):
+        dynamics._eigensystem(ham.static)
+    # propagate refuses it before any backend runs: its row sums, 2e308, bound the spectrum
+    psi0 = product_state(space, [site_local_state("ground")])
+    with pytest.raises(PropagationError, match="Hamiltonian overflows"):
         propagate(space, params, psi0, 1.0, hamiltonian=ham)
 
 
@@ -779,6 +788,37 @@ def literal_phonon_system():
     return space, params, psi0, 4.0
 
 
+def literal_two_mode_system():
+    """Literal coupling to two field modes of different frequency and cutoff, a phonon and a drive (dim 96)."""
+    space = build_space(SpaceSpec(2, (ModeSpec(3), ModeSpec(2)), (ModeSpec(1),)))
+    params = SystemParams(
+        site_energies=((-0.5, 0.5), (-0.45, 0.55)),
+        exchange_j=0.03,
+        coupling_mode=LITERAL_TIME_DEPENDENT,
+        field_modes=(FieldMode(omega=1.1, wavevector=0.4, amplitude=0.06, polarization_overlap=(1.0, 0.7)),
+                     FieldMode(omega=0.6, wavevector=1.3, amplitude=0.04)),
+        phonon_modes=(PhononMode(nu=0.4, coupling=0.05),),
+        drives=(ClassicalDrive(0.02 + 0.01j, 0.95, (0,)),),
+    )
+    psi0 = product_state(space, [site_local_state("angles", theta=1.2, phi=0.5), site_local_state("ground"),
+                                 coherent_local(0.6, 3), coherent_local(0.3j, 2), fock_local(0, 1)])
+    return space, params, psi0, 4.0
+
+
+def literal_large_system():
+    """The literal coupling of ``large_static_system`` (dim 514, above SPECTRAL_MAX_DIM), over a short time."""
+    space, params, psi0 = large_static_system()
+    return space, replace(params, coupling_mode=LITERAL_TIME_DEPENDENT), psi0, 1.0
+
+
+def _undriven(system):
+    def literal_only():
+        space, params, psi0, duration = system()
+        return space, replace(params, drives=()), psi0, duration
+
+    return literal_only
+
+
 def _term_sum_parts(space, params):
     """The per-term builders' sum, independent of TotalHamiltonian: (fixed matrix, H_CF(t) + H_drive(t))."""
     fixed = (build_hc(space, params) + build_hf(space, params) + build_hp(space, params)
@@ -787,20 +827,31 @@ def _term_sum_parts(space, params):
 
 
 @pytest.mark.parametrize(
-    "system,start",
-    [(compare_driven_system, 0.0), (criterion_07_system, 0.0), (literal_phonon_system, 0.0),
-     (literal_phonon_system, 2.0)],  # StateVector time != 0
-    ids=["compare-driven", "criterion-07", "literal-phonons", "literal-phonons-late-start"],
+    "system,start,method",
+    [(compare_driven_system, 0.0, "interaction+LSODA"), (criterion_07_system, 0.0, "interaction+LSODA"),
+     (literal_phonon_system, 0.0, "interaction+LSODA"),
+     (literal_phonon_system, 2.0, "interaction+LSODA"),  # StateVector time != 0
+     (literal_two_mode_system, 0.0, "interaction+LSODA"), (literal_two_mode_system, 2.0, "interaction+LSODA"),
+     # without drives the field-number frame leaves a static H', propagated exactly
+     (_undriven(compare_driven_system), 0.0, "eigh"), (_undriven(literal_phonon_system), 2.0, "eigh"),
+     (_undriven(literal_two_mode_system), 0.0, "eigh"), (_undriven(literal_two_mode_system), 2.0, "eigh"),
+     (literal_large_system, 1.5, "chebyshev")],
+    ids=["compare-driven", "criterion-07", "literal-phonons", "literal-phonons-late-start", "literal-two-modes",
+         "literal-two-modes-late-start", "literal-only", "literal-only-phonons-late-start", "literal-only-two-modes",
+         "literal-only-two-modes-late-start", "literal-only-above-spectral-limit-late-start"],
 )
-def test_interaction_path_matches_tight_dop853_of_the_term_sum(system, start):
+def test_interaction_path_matches_tight_dop853_of_the_term_sum(system, start, method):
     space, params, psi0, duration = system()
     fixed, varying = _term_sum_parts(space, params)
     t_eval = np.linspace(start, start + duration, 2 * dynamics.RECORD_CHUNK + 5)  # mapped back in three chunks
     ref = solve_ivp(lambda t, psi: -1j * (fixed @ psi + varying(t).matrix @ psi), (start, t_eval[-1]), psi0,
                     method="DOP853", t_eval=t_eval, rtol=1e-12, atol=1e-14)
     traj = propagate(space, params, StateVector(psi0, time=start), t_eval[-1], t_eval=t_eval, keep_states=True)
-    assert traj.meta["method"] == "interaction+LSODA"
-    assert traj.meta["rhs_evaluations"] > 0
+    assert traj.meta["method"] == method
+    literal = params.coupling_mode == LITERAL_TIME_DEPENDENT
+    assert traj.meta["backend_reason"].startswith("literal coupling, field-number frame: ") == literal
+    assert (traj.meta["rhs_evaluations"] > 0) == (method == "interaction+LSODA")
+    # the kept states are the lab-frame psi, not the frame's chi
     assert np.max(np.abs(traj.states - ref.y)) <= 1e-8
 
 

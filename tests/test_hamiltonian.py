@@ -26,6 +26,7 @@ from chainqed.hamiltonian import (
     coupling_q,
     drive_field,
 )
+from chainqed import dynamics
 from chainqed.dynamics import propagate
 from chainqed.hilbert import ModeSpec, Operator, SpaceSpec, build_space, commutator, identity
 from chainqed.transition_ops import build_transition_set
@@ -506,6 +507,52 @@ def _phasor_params():
         # the zero-amplitude drive is left out of the table
         drives=(ClassicalDrive(0.03 - 0.01j, 0.9, (1, 1)), ClassicalDrive(0.0, 2.0), ClassicalDrive(0.02j, 1.3)),
     )
+
+
+@pytest.mark.parametrize("coupling_mode", COUPLING_CASES)
+@pytest.mark.parametrize("case", list(DRIVE_CASES))
+def test_gershgorin_bound_is_the_largest_row_sum_over_every_column(coupling_mode, case):
+    space, params = _driven_chain(coupling_mode, DRIVE_CASES[case])
+    ham = TotalHamiltonian(space, params)
+    if ham.is_static:
+        rows = np.abs(ham.static.to_dense()).sum(axis=1)
+    else:
+        columns = [Operator._of(space.dim, ham._indptr, ham._indices, ham._values[:, c]).to_dense()
+                   for c in range(ham._values.shape[1])]
+        rows = sum(np.abs(c) for c in columns).sum(axis=1)
+    assert ham.gershgorin_bound() == pytest.approx(rows.max(), rel=1e-14)
+    for t in np.random.default_rng(53).uniform(0, 30, size=3):
+        assert np.max(np.abs(np.linalg.eigvalsh(ham.at(t).to_dense()))) <= ham.gershgorin_bound()
+
+
+def _frame_system(n_modes, case):
+    if n_modes == 1:
+        return _driven_chain(LITERAL_TIME_DEPENDENT, DRIVE_CASES[case])
+    # two field modes (w 1.2 and 0.7, cutoffs 3 and 2) and a phonon
+    params = _phasor_params()
+    drives = () if case == "undriven" else params.drives
+    space = build_space(SpaceSpec(3, (ModeSpec(3), ModeSpec(2)), (ModeSpec(1),)))
+    return space, replace(params, phonon_modes=(PhononMode(nu=0.5, coupling=0.1),), drives=drives)
+
+
+@pytest.mark.parametrize("n_modes,case", [(1, case) for case in DRIVE_CASES] + [(2, "undriven"), (2, "all-sites")])
+def test_literal_hamiltonian_is_the_doubled_frozen_phase_model_in_the_field_number_frame(n_modes, case):
+    # H(t) = W(t) (H'(t) - diag(d)) W(t)^dag, W(t) = diag(exp(i t d)), d = sum_k w_k (n_k + 1/2)
+    space, params = _frame_system(n_modes, case)
+    ham = TotalHamiltonian(space, params)
+    prime, d = dynamics._field_number_frame(space, ham)
+    assert prime.params.coupling_mode == STATIC_PHASE
+    assert [m.omega for m in prime.params.field_modes] == [2.0 * m.omega for m in params.field_modes]
+    assert prime.is_static == (ham.model.drive_table.size == 0)
+    for i in range(space.dim):
+        occupation = space.index_to_occupation(i)
+        expected = sum(m.omega * (occupation[space.field_slot(k)] + 0.5) for k, m in enumerate(params.field_modes))
+        assert abs(d[i] - expected) <= 1e-15
+    for t in np.random.default_rng(47).uniform(0, 40, size=5):
+        h = ham.at(t).to_dense()
+        w = np.exp(1j * t * d)
+        framed = w[:, None] * (prime.at(t).to_dense() - np.diag(d)) * w.conj()
+        assert np.max(np.abs(h - framed)) <= 1e-13 * np.max(np.abs(h)), (case, t)
 
 
 def test_phasors_on_a_grid_are_the_scalar_calls_column_by_column():

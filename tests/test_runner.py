@@ -990,6 +990,23 @@ def test_cli_overflowing_input_prints_its_message_and_no_warning(tmp_path, param
     assert json.loads((out / "report.json").read_text())["results"]["error"] == message
 
 
+@pytest.mark.parametrize("drives", ["", ", drives: [{amplitude: 0.01, frequency: 1.0}]"],
+                         ids=["literal-only", "driven"])
+def test_cli_propagate_of_an_overflowing_literal_coupling_names_the_overflow(tmp_path, drives):
+    # every entry of H is finite (about 1e308), but its row sums overflow: refused before any backend runs
+    text = ("task: propagate\nspace: {n_sites: 1, field_modes: [{cutoff: 2}]}\n"
+            "params: {coupling_mode: literal_time_dependent, field_modes: [{omega: 1.0, amplitude: 1.0e308}]"
+            f"{drives}}}\nintegrate: {{t_end: 1.0, n_out: 5}}\n")
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "chainqed.cli", "run", "--config", str(path), "--out", str(out)],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    message = ("Hamiltonian overflows: the Gershgorin bound of its spectrum, the largest row sum of |H(t)|, "
+               "is not finite")
+    assert done.returncode == 1
+    assert done.stderr == message + "\n"  # one line: no traceback and no warning
+    assert json.loads((out / "report.json").read_text())["results"]["error"] == message
+
+
 def test_cli_propagate_of_a_huge_coherent_amplitude_flags_truncation(tmp_path):
     # alpha^n / sqrt(n!) overflows for every n > 0; the state puts all its weight on the top level
     text = ("task: propagate\nspace: {n_sites: 1, field_modes: [{cutoff: 2}]}\n"
