@@ -251,7 +251,7 @@ class CompiledModel:
 
     def phasors(self, t):
         """amp * exp(-i freq t) per row of the phasor table; one column per time for a time grid."""
-        if np.ndim(t) == 0:
+        if isinstance(t, float) or np.ndim(t) == 0:  # a float (np.float64 too) skips ndim's array conversion
             return self.phasor_amp * np.exp(self.phasor_rate * t)
         return (self.phasor_amp * np.exp(np.multiply.outer(t, self.phasor_rate))).T
 

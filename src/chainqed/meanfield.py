@@ -103,14 +103,15 @@ class CompiledClosure(CompiledModel):
 
     The right-hand side is a quadratic polynomial in the packed state whose time
     dependence enters only through the model's phasors, so it is compiled once into a
-    table of terms.  Term ``(o, i, j, m, c)`` adds ``c * x[m] * x[i] * x[j]`` to ``dy[o]``,
-    where ``x = [y, f(t)]`` and the time factors are ``f(t) = [1, Re/Im of each row of
-    phasors(t)]``: ``i`` and ``j`` index ``y1 = [y, 1]`` and ``m`` indexes ``f(t)``.  A
-    drive's terms read the Re slot of its phasor at twice their coefficient.  Terms with a
-    zero coefficient are left out, and the terms whose ``m`` is the leading 1 come first,
-    so only the rest gather a time factor.  A right-hand side is then one concatenation,
-    the gathers and products over the table and one ``bincount``, whatever terms the
-    model holds; a static model evaluates no phasor.
+    table of terms.  Term ``(o, i, j, m, c)`` adds ``c * x[i] * x[j] * x[m]``, multiplied in
+    that order, to ``dy[o]``, where ``x = [y, f(t)]`` and the time factors are ``f(t) = [1,
+    Re/Im of each row of phasors(t)]``: ``i`` and ``j`` index ``y1 = [y, 1]`` and ``m``
+    indexes ``f(t)``.  A drive's terms read the Re slot of its phasor at twice their
+    coefficient.  Terms with a zero coefficient are left out, and the terms whose ``m`` is
+    the leading 1 come first, so only the rest gather a time factor.  A right-hand side is
+    then one concatenation, one gather of both operands, the products over the table and
+    one ``bincount``, whatever terms the model holds; a static model evaluates no phasor
+    and gathers no time factor.
     """
 
     def __init__(self, params: SystemParams):
@@ -118,7 +119,8 @@ class CompiledClosure(CompiledModel):
         # doubled: the site field is Re(2 q a)
         self._q2 = 2.0 * self.q0
         self._size = 3 * self.n + 2 * self.n_field + 2 * self.n_phonon
-        self._o, self._i, self._j, m, self._c = self._term_table()
+        self._o, i, j, m, self._c = self._term_table()
+        self._ij = np.stack((i, j))  # both operands of every term from one gather
         self._timed = int(np.count_nonzero(m == self._size))  # first term with a time factor
         self._m = m[self._timed :]
 
@@ -177,14 +179,6 @@ class CompiledClosure(CompiledModel):
         keep = keep[np.argsort(m[keep] != one, kind="stable")]
         return o[keep], i[keep], j[keep], m[keep], c[keep]
 
-    def _factors(self, t):
-        """f(t) after its 1: Re and Im of each phasor at time t, interleaved; none for a static model.
-
-        A method, not a bound method stored on the closure: that would hold each closure and its
-        term table in a reference cycle past its run.
-        """
-        return _ONE[:0] if self.is_static else self.phasors(t).view(float)
-
     def check(self, mf: MeanFieldState) -> CompiledClosure:
         """This closure, after refusing a state whose sizes differ from the parameters."""
         have, want = (mf.n_sites, mf.a.size, mf.b.size), (self.n, self.n_field, self.n_phonon)
@@ -209,9 +203,16 @@ class CompiledClosure(CompiledModel):
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Time derivative of the packed state (the equations of ``close_rhs``), a new array."""
-        x = np.concatenate((y, _ONE, self._factors(t)))
-        weights = self._c * x.take(self._i) * x.take(self._j)
-        weights[self._timed :] *= x.take(self._m)
+        if self.is_static:  # no time factor: f(t) is the 1 alone
+            x = np.concatenate((y, _ONE))
+        else:  # f(t) after its 1: Re and Im of each phasor, interleaved
+            x = np.concatenate((y, _ONE, self.phasors(t).view(float)))
+        pair = x.take(self._ij)
+        # (c * x[i]) * x[j], then * f[m]: LSODA's call count moves with the last bit of that order
+        weights = self._c * pair[0]
+        weights *= pair[1]
+        if not self.is_static:
+            weights[self._timed :] *= x.take(self._m)
         return np.bincount(self._o, weights=weights, minlength=self._size)
 
     def energy(self, t, sm, sz, a, b):

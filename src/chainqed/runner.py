@@ -644,18 +644,20 @@ def _json_values(block: np.ndarray, level: int) -> str:
     a list of floats for one row, a list of ``[re, im]`` pairs for two.
 
     The C encoder that ``json`` uses without ``indent`` is not available with it, so the
-    text is joined here from ``float.__repr__``, which is what ``json`` writes for a
-    finite float; ``nan`` and ``inf`` become ``NaN`` and ``Infinity`` as in ``json``.
+    text is ``float.__repr__`` of each value, which is what ``json`` writes for a finite
+    float, put in place by one ``%r`` template per block; in a block with a non-finite
+    value ``nan`` and ``inf`` become ``NaN`` and ``Infinity`` as in ``json``.
     """
     if block.shape[1] == 0:
         return "[]"
-    items = map(float.__repr__, block.T.ravel().tolist())  # re, im alternate for two rows
     pad, close = "\n" + " " * (level + 1), "\n" + " " * level + "]"
-    if len(block) == 2:
+    item = "%r"
+    if len(block) == 2:  # re, im of each point
         inner = "\n" + " " * (level + 2)
-        # zip over one iterator pairs consecutive items: (re, im) of each point
-        items = (f"[{inner}{re},{inner}{im}{pad}]" for re, im in zip(items, items))
-    text = ("," + pad).join(items).replace("nan", "NaN").replace("inf", "Infinity")
+        item = f"[{inner}%r,{inner}%r{pad}]"
+    text = ("," + pad).join([item] * block.shape[1]) % tuple(block.T.ravel().tolist())
+    if not np.isfinite(block).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return "[" + pad + text + close
 
 
@@ -674,8 +676,14 @@ def import_trajectory(path: str | Path) -> dynamics.Trajectory:
         ]
     else:
         with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        table = np.array(rows, dtype=float).reshape(len(rows), len(header)).T.copy()
+            first, *rows = fh.readlines()
+        header = next(csv.reader([first]))
+        # numpy's C parser reads the body (a "#" is a bad cell, not a comment); it warns on no rows,
+        # the file of a trajectory of no points
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, len(header)))
+        if table.shape != (len(rows), len(header)):  # loadtxt skips a blank line; csv.writer writes none
+            raise ValueError(f"{path}: expected {len(rows)} rows of {len(header)} values, read {table.shape}")
+        table = table.T.copy()
         columns, col = [], 0
         while col < len(header):
             name = header[col]

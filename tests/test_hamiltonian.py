@@ -561,7 +561,8 @@ def test_phasors_on_a_grid_are_the_scalar_calls_column_by_column():
     grid = model.phasors(times)
     assert grid.shape == (4, times.size)
     for i, t in enumerate(times):
-        assert np.array_equal(grid[:, i], model.phasors(t))
+        for scalar in (float(t), np.float64(t), np.array(t)):  # a float takes its own path past np.ndim
+            assert np.array_equal(grid[:, i], model.phasors(scalar)), type(scalar)
 
 
 def test_phasors_are_the_mode_phases_and_the_drive_values():

@@ -279,6 +279,25 @@ def test_compiled_rhs_returns_a_new_array_on_every_call():
     assert not np.shares_memory(first, y) and not np.shares_memory(second, y)
 
 
+@pytest.mark.parametrize("coupling_mode,drives,phonons", [
+    ("static_phase_at_t0", "none", False),
+    ("static_phase_at_t0", "subset", True),
+    ("literal_time_dependent", "none", True),
+], ids=["static", "driven", "literal-phonons"])
+def test_compiled_rhs_is_the_term_table_in_its_documented_order(coupling_mode, drives, phonons):
+    params, mf = _random_system(3, "periodic", coupling_mode, drives, phonons, seed=11)
+    closure = meanfield.CompiledClosure(params)
+    o, i, j, m, c = closure._term_table()
+    assert closure.is_static == (coupling_mode == "static_phase_at_t0" and drives == "none")
+    y = mf.pack()
+    for t in (0.0, 0.37, 250.0):
+        x = np.concatenate((y, [1.0], closure.phasors(t).view(float)))
+        want = np.zeros_like(y)
+        for k, w in enumerate(c * x[i] * x[j] * x[m]):  # x[m] is the 1 for a term without a time factor
+            want[o[k]] += w
+        assert np.array_equal(closure.rhs(t, y), want), t
+
+
 def test_a_static_closure_evaluates_no_phasor(monkeypatch):
     params, mf = _random_system(3, "periodic", "static_phase_at_t0", "none", True, seed=7)
     y = mf.pack()

@@ -595,9 +595,13 @@ def test_trajectory_files_match_golden_text(tmp_path, fmt, expected):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.filterwarnings("error")  # a trajectory of no points is a header alone: read without a warning
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_round_trip_bitwise(tmp_path, fmt):
-    for traj in (sample_trajectory(), golden_trajectory()):
+    one_point = Trajectory(times=np.array([0.5]), records={"sigma_minus_0": np.array([complex(-0.0, 1e-300)]),
+                                                           "sigma_z_0": np.array([-INF])})
+    for traj in (sample_trajectory(), golden_trajectory(), JSON_DUMP_CASES["empty"], JSON_DUMP_CASES["no-records"],
+                 one_point):
         path = export_trajectory(traj, fmt, tmp_path / f"t.{fmt}")
         back = import_trajectory(path)
         assert np.array_equal(back.times.view(np.uint64), traj.times.view(np.uint64))
@@ -660,6 +664,16 @@ def test_json_file_matches_json_dump(tmp_path, case):
     traj = JSON_DUMP_CASES[case]
     path = export_trajectory(traj, "json", tmp_path / "t.json")
     assert path.read_text() == _json_dump_text(traj)
+
+
+@pytest.mark.parametrize("body", ["0.0,1.0,2.0\r\n0.5,1.0\r\n", "0.0,1.0,2.0\r\n0.5,1.0,x\r\n",
+                                  "0.0,1.0\r\n0.5,1.0\r\n", "0.0,1.0,2.0\r\n\r\n0.5,1.0,2.0\r\n"],
+                         ids=["ragged-row", "non-numeric-cell", "every-row-short", "blank-line"])
+def test_malformed_csv_is_refused_with_value_error(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("time,sigma_z_0,energy\r\n" + body, newline="")
+    with pytest.raises(ValueError):
+        import_trajectory(path)
 
 
 def test_csv_column_order(tmp_path):
