@@ -216,13 +216,26 @@ class Trajectory:
         return self.records[name]
 
 
-def _check_grid(t_eval, t_start: float, t_end: float) -> np.ndarray:
-    """The output grid, held to the contract scipy's ``solve_ivp`` enforces (same errors), and not empty."""
-    t_eval = np.asarray(t_eval, dtype=float)
+def _check_grid(t_start: float, t_end: float, n_out: int, t_eval=None) -> np.ndarray:
+    """The output grid, ``t_eval`` or else ``n_out`` equally spaced times from the start to ``t_end``.
+
+    Both ends must be finite, and ``t_end`` past the start; the grid is held to the contract
+    scipy's ``solve_ivp`` enforces (same errors), must be finite and not empty.  Every refusal
+    is a ``ValueError`` raised before any arithmetic on the times.
+    """
+    for name, value in (("start time", t_start), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value} is not finite")
+    if t_end <= t_start:
+        raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
+    t_eval = np.linspace(t_start, t_end, n_out) if t_eval is None else np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1:
         raise ValueError("`t_eval` must be 1-dimensional.")
     if t_eval.size == 0:
         raise ValueError("the output grid holds no time")
+    bad = t_eval[~np.isfinite(t_eval)]
+    if bad.size:
+        raise ValueError(f"`t_eval` holds the non-finite time {bad[0]}")
     if np.any(t_eval < t_start) or np.any(t_eval > t_end):
         raise ValueError("Values in `t_eval` are not within `t_span`.")
     if np.any(np.diff(t_eval) <= 0):
@@ -637,9 +650,10 @@ def propagate(
     Raises
     ------
     ValueError
-        When the initial state is not normalized (a NaN amplitude included),
-        ``t_end`` does not exceed its start time, or the output grid is empty;
-        on an LSODA path, when ``tol`` is below ``TOL_MIN``.
+        When the start time, ``t_end`` or a time of ``t_eval`` is not
+        finite, ``t_end`` does not exceed the start time, the output grid is
+        empty, or the initial state is not normalized (a NaN amplitude
+        included); on an LSODA path, when ``tol`` is below ``TOL_MIN``.
     PropagationError
         Before any backend runs, when a matrix of the Hamiltonian or a
         compiled parameter behind its coefficients is non-finite, or when
@@ -657,12 +671,10 @@ def propagate(
         raise DimensionMismatchError(
             f"state dimension {psi0.shape[0]} != space dimension {space.dim}"
         )
-    if t_end <= t_start:
-        raise ValueError(f"t_end {t_end} must exceed start time {t_start}")
+    times = _check_grid(t_start, t_end, n_out, t_eval)
     norm0 = np.linalg.norm(psi0)
     if not abs(norm0 - 1.0) <= 1e-10:  # also refuses a NaN amplitude
         raise ValueError(f"initial state is not normalized: |psi| = {norm0}")
-    times = _check_grid(np.linspace(t_start, t_end, n_out) if t_eval is None else t_eval, t_start, t_end)
 
     ham = hamiltonian if hamiltonian is not None else TotalHamiltonian(space, params)
     _refuse_non_finite(ham)

@@ -279,13 +279,26 @@ def test_compiled_rhs_returns_a_new_array_on_every_call():
     assert not np.shares_memory(first, y) and not np.shares_memory(second, y)
 
 
-@pytest.mark.parametrize("coupling_mode,drives,phonons", [
-    ("static_phase_at_t0", "none", False),
-    ("static_phase_at_t0", "subset", True),
-    ("literal_time_dependent", "none", True),
-], ids=["static", "driven", "literal-phonons"])
-def test_compiled_rhs_is_the_term_table_in_its_documented_order(coupling_mode, drives, phonons):
-    params, mf = _random_system(3, "periodic", coupling_mode, drives, phonons, seed=11)
+@pytest.mark.parametrize("drives", ["none", "all"], ids=["static", "driven"])
+def test_compiled_rhs_refuses_a_packed_state_of_another_size(drives):
+    # the CSR product reads its columns of [y, f(t)] unchecked: a short y must not reach it
+    params, mf = _random_system(3, "periodic", "static_phase_at_t0", drives, True, seed=5)
+    closure = meanfield.CompiledClosure(params)
+    y = mf.pack()
+    for bad in (y[:-1], np.append(y, 0.0), y[:, None]):
+        with pytest.raises(ValueError, match=rf"packed state of shape \({bad.shape[0]},.*the closure's is \({y.size},\)"):
+            closure.rhs(0.4, bad)
+
+
+@pytest.mark.parametrize("n,boundary,coupling_mode,drives,phonons", [
+    (3, "periodic", "static_phase_at_t0", "none", False),
+    (3, "periodic", "static_phase_at_t0", "subset", True),
+    (3, "periodic", "literal_time_dependent", "none", True),
+    (9, "open", "literal_time_dependent", "subset", True),
+    (256, "periodic", "literal_time_dependent", "subset", True),
+], ids=["static", "driven", "literal-phonons", "open-chain-driven-phonons", "periodic-chain-256"])
+def test_compiled_rhs_is_the_term_table_in_its_documented_order(n, boundary, coupling_mode, drives, phonons):
+    params, mf = _random_system(n, boundary, coupling_mode, drives, phonons, seed=11)
     closure = meanfield.CompiledClosure(params)
     o, i, j, m, c = closure._term_table()
     assert closure.is_static == (coupling_mode == "static_phase_at_t0" and drives == "none")
@@ -431,6 +444,9 @@ def test_long_periodic_chain_keeps_bloch_lengths():
     finally:
         tracemalloc.stop()
     assert traj.meta["bloch_drift"] <= 1e-8
+    # the drift is the largest deviation of any site's Bloch length from its start value
+    bloch = (traj.records[f"bloch_{l}"] for l in range(n))
+    assert traj.meta["bloch_drift"] == max(float(np.max(np.abs(row - row[0]))) for row in bloch)
     assert peak < 8 * n * n / 4  # a quarter of one dense n x n float array
     assert len(traj.records) == 4 * n + 2 + 2 + 2
 

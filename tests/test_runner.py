@@ -1035,6 +1035,56 @@ def test_cli_propagate_of_a_huge_coherent_amplitude_flags_truncation(tmp_path):
     assert meta["truncation_flagged"] is True and meta["max_top_level_population"] == pytest.approx(1.0)
 
 
+# (call, message): a propagation from a non-finite time, refused before any arithmetic on the times
+NON_FINITE_TIMES = {
+    "exact": [
+        ("propagate(space, params, psi, nan)", "t_end nan is not finite"),
+        ("propagate(space, params, psi, inf)", "t_end inf is not finite"),
+        ("propagate(space, params, psi, -inf)", "t_end -inf is not finite"),
+        ("propagate(space, params, StateVector(psi, nan), 1.0)", "start time nan is not finite"),
+        ("propagate(space, params, StateVector(psi, -inf), 1.0)", "start time -inf is not finite"),
+        ("propagate(space, params, psi, 1.0, t_eval=np.array([0.0, nan, 1.0]))",
+         "`t_eval` holds the non-finite time nan"),
+        ("propagate(space, params, psi, 1.0, t_eval=np.array([0.0, 0.5, inf]))",
+         "`t_eval` holds the non-finite time inf"),
+    ],
+    "meanfield": [
+        ("mf_propagate(mf, params, nan)", "t_end nan is not finite"),
+        ("mf_propagate(mf, params, inf)", "t_end inf is not finite"),
+        ("mf_propagate(mf, params, -inf)", "t_end -inf is not finite"),
+        ("mf_propagate(replace(mf, time=nan), params, 1.0)", "start time nan is not finite"),
+        ("mf_propagate(replace(mf, time=inf), params, 1.0)", "start time inf is not finite"),
+    ],
+}
+
+
+@pytest.mark.parametrize("path", sorted(NON_FINITE_TIMES))
+def test_cli_non_finite_time_is_refused_without_a_warning(path):
+    # a child process under -W error: a numpy RuntimeWarning before the refusal would end it with a traceback
+    code = (
+        "from dataclasses import replace\n"
+        "from math import inf, nan\n"
+        "import numpy as np\n"
+        "from chainqed.dynamics import StateVector, propagate\n"
+        "from chainqed.hamiltonian import ClassicalDrive, SystemParams\n"
+        "from chainqed.hilbert import SpaceSpec, build_space, product_state, site_local_state\n"
+        "from chainqed.meanfield import MeanFieldState, mf_propagate\n"
+        "space = build_space(SpaceSpec(1))\n"
+        "params = SystemParams(site_energies=((-0.5, 0.5),), drives=(ClassicalDrive(0.01, 1.0),))\n"
+        "psi, mf = product_state(space, [site_local_state('ground')]), MeanFieldState([0.0], [-1.0], [], [])\n"
+        f"for call in {[call for call, _ in NON_FINITE_TIMES[path]]!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=_subprocess_env(), capture_output=True,
+                          text=True)
+    assert done.stderr == ""
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == [message for _, message in NON_FINITE_TIMES[path]]
+
+
 def test_cli_mean_field_long_chain_has_no_exact_space_cap(tmp_path, capsys):
     raw = {
         "task": "meanfield",
