@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Physics lives in the config file; flags only pick paths, worker counts,
-verbosity, the seed, and (via the subcommand) a task override.  ``run``
-executes whatever task the config declares.
+verbosity, the seed, and (via the subcommand) the task.  ``run`` executes
+whatever task the config declares.  A subcommand's task and a ``--seed``
+are put into the config before it is validated, so they are checked and
+hashed as if the file held them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import sys
 
 from .dynamics import PropagationError
-from .runner import ConfigError, config_from_dict, load_config, run
+from .runner import ConfigError, load_config, run
 
 _SUBCOMMANDS = {
     "run": None,
@@ -45,21 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {"task": _SUBCOMMANDS[args.command], "seed": args.seed}
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = config_from_dict({**config.raw, "seed": args.seed})
+        config = load_config(args.config, **{key: value for key, value in overrides.items() if value is not None})
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
     try:
-        report = run(
-            config,
-            out_dir=args.out,
-            workers=args.workers,
-            verbose=args.verbose,
-            task_override=_SUBCOMMANDS[args.command],
-        )
+        report = run(config, out_dir=args.out, workers=args.workers, verbose=args.verbose)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -112,8 +112,9 @@ class RunConfig:
             raise ConfigError([str(exc)]) from exc
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a YAML config, aggregating all problems."""
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """Parse and validate a YAML config, aggregating all problems.  ``overrides`` set
+    top-level keys (the task, the seed) before validation, as if the file held them."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
@@ -124,7 +125,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError([f"YAML parse error in {path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be a mapping, got {type(raw).__name__}"])
-    return config_from_dict(raw)
+    return config_from_dict({**raw, **overrides})
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -325,6 +326,13 @@ def _no_mean_field_image(state: dict) -> str | None:
     return None
 
 
+def _sweep_section(task, at):
+    """The sweep task runs the points of a ``sweep`` section."""
+    if task == "sweep" and at.get("sweep") is None:
+        raise _Bad("is sweep, which needs a sweep section")
+    return task
+
+
 def _mean_field_start(state, at):
     if at.run_task() in MEAN_FIELD_TASKS and (text := _no_mean_field_image(state)):
         raise _Bad(text)
@@ -406,6 +414,7 @@ _ROWS = (
     ("sweep.path", "str", _sweep_path, _REQUIRED),
     ("sweep.values", "list", _rule("non-empty", len), _REQUIRED),
     ("sweep.task", "str", tuple(t for t in TASKS if t != "sweep"), "propagate"),
+    ("task", "str", _sweep_section, None),
     ("space", "mapping", _exact_space_fits, None),
     ("initial.{modes}.*", "mapping", _mean_field_start, None),
 )
@@ -661,38 +670,51 @@ def _json_values(block: np.ndarray, level: int) -> str:
     return "[" + pad + text + close
 
 
+def _json_record(obj: dict):
+    """``json.load``'s object hook: a mapping of exactly ``dtype`` ``real`` or ``complex`` and
+    ``values`` becomes its record as the parser closes it, so the Python floats of at most one
+    record exist at a time; any other mapping stays as it is.  The ``[re, im]`` pairs of a
+    complex record are the memory layout of ``complex128``, viewed, so every bit is kept."""
+    if obj.keys() == {"dtype", "values"} and obj["dtype"] in ("real", "complex"):
+        values = np.array(obj["values"], dtype=float)
+        return values if obj["dtype"] == "real" else values.reshape(-1, 2).view(np.complex128).ravel()
+    return obj
+
+
 def import_trajectory(path: str | Path) -> dynamics.Trajectory:
-    """Read a trajectory written by :func:`export_trajectory`."""
+    """Read a trajectory written by :func:`export_trajectory`.
+
+    Each record of a JSON file is an array from the moment its mapping closes (see
+    ``_json_record``); a mapping of that shape inside ``meta`` is read as a record too.
+    A CSV file's lines are released once ``np.loadtxt`` has parsed them.
+    """
     path = Path(path)
-    meta = {}
     if path.suffix == ".json":
         with open(path) as fh:
-            payload = json.load(fh)
-        meta = payload.get("meta", {})
-        columns = [("time", np.array([payload["times"]], dtype=float))] + [
-            (name, np.array(rec["values"], dtype=float).reshape(-1, 2).T if rec["dtype"] == "complex"
-             else np.array([rec["values"]], dtype=float))
-            for name, rec in payload["records"].items()
-        ]
-    else:
-        with open(path, newline="") as fh:
-            first, *rows = fh.readlines()
-        header = next(csv.reader([first]))
-        # numpy's C parser reads the body (a "#" is a bad cell, not a comment); it warns on no rows,
-        # the file of a trajectory of no points
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, len(header)))
-        if table.shape != (len(rows), len(header)):  # loadtxt skips a blank line; csv.writer writes none
-            raise ValueError(f"{path}: expected {len(rows)} rows of {len(header)} values, read {table.shape}")
-        table = table.T.copy()
-        columns, col = [], 0
-        while col < len(header):
-            name = header[col]
-            pair = name.endswith("_re") and header[col + 1 : col + 2] == [name[:-3] + "_im"]
-            columns.append((name[:-3] if pair else name, table[col : col + 1 + pair]))
-            col += 1 + pair
-    (_, times), *records = columns
-    records = {name: _record(block) for name, block in records}
-    return dynamics.Trajectory(times=times[0], records=records, meta=meta)
+            payload = json.load(fh, object_hook=_json_record)
+        for name, record in payload["records"].items():
+            if not isinstance(record, np.ndarray):  # a mapping the hook left
+                dtype = record.get("dtype") if isinstance(record, dict) else None
+                raise ValueError(f"{path}: record {name!r} has dtype {dtype!r}, not 'real' or 'complex'")
+        return dynamics.Trajectory(times=np.array(payload["times"], dtype=float), records=payload["records"],
+                                   meta=payload.get("meta", {}))
+    with open(path, newline="") as fh:
+        first, *rows = fh.readlines()
+    header, n_rows = next(csv.reader([first])), len(rows)
+    # numpy's C parser reads the body (a "#" is a bad cell, not a comment); it warns on no rows,
+    # the file of a trajectory of no points
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, len(header)))
+    del rows  # the text of the lines, released before the transposed copy
+    if table.shape != (n_rows, len(header)):  # loadtxt skips a blank line; csv.writer writes none
+        raise ValueError(f"{path}: expected {n_rows} rows of {len(header)} values, read {table.shape}")
+    table = table.T.copy()
+    records, col = {}, 1
+    while col < len(header):
+        name = header[col]
+        pair = name.endswith("_re") and header[col + 1 : col + 2] == [name[:-3] + "_im"]
+        records[name[:-3] if pair else name] = _record(table[col : col + 1 + pair])
+        col += 1 + pair
+    return dynamics.Trajectory(times=table[0], records=records, meta={})
 
 
 def _jsonable(obj):
@@ -947,8 +969,6 @@ def _run_sweep_point(args):
 
 def _task_sweep(config: RunConfig, out_dir: Path, report: RunReport, verbose: bool, workers: int):
     sweep = config.sweep
-    if sweep is None:
-        raise ConfigError(["the sweep task needs a sweep section"])
     jobs = []
     for i, value in enumerate(sweep["values"]):
         raw = copy.deepcopy(config.raw)
@@ -992,12 +1012,9 @@ def run(
     out_dir: str | Path | None = None,
     workers: int = 1,
     verbose: bool = False,
-    task_override: str | None = None,
 ) -> RunReport:
     """Run a validated config; write its report (also when a ``PropagationError`` stops it) and trajectory files."""
-    task = task_override or config.task
-    if task not in _TASK_FUNCTIONS:
-        raise ConfigError([f"unknown task {task!r}"])
+    task = config.task
     out_dir = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(task=task, config_hash=config.config_hash, seed=config.seed)

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,12 @@ def test_sweep_task_without_sweep_section_exits_2(tmp_path, capsys):
     assert "needs a sweep section" in err and "Traceback" not in err
 
 
+def test_sweep_task_without_sweep_section_is_listed_with_other_problems():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"task": "sweep", "space": {"n_sites": 0}})
+    assert err.value.problems == ["space.n_sites must be positive, got 0", "task is sweep, which needs a sweep section"]
+
+
 def test_config_error_survives_pickling():
     err = ConfigError(["first problem", "second problem"])
     back = pickle.loads(pickle.dumps(err))
@@ -676,6 +683,58 @@ def test_malformed_csv_is_refused_with_value_error(tmp_path, body):
         import_trajectory(path)
 
 
+def test_json_record_of_unknown_dtype_is_refused_with_value_error(tmp_path):
+    path = export_trajectory(sample_trajectory(2), "json", tmp_path / "t.json")
+    # [re, im] pairs under a misspelt dtype once read back as a (2, 2) real record
+    path.write_text(path.read_text().replace('"dtype": "complex"', '"dtype": "cmplx"', 1))
+    with pytest.raises(ValueError, match="record 'sigma_minus_0' has dtype 'cmplx'"):
+        import_trajectory(path)
+
+
+def test_run_meta_reads_back_equal(tmp_path):
+    config = load_config(write_config(tmp_path, COUPLED))
+    for traj in (runner._exact_run(config), runner._mean_field_run(config)):
+        back = import_trajectory(export_trajectory(traj, "json", tmp_path / "t.json"))
+        assert back.meta == traj.meta
+
+
+def test_record_shaped_mapping_in_meta_reads_back_as_its_record(tmp_path):
+    meta = {
+        "fit": {"dtype": "complex", "values": [[1.0, -0.0]]},
+        "band": {"dtype": "real", "values": [0.5, -0.0]},
+        # not records: another dtype, another key
+        "other": {"dtype": "cmplx", "values": [1.0]},
+        "wider": {"dtype": "real", "values": [0.5], "unit": "s"},
+    }
+    path = export_trajectory(Trajectory(times=np.array([0.0]), records={}, meta=meta), "json", tmp_path / "t.json")
+    back = import_trajectory(path).meta
+    assert back["fit"].dtype == np.complex128
+    assert np.array_equal(back["fit"].view(np.uint64), np.array([complex(1.0, -0.0)]).view(np.uint64))
+    assert back["band"].dtype == np.float64
+    assert np.array_equal(back["band"].view(np.uint64), np.array([0.5, -0.0]).view(np.uint64))
+    assert back["other"] == meta["other"] and back["wider"] == meta["wider"]
+
+
+def test_import_peak_memory_is_bounded_by_the_file_size(tmp_path):
+    # the records of a compare-driven exact trajectory at 20,000 points; the parser's text is held once
+    n = 20_000
+    rng = np.random.default_rng(33)
+    complex_names = ["sigma_minus_0", "sigma_plus_0", "sigma_minus_1", "sigma_plus_1", "a_0"]
+    real_names = ["sigma_z_0", "sigma_z_1", "n_0", "top_field_0", "norm", "energy"]
+    records = {name: rng.normal(size=n) + 1j * rng.normal(size=n) for name in complex_names}
+    records.update({name: rng.normal(size=n) for name in real_names})
+    traj = Trajectory(times=np.linspace(0.0, 250.0, n), records=records, meta={"tol": 1e-10})
+    for fmt, bound in (("json", 2.2), ("csv", 1.8)):
+        path = export_trajectory(traj, fmt, tmp_path / f"t.{fmt}")
+        tracemalloc.start()
+        try:
+            import_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * path.stat().st_size, (fmt, peak / path.stat().st_size)
+
+
 def test_csv_column_order(tmp_path):
     traj = sample_trajectory()
     path = export_trajectory(traj, "csv", tmp_path / "t.csv")
@@ -710,10 +769,24 @@ def test_every_task_has_a_function():
     assert tuple(runner._TASK_FUNCTIONS) == runner.TASKS
 
 
-def test_unknown_task_override_refused(tmp_path):
-    config = load_config(write_config(tmp_path, MINIMAL))
-    with pytest.raises(ConfigError, match="unknown task 'simulate'"):
-        run(config, out_dir=tmp_path / "out", task_override="simulate")
+def test_cli_subcommand_task_is_validated_and_hashed_as_if_written(tmp_path, capsys):
+    # no task key: a 30-site chain has an exact space of 2^30, above the cap, and a mean-field run builds none
+    raw = {
+        "space": {"n_sites": 30},
+        "params": {"omegas": 1.0, "exchange_j": 0.05},
+        "initial": {"sites": [{"kind": "angles", "theta": 1.0}] * 30},
+        "integrate": {"t_end": 1.0, "n_out": 5},
+    }
+    path = write_config(tmp_path, yaml.safe_dump(raw))
+    assert cli.main(["meanfield", "--config", str(path), "--out", str(tmp_path / "mf")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "mf" / "trajectory_meanfield.csv").exists() and (tmp_path / "mf" / "trajectory_meanfield.json").exists()
+    saved = json.loads((tmp_path / "mf" / "report.json").read_text())
+    assert saved["task"] == "meanfield"
+    assert saved["config_hash"] == config_from_dict({**raw, "task": "meanfield"}).config_hash
+    assert cli.main(["propagate", "--config", str(path), "--out", str(tmp_path / "exact")]) == 2
+    err = capsys.readouterr().err
+    assert "space too large" in err and "Traceback" not in err
 
 
 def test_propagate_task_writes_files_and_report(tmp_path):
